@@ -159,7 +159,8 @@ def welfare_thresholds(t1, t2, c: float) -> ThresholdWelfare:
     c = check_cost(c)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any((t1 < 0.0) | (t1 > 1.0)) or np.any((t2 < 0.0) | (t2 > 1.0)):
+    # written so that NaN fails the range test
+    if not (np.all((t1 >= 0.0) & (t1 <= 1.0)) and np.all((t2 >= 0.0) & (t2 <= 1.0))):
         raise ValueError("thresholds must lie in [0, 1]")
     lo1, lo2 = _shares_t1_below(t1, t2, c)
     hi1, hi2 = _shares_t1_above(t1, t2, c)

@@ -36,8 +36,8 @@ def optimal_activity(p1, p2, c: float):
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     worthwhile = np.maximum(p1, p2) > c / 2.0
-    sigma1 = np.where(worthwhile & (p1 >= p2), 1.0, 0.0)
-    sigma2 = np.where(worthwhile & (p2 > p1), 1.0, 0.0)
+    sigma1 = (worthwhile & (p1 >= p2)).astype(float)
+    sigma2 = (worthwhile & (p2 > p1)).astype(float)
     return sigma1, sigma2
 
 

@@ -176,8 +176,8 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
     contention = ~(nobody | only1 | only2)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
 
-    sigma1 = np.where(only1 | (contention & first), 1.0, 0.0)
-    sigma2 = np.where(only2 | (contention & ~first), 1.0, 0.0)
+    sigma1 = (only1 | (contention & first)).astype(float)
+    sigma2 = (only2 | (contention & ~first)).astype(float)
     return sigma1, sigma2
 
 
@@ -221,8 +221,8 @@ def regulated_activity(p1, p2, c: float):
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     serve = np.maximum(p1, p2) >= c / 2.0
-    sigma1 = np.where(serve & (p1 >= p2), 1.0, 0.0)
-    sigma2 = np.where(serve & (p2 > p1), 1.0, 0.0)
+    sigma1 = (serve & (p1 >= p2)).astype(float)
+    sigma2 = (serve & (p2 > p1)).astype(float)
     return sigma1, sigma2
 
 

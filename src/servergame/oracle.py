@@ -15,8 +15,7 @@ containers).  The routes kept independent:
 Monte Carlo uses ``numpy.random.default_rng`` (PCG64); estimates carry the
 seed and algorithm name and are bitwise reproducible for a given
 (seed, n, shards).  Sharded runs derive per-shard seeds from the root seed
-via ``SeedSequence.spawn``, so they are deterministic too and may run
-concurrently.
+via ``SeedSequence.spawn`` and evaluate the shards one after another.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayesian import Distribution, ThresholdWelfare, uniform_distribution
-from .payoffs import State, check_cost
+from .payoffs import State, check_cost, check_sigma
 
 __all__ = [
     "DeviationReport",
@@ -43,6 +42,10 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+# States per slice in mc_welfare: the slice's draws, activities and
+# temporaries stay in a core's L2 cache.
+_BLOCK = 1 << 14
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +257,8 @@ class Estimate:
 
 def threshold_activity(pair):
     """Array strategy 'active iff own p >= cutoff' for a (t1, t2) pair."""
-    t1, t2 = float(pair[0]), float(pair[1])
+    t1 = check_sigma(pair[0], "cutoff t1")
+    t2 = check_sigma(pair[1], "cutoff t2")
 
     def activity(p1, p2, c):
         return (p1 >= t1).astype(float), (p2 >= t2).astype(float)
@@ -303,6 +307,48 @@ def _profile_welfare(p1, p2, sigma1, sigma2, c):
     )
 
 
+def _activity_slice(sigma, shape):
+    """``sigma`` as a float array of ``shape``, and its mask of ones when
+    every entry is exactly 0 or 1 (None otherwise).
+
+    Raises ValueError for an entry that is NaN or outside [0, 1]; the
+    range is read only when the 0/1 test fails, so pure maps pay nothing
+    extra for the check.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != shape:
+        sigma = np.broadcast_to(sigma, shape)
+    ones = sigma == 1.0
+    if np.all(ones | (sigma == 0.0)):
+        return sigma, ones
+    if not (np.min(sigma) >= 0.0 and np.max(sigma) <= 1.0):  # False on NaN
+        raise ValueError("strategy activity sigma must lie in [0, 1], got NaN or out of range")
+    return sigma, None
+
+
+def _slice_welfare(activity, p1, p2, c, out):
+    """Per-state welfare of ``activity`` on one slice of draws, into ``out``.
+
+    With 0/1 activities and no both-active state the welfare is
+    ``sigma1*(2p1 - c) + sigma2*(2p2 - c)``: every product by an exact 0
+    or 1 is exact and at most one term is nonzero, so the result is
+    bit-identical to the bilinear form, which every other slice keeps.
+    """
+    sigma1, sigma2 = activity(p1, p2, c)
+    sigma1, ones1 = _activity_slice(sigma1, p1.shape)
+    sigma2, ones2 = _activity_slice(sigma2, p2.shape)
+    if ones1 is None or ones2 is None or np.any(ones1 & ones2):
+        out[...] = _profile_welfare(p1, p2, sigma1, sigma2, c)
+        return
+    np.multiply(p1, 2.0, out=out)
+    out -= c
+    out *= sigma1
+    term = 2.0 * p2
+    term -= c
+    term *= sigma2
+    out += term
+
+
 def mc_welfare(
     strategy,
     c: float,
@@ -318,6 +364,11 @@ def mc_welfare(
     given); welfare per state is the total expected payoff of the selected
     (possibly mixed) profile, and regulations never change it, so the
     unregulated table is used.  stderr is sample std / sqrt(n).
+
+    Each shard draws all its ``p1`` and then all its ``p2``; an array
+    strategy is then called on consecutive slices of those draws, so it
+    must act state by state.  Its activities must lie in [0, 1]
+    (ValueError otherwise, NaN included).  Shards run one after another.
     """
     c = check_cost(c)
     if n < 1:
@@ -339,8 +390,10 @@ def mc_welfare(
         rng = np.random.default_rng(child)
         p1 = np.asarray(dist1.sample(rng, size), dtype=float)
         p2 = np.asarray(dist2.sample(rng, size), dtype=float)
-        sigma1, sigma2 = activity(p1, p2, c)
-        w = _profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
+        w = np.empty(size)
+        for lo in range(0, size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            _slice_welfare(activity, p1[block], p2[block], c, w[block])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
     mean = total / n
@@ -512,11 +565,16 @@ def epsilon_nash_check(
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states``, at a state grid
     (analytic mode), or at sampled states; those gains are exact, so eps
-    defaults to 1e-6.
+    defaults to 1e-6.  The own-type grid step ``p_step`` and the state
+    grid step ``state_step`` must lie in (0, 0.5].
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    # at most 0.5 so that every probed grid has at least three points
+    for name, step in (("p_step", p_step), ("state_step", state_step)):
+        if not 0.0 < step <= 0.5:
+            raise ValueError(f"{name} must lie in (0, 0.5], got {step!r}")
 
     if isinstance(strategy, (tuple, list)) and not callable(strategy):
         return _check_threshold_pair(

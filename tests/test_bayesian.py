@@ -151,6 +151,22 @@ def test_welfare_accepts_arrays():
     assert out.total[0] == pytest.approx(welfare_thresholds(0.0, 1.0, 0.3).total)
 
 
+@pytest.mark.parametrize(
+    "t1, t2",
+    [
+        (math.nan, 0.5),
+        (0.5, math.nan),
+        (-0.1, 0.5),
+        (0.5, 1.5),
+        (np.array([0.2, math.nan]), 0.5),
+        (0.5, np.array([0.2, math.inf])),
+    ],
+)
+def test_welfare_rejects_nan_and_out_of_range_thresholds(t1, t2):
+    with pytest.raises(ValueError, match="thresholds"):
+        welfare_thresholds(t1, t2, 0.2)
+
+
 def test_activity_gain_single_crossing():
     # active-minus-inactive interim payoff is nondecreasing in own type
     for t_opp in (0.0, 0.4, 0.9):

@@ -1,0 +1,208 @@
+"""The blocked Monte Carlo welfare kernel against the plain bilinear form.
+
+``mc_welfare`` evaluates strategies on cache-sized slices and takes a
+select-style shortcut for pure activities.  Both must leave every
+estimate bit-identical to evaluating the whole shard with the bilinear
+mixed-profile welfare, which is kept here as the reference.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from servergame.bayesian import nash_threshold, power_distribution, uniform_distribution
+from servergame.cli import main
+from servergame.cooperative import optimal_activity, optimal_profile
+from servergame.full_info import equilibrium_activity, regulated_activity
+from servergame.oracle import (
+    Estimate,
+    _BLOCK,
+    _resolve_strategy,
+    mc_welfare,
+    pointwise_strategy,
+    threshold_activity,
+)
+from servergame.payoffs import check_cost
+
+
+def reference_profile_welfare(p1, p2, sigma1, sigma2, c):
+    best = np.maximum(p1, p2)
+    return (
+        sigma1 * sigma2 * (2.0 * best - 2.0 * c)
+        + sigma1 * (1.0 - sigma2) * (2.0 * p1 - c)
+        + (1.0 - sigma1) * sigma2 * (2.0 * p2 - c)
+    )
+
+
+def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None, shards=1):
+    """Whole-shard bilinear evaluation, as mc_welfare computed it before blocking."""
+    c = check_cost(c)
+    activity = _resolve_strategy(strategy)
+    dist1 = dist1 or uniform_distribution()
+    dist2 = dist2 or uniform_distribution()
+    seeds = np.random.SeedSequence(seed).spawn(shards)
+    base, extra = divmod(n, shards)
+    total = 0.0
+    total_sq = 0.0
+    for k, child in enumerate(seeds):
+        size = base + (1 if k < extra else 0)
+        if size == 0:
+            continue
+        rng = np.random.default_rng(child)
+        p1 = np.asarray(dist1.sample(rng, size), dtype=float)
+        p2 = np.asarray(dist2.sample(rng, size), dtype=float)
+        sigma1, sigma2 = activity(p1, p2, c)
+        w = reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w * w))
+    mean = total / n
+    if n > 1:
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        stderr = float(np.sqrt(variance / n))
+    else:
+        stderr = 0.0
+    return Estimate(mean=mean, stderr=stderr, n=n, seed=seed)
+
+
+def assert_identical(got, want):
+    assert got == want
+    # == treats -0.0 and 0.0 as equal; the bit patterns must match too
+    assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+
+
+def constant_mix(p1, p2, c):
+    return np.full_like(p1, 0.3), np.full_like(p2, 0.3)
+
+
+def scalar_mix(p1, p2, c):
+    return 0.3, 0.7
+
+
+def rare_mix(p1, p2, c):
+    # fractional in a few states only, so some slices are pure and some not
+    sigma1, sigma2 = optimal_activity(p1, p2, c)
+    return np.where(p1 > 0.9999, 0.5, sigma1), sigma2
+
+
+def bool_activity(p1, p2, c):
+    return p1 >= p2, p2 > p1
+
+
+STRATEGIES = {
+    "cooperative": lambda p1, p2, c: optimal_activity(p1, p2, c),
+    "case3_max": lambda p1, p2, c: equilibrium_activity(p1, p2, c, "max_welfare"),
+    "case3_min": lambda p1, p2, c: equilibrium_activity(p1, p2, c, "min_welfare"),
+    "regulated": lambda p1, p2, c: regulated_activity(p1, p2, c),
+    "cutoff_pair_both_active": (0.3, 0.6),
+    "nash_cutoffs": nash_threshold(0.25),
+    "always_idle": (1.0, 1.0),
+    "constant_mix": constant_mix,
+    "scalar_mix": scalar_mix,
+    "rare_mix": rare_mix,
+    "bool_activity": bool_activity,
+}
+
+SIZES = {
+    "one_state": 1,
+    "below_one_block": 1_000,
+    "one_block": _BLOCK,
+    "several_blocks": 3 * _BLOCK,
+    "not_a_block_multiple": 3 * _BLOCK + 17,
+}
+
+
+@pytest.mark.parametrize("n", SIZES.values(), ids=SIZES.keys())
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_blocked_kernel_is_bit_identical(name, n):
+    strategy = STRATEGIES[name]
+    for c, seed in ((0.1, 3), (0.63, 11)):
+        assert_identical(
+            mc_welfare(strategy, c, n=n, seed=seed),
+            reference_mc_welfare(strategy, c, n=n, seed=seed),
+        )
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+def test_blocked_kernel_at_cost_extremes(c):
+    for strategy in (STRATEGIES["cooperative"], STRATEGIES["case3_min"], (0.2, 0.7)):
+        assert_identical(
+            mc_welfare(strategy, c, n=2 * _BLOCK + 5, seed=1),
+            reference_mc_welfare(strategy, c, n=2 * _BLOCK + 5, seed=1),
+        )
+
+
+def test_scalar_map_wrapper_is_bit_identical():
+    strategy = pointwise_strategy(optimal_profile)
+    n = _BLOCK + 5
+    assert_identical(
+        mc_welfare(strategy, 0.5, n=n, seed=11),
+        reference_mc_welfare(strategy, 0.5, n=n, seed=11),
+    )
+
+
+@pytest.mark.parametrize("name", ["cooperative", "case3_min", "cutoff_pair_both_active"])
+def test_sharded_run_is_bit_identical(name):
+    strategy = STRATEGIES[name]
+    n = 4 * _BLOCK + 3
+    assert_identical(
+        mc_welfare(strategy, 0.4, n=n, seed=4, shards=4),
+        reference_mc_welfare(strategy, 0.4, n=n, seed=4, shards=4),
+    )
+
+
+@pytest.mark.parametrize("name", ["cooperative", "case3_max", "cutoff_pair_both_active"])
+def test_power_distribution_is_bit_identical(name):
+    strategy = STRATEGIES[name]
+    dist = power_distribution(2)
+    n = 2 * _BLOCK + 9
+    assert_identical(
+        mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist, dist2=dist),
+        reference_mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist, dist2=dist),
+    )
+
+
+def test_verify_stdout_is_pinned(capsys):
+    # SHA-256 of `servergame verify --samples 20000 --seed 42`, recorded with
+    # the unblocked bilinear kernel; any change to the RNG stream, the
+    # per-state welfare or the summation order shows here
+    assert main(["verify", "--samples", "20000", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "2f234676696e75921dec28cee43ad3817653e946c703993d5fc2055571e72acb"
+    )
+
+
+class TestActivityContract:
+    @pytest.mark.parametrize("value", [2.0, -0.5, np.nan, np.inf])
+    def test_constant_activity_out_of_range(self, value):
+        with pytest.raises(ValueError, match="sigma"):
+            mc_welfare(lambda p1, p2, c: (np.full_like(p1, value), p2 >= 0.5), 0.3, n=100)
+        with pytest.raises(ValueError, match="sigma"):
+            mc_welfare(lambda p1, p2, c: (p1 >= 0.5, np.full_like(p2, value)), 0.3, n=100)
+
+    def test_single_bad_state_in_a_later_slice(self):
+        calls = []
+
+        def activity(p1, p2, c):
+            calls.append(p1.size)
+            sigma1 = np.full_like(p1, 0.5)
+            if len(calls) == 4:
+                sigma1[7] = np.nan
+            return sigma1, np.zeros_like(p2)
+
+        with pytest.raises(ValueError, match="sigma"):
+            mc_welfare(activity, 0.3, n=4 * _BLOCK, seed=2)
+        assert calls == [_BLOCK] * 4
+
+    def test_boundary_activities_are_accepted(self):
+        est = mc_welfare(lambda p1, p2, c: (0.0, 1.0), 0.3, n=1_000, seed=2)
+        assert est.mean == pytest.approx(2 * 0.5 - 0.3, abs=0.1)
+
+    @pytest.mark.parametrize("pair", [(np.nan, 0.5), (0.5, np.nan), (1.5, 0.2), (0.2, -0.1)])
+    def test_cutoffs_out_of_range(self, pair):
+        with pytest.raises(ValueError, match="cutoff"):
+            threshold_activity(pair)
+        with pytest.raises(ValueError, match="cutoff"):
+            mc_welfare(pair, 0.2, n=100)

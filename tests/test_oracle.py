@@ -238,6 +238,27 @@ class TestEpsilonNash:
         with pytest.raises(ValueError):
             epsilon_nash_check(nash_threshold(0.2), 0.2, mode="psychic")
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, 0.51, 1.0, math.nan])
+    @pytest.mark.parametrize("name", ["p_step", "state_step"])
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_grid_steps_must_lie_in_half_open_unit_half(self, name, step, mode):
+        kwargs = {name: step, "mode": mode, "samples": 100}
+        with pytest.raises(ValueError, match=name):
+            epsilon_nash_check(nash_threshold(0.2), 0.2, **kwargs)
+        strategy = pointwise_strategy(optimal_profile)
+        with pytest.raises(ValueError, match=name):
+            epsilon_nash_check(strategy, 0.2, **kwargs)
+
+    def test_coarsest_grids_probe_three_points(self):
+        report = epsilon_nash_check(nash_threshold(0.25), 0.25, p_step=0.5)
+        assert report.passed
+        # the 3 x 3 state grid holds (0.5, 0.0), where the optimum's server 1
+        # would rather sit out at c = 0.9 than pay it alone
+        report = epsilon_nash_check(
+            pointwise_strategy(optimal_profile), 0.9, state_step=0.5
+        )
+        assert not report.passed
+
 
 def test_threshold_activity_contract():
     strat = threshold_activity((0.3, 0.6))
