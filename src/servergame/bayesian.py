@@ -81,11 +81,20 @@ def best_response_threshold(t_opp: float, c: float, regulated: bool = False) -> 
     return min(1.0, max(0.0, value))
 
 
-def nash_threshold(c: float, regulated: bool = False) -> ThresholdPair:
+def _sqrt(c):
+    # math.sqrt keeps scalar costs Python floats; both are correctly rounded
+    return math.sqrt(c) if isinstance(c, float) else np.sqrt(c)
+
+
+def nash_threshold(c: float | np.ndarray, regulated: bool = False) -> ThresholdPair:
     """The unique cutoff-pair equilibrium: (sqrt(c), sqrt(c)), or
-    (sqrt(c/2), sqrt(c/2)) under the subsidy."""
+    (sqrt(c/2), sqrt(c/2)) under the subsidy.
+
+    A numpy array of costs gives a pair of cutoff arrays; a scalar cost
+    gives Python floats.
+    """
     c = check_cost(c)
-    t = math.sqrt(c / 2.0) if regulated else math.sqrt(c)
+    t = _sqrt(c / 2.0) if regulated else _sqrt(c)
     return ThresholdPair(t, t)
 
 
@@ -149,12 +158,14 @@ def _shares_t1_above(t1, t2, c):
     return s1, s2
 
 
-def welfare_thresholds(t1, t2, c: float) -> ThresholdWelfare:
+def welfare_thresholds(t1, t2, c: float | np.ndarray) -> ThresholdWelfare:
     """Expected welfare of cutoff play (t1, t2) under uniform states.
 
-    Accepts scalars or broadcastable numpy arrays for ``t1``/``t2``.  The
-    two branch polynomials (t1 below/above t2) agree on the diagonal; the
-    oracle module recomputes the server-1 share by region quadrature.
+    Accepts scalars or broadcastable numpy arrays for ``t1``, ``t2`` and
+    the cost ``c``; any array argument gives array fields, all-scalar
+    arguments give Python floats.  The two branch polynomials (t1
+    below/above t2) agree on the diagonal; the oracle module recomputes
+    the server-1 share by region quadrature.
     """
     c = check_cost(c)
     t1 = np.asarray(t1, dtype=float)
@@ -172,14 +183,15 @@ def welfare_thresholds(t1, t2, c: float) -> ThresholdWelfare:
     return ThresholdWelfare(s1, s2, s1 + s2)
 
 
-def optimal_thresholds(c: float) -> ThresholdPair:
+def optimal_thresholds(c: float | np.ndarray) -> ThresholdPair:
     """The cutoff pair maximising :func:`welfare_thresholds`: (sqrt(c/2), sqrt(c/2)).
 
     Coincides with the equilibrium of the subsidised game, which is the
-    point of the subsidy.
+    point of the subsidy.  A numpy array of costs gives a pair of cutoff
+    arrays; a scalar cost gives Python floats.
     """
     c = check_cost(c)
-    t = math.sqrt(c / 2.0)
+    t = _sqrt(c / 2.0)
     return ThresholdPair(t, t)
 
 
@@ -210,9 +222,9 @@ def uniform_distribution() -> Distribution:
 
 
 def power_distribution(k: float) -> Distribution:
-    """CDF x**k on [0, 1] (k > 0), sampled by inverse transform."""
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k!r}")
+    """CDF x**k on [0, 1] (finite k > 0), sampled by inverse transform."""
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError(f"k must be finite and positive, got {k!r}")
     return Distribution(
         name=f"power-{k:g}",
         cdf=lambda x: np.asarray(x, dtype=float) ** k,

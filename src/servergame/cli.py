@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bayesian, cooperative, full_info, oracle
 from .payoffs import State
 
@@ -56,6 +58,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+# Largest sweep grid, counted before anything is allocated: a million
+# rows is ~100 MB of output, and a mistyped --c-step should not hang.
+_MAX_GRID_ROWS = 10**6 + 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Grid/sampling/output settings shared by sweep and verify."""
@@ -69,6 +76,13 @@ class RunConfig:
     out: str | None = None
 
     def cost_grid(self) -> list[float]:
+        for name, value in (
+            ("c-start", self.c_start),
+            ("c-stop", self.c_stop),
+            ("c-step", self.c_step),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.c_step <= 0:
             raise ValueError(f"c-step must be positive, got {self.c_step}")
         if self.c_start > self.c_stop:
@@ -77,57 +91,77 @@ class RunConfig:
             )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        count = math.floor((self.c_stop - self.c_start) / self.c_step + 1e-9)
+        span = (self.c_stop - self.c_start) / self.c_step + 1e-9
+        # rows = floor(span) + 1, so the cap holds iff span < _MAX_GRID_ROWS
+        if not span < _MAX_GRID_ROWS:
+            raise ValueError(
+                f"c-step {self.c_step} gives more than {_MAX_GRID_ROWS} grid rows "
+                f"over [{self.c_start}, {self.c_stop}]"
+            )
+        count = math.floor(span)
         return [round(self.c_start + k * self.c_step, 10) for k in range(count + 1)]
 
 
-def _snap(value: float) -> float:
+def _snap(values: np.ndarray) -> np.ndarray:
     # welfare columns live in [0, 4/3]; formulas that are 0 at c = 1 can
     # evaluate to -1e-16, which would leak out of the column contract
-    if -1e-12 <= value < 0.0:
-        return 0.0
-    if 4.0 / 3.0 < value <= 4.0 / 3.0 + 1e-12:
-        return 4.0 / 3.0
-    return value
+    values = np.where((values >= -1e-12) & (values < 0.0), 0.0, values)
+    return np.where((values > 4.0 / 3.0) & (values <= 4.0 / 3.0 + 1e-12), 4.0 / 3.0, values)
 
 
 def sweep_rows(config: RunConfig) -> list[dict]:
-    """One row of closed-form welfare values per cost in the grid."""
-    rows = []
-    for c in config.cost_grid():
-        ne = bayesian.nash_threshold(c)
-        opt = bayesian.optimal_thresholds(c)
-        row = {
-            "c": c,
-            "case1": _snap(cooperative.welfare_case1(c)),
-            "case2_ne": _snap(bayesian.welfare_thresholds(ne.t1, ne.t2, c).total),
-            "case2_opt": _snap(bayesian.welfare_thresholds(opt.t1, opt.t2, c).total),
-            "case3_max": _snap(full_info.welfare_case3_max(c)),
-            "case3_min": _snap(full_info.welfare_case3_min(c)),
-        }
-        # the subsidy moves the cutoff equilibrium to the optimal pair; the
-        # side payment restores the cooperative optimum (transfers are
-        # welfare neutral, so the regulated columns reuse those values)
-        row["reg_case2"] = row["case2_opt"]
-        row["reg_case3"] = row["case1"]
-        _check_sweep_row(row)
-        rows.append(row)
-    return rows
+    """One row of closed-form welfare values per cost in the grid.
+
+    Each column is one array call of its closed form over the whole grid;
+    the rows hold Python floats.
+    """
+    c = np.array(config.cost_grid())
+    ne = bayesian.nash_threshold(c)
+    opt = bayesian.optimal_thresholds(c)
+    columns = {
+        "c": c,
+        "case1": _snap(cooperative.welfare_case1(c)),
+        "case2_ne": _snap(bayesian.welfare_thresholds(ne.t1, ne.t2, c).total),
+        "case2_opt": _snap(bayesian.welfare_thresholds(opt.t1, opt.t2, c).total),
+        "case3_max": _snap(full_info.welfare_case3_max(c)),
+        "case3_min": _snap(full_info.welfare_case3_min(c)),
+    }
+    # the subsidy moves the cutoff equilibrium to the optimal pair; the
+    # side payment restores the cooperative optimum (transfers are
+    # welfare neutral, so the regulated columns reuse those values)
+    columns["reg_case2"] = columns["case2_opt"]
+    columns["reg_case3"] = columns["case1"]
+    _check_sweep_columns(columns)
+    values = zip(*(columns[column].tolist() for column in SWEEP_COLUMNS))
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in values]
 
 
-def _check_sweep_row(row: dict) -> None:
+def _check_sweep_columns(columns: dict) -> None:
+    """Raise AssertionError at the first cost whose row breaks the column
+    contract, naming the first rule that row breaks."""
     slack = 1e-9
-    for column in SWEEP_COLUMNS[1:]:
-        if not 0.0 <= row[column] <= 4.0 / 3.0:
-            raise AssertionError(f"{column}={row[column]} outside [0, 4/3] at c={row['c']}")
-    if not (
-        row["case1"] >= row["case3_max"] - slack
-        and row["case3_max"] >= row["case3_min"] - slack
-        and row["case2_opt"] >= row["case2_ne"] - slack
-    ):
-        raise AssertionError(f"welfare ordering violated at c={row['c']}")
-    if row["reg_case3"] != row["case1"]:
-        raise AssertionError(f"reg_case3 must equal case1 exactly at c={row['c']}")
+    in_range = {
+        column: (columns[column] >= 0.0) & (columns[column] <= 4.0 / 3.0)
+        for column in SWEEP_COLUMNS[1:]
+    }
+    ordered = (
+        (columns["case1"] >= columns["case3_max"] - slack)
+        & (columns["case3_max"] >= columns["case3_min"] - slack)
+        & (columns["case2_opt"] >= columns["case2_ne"] - slack)
+    )
+    exact = columns["reg_case3"] == columns["case1"]
+    ok = np.logical_and.reduce([*in_range.values(), ordered, exact])
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    c = float(columns["c"][i])
+    for column, inside in in_range.items():
+        if not inside[i]:
+            value = float(columns[column][i])
+            raise AssertionError(f"{column}={value} outside [0, 4/3] at c={c}")
+    if not ordered[i]:
+        raise AssertionError(f"welfare ordering violated at c={c}")
+    raise AssertionError(f"reg_case3 must equal case1 exactly at c={c}")
 
 
 def _render_sweep(rows: list[dict], output_format: str) -> str:

@@ -59,12 +59,13 @@ def pointwise_welfare(
     return payoff_mixed(s, prof.sigma1, prof.sigma2, c, variant=variant).total
 
 
-def welfare_case1(c: float) -> float:
+def welfare_case1(c: float | np.ndarray) -> float | np.ndarray:
     """Expected welfare of :func:`optimal_profile` under uniform states.
 
     Closed form ``c**3 / 12 - c + 4/3``; equals 4/3 at c = 0 (twice the
     expected maximum of two independent uniforms) and decreases strictly
-    in c.
+    in c.  A numpy array of costs returns an array of welfares; a scalar
+    cost returns a Python float.
     """
     c = check_cost(c)
     return c**3 / 12.0 - c + 4.0 / 3.0

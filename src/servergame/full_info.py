@@ -193,22 +193,30 @@ def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profi
     return Profile(float(sigma1), float(sigma2))
 
 
-def welfare_case3_max(c: float) -> float:
-    """Expected welfare of the best equilibrium selection: -c**3/3 - c + 4/3."""
+def welfare_case3_max(c: float | np.ndarray) -> float | np.ndarray:
+    """Expected welfare of the best equilibrium selection: -c**3/3 - c + 4/3.
+
+    A numpy array of costs returns an array; a scalar cost returns a
+    Python float.
+    """
     c = check_cost(c)
     return -(c**3) / 3.0 - c + 4.0 / 3.0
 
 
-def welfare_case3_min(c: float) -> float:
+def welfare_case3_min(c: float | np.ndarray) -> float | np.ndarray:
     """Expected welfare of the worst equilibrium selection.
 
     ``3c**3 - 2c**2 - c + 4/3`` for c < 1/2 and
     ``c**3/3 - 2c**2 + c + 2/3`` above; the branches agree at c = 1/2.
+    A numpy array of costs returns an array (branch chosen per element);
+    a scalar cost returns a Python float.
     """
     c = check_cost(c)
-    if c < 0.5:
-        return 3.0 * c**3 - 2.0 * c**2 - c + 4.0 / 3.0
-    return c**3 / 3.0 - 2.0 * c**2 + c + 2.0 / 3.0
+    low = 3.0 * c**3 - 2.0 * c**2 - c + 4.0 / 3.0
+    high = c**3 / 3.0 - 2.0 * c**2 + c + 2.0 / 3.0
+    if isinstance(c, float):
+        return low if c < 0.5 else high
+    return np.where(c < 0.5, low, high)
 
 
 def regulated_activity(p1, p2, c: float):

@@ -20,6 +20,7 @@ via ``SeedSequence.spawn`` and evaluate the shards one after another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
     integrand is evaluated on the whole node array at once; scalar-only
     callables are looped over as a fallback.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
     if panels < 1:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "ACTIVE",
     "INACTIVE",
@@ -119,11 +121,30 @@ class Profile(NamedTuple):
         return self.sigma1 in (0.0, 1.0) and self.sigma2 in (0.0, 1.0)
 
 
-def check_cost(c: float) -> float:
-    """Validate an activity cost, returning it as a float in [0, 1]."""
-    c = float(c)
+def check_cost(c: float | np.ndarray) -> float | np.ndarray:
+    """Validate an activity cost, returning it as a float in [0, 1].
+
+    A numpy array of costs (ndim >= 1) is checked element by element and
+    returned as a float64 array; the error names the first bad cost.  Any
+    other input (a Python or numpy scalar, a 0-d array) returns a Python
+    float.
+    """
+    if type(c) is not float:  # Python floats, the hot scalar case, skip this
+        if isinstance(c, np.ndarray) and c.ndim:
+            return _check_cost_array(c)
+        c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"cost must lie in [0, 1], got {c!r}")
+    return c
+
+
+def _check_cost_array(c: np.ndarray) -> np.ndarray:
+    c = c.astype(float, copy=False)
+    # written so that NaN fails the range test
+    inside = (c >= 0.0) & (c <= 1.0)
+    if not inside.all():
+        bad = float(c[~inside][0])
+        raise ValueError(f"cost must lie in [0, 1], got {bad!r}")
     return c
 
 

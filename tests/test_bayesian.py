@@ -167,6 +167,13 @@ def test_welfare_rejects_nan_and_out_of_range_thresholds(t1, t2):
         welfare_thresholds(t1, t2, 0.2)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0.0, -1.0, -math.inf])
+def test_power_distribution_rejects_non_finite_or_non_positive_k(k):
+    # power_distribution(inf) used to be accepted as "power-inf"
+    with pytest.raises(ValueError, match="finite and positive"):
+        power_distribution(k)
+
+
 def test_activity_gain_single_crossing():
     # active-minus-inactive interim payoff is nondecreasing in own type
     for t_opp in (0.0, 0.4, 0.9):

@@ -54,6 +54,21 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quadrature(lambda x: x, 0.0, 1.0, panels=0)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (math.nan, 1.0),
+            (0.0, math.nan),
+            (-math.inf, 1.0),
+            (0.0, math.inf),
+            (math.inf, math.inf),
+        ],
+    )
+    def test_non_finite_bounds_are_rejected(self, a, b):
+        # a NaN bound used to return NaN instead of an error
+        with pytest.raises(ValueError, match="finite"):
+            quadrature(lambda x: x, a, b)
+
     def test_piecewise_alignment_handles_kinks(self):
         f = lambda x: np.abs(x - 0.3)
         exact = 0.3**2 / 2 + 0.7**2 / 2

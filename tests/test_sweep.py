@@ -1,0 +1,169 @@
+"""The array-pass welfare sweep: pinned output bytes, agreement with the
+scalar closed forms, the column guard and the grid limits."""
+
+import hashlib
+import math
+import time
+
+import numpy as np
+import pytest
+
+from servergame import bayesian, cli, cooperative, full_info
+from servergame.cli import SWEEP_COLUMNS, RunConfig, main, sweep_rows
+
+# SHA-256 of `servergame sweep <args> --format <fmt>` recorded on the
+# commit before the sweep became one array pass (per-row scalar calls);
+# the output must stay byte-identical.
+PINNED_SWEEPS = [
+    ((), "csv", "2f05be1976d3388388a041f69e09865f2f4ab7b47a51d1e6d45973ee34d35bf0"),
+    ((), "json", "6253867d1c4ec6fe3454a7eacee5755ce206c20af3e044ea1461025745eed7e9"),
+    (
+        ("--c-start", "0.25", "--c-stop", "0.75", "--c-step", "0.0005"),
+        "csv",
+        "66a975038c07901a73f03f7f4f5e4d8984b1c1c1c4de7694a07006abb550ac0a",
+    ),
+    (
+        ("--c-start", "0.25", "--c-stop", "0.75", "--c-step", "0.0005"),
+        "json",
+        "5cf0b33056f6e4f58ba678c48f09d7ca7f3703973f8504e77a6caa04f28d72d5",
+    ),
+    (
+        ("--c-step", "0.0001"),
+        "csv",
+        "6595830e2d2ec89533ffa8e47f0b995f019429711d6fee320ceb6773c83e89d0",
+    ),
+    (
+        ("--c-step", "0.0001"),
+        "json",
+        "9131729a7602b242f17d8900d3a3cdb5d5ce7812c34aefb26b84af3fbb9f468f",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, fmt, digest", PINNED_SWEEPS)
+def test_sweep_output_bytes_are_pinned(capsys, args, fmt, digest):
+    code = main(["sweep", *args, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def scalar_row(c):
+    ne = bayesian.nash_threshold(c)
+    opt = bayesian.optimal_thresholds(c)
+    return {
+        "c": c,
+        "case1": cooperative.welfare_case1(c),
+        "case2_ne": bayesian.welfare_thresholds(ne.t1, ne.t2, c).total,
+        "case2_opt": bayesian.welfare_thresholds(opt.t1, opt.t2, c).total,
+        "case3_max": full_info.welfare_case3_max(c),
+        "case3_min": full_info.welfare_case3_min(c),
+    }
+
+
+def test_rows_are_floats_matching_the_scalar_closed_forms():
+    rows = sweep_rows(RunConfig(c_step=1e-4))
+    assert len(rows) == 10_001
+    for row in rows:
+        assert list(row) == list(SWEEP_COLUMNS)
+        assert all(type(value) is float for value in row.values())
+        reference = scalar_row(row["c"])
+        for column, expected in reference.items():
+            # array c**3 may differ from scalar pow by one ulp; the [0, 4/3]
+            # snap moves values by a few ulp at most
+            assert abs(row[column] - expected) <= 1e-15, (column, row["c"])
+        assert row["reg_case3"] == row["case1"]
+        assert row["reg_case2"] == row["case2_opt"]
+
+
+def shifted_at(fn, costs, delta):
+    """``fn`` with ``delta`` added at each cost in ``costs``."""
+
+    def patched(c):
+        values = fn(c)
+        return values + np.where(np.isin(c, costs), delta, 0.0)
+
+    return patched
+
+
+def test_guard_names_the_first_cost_out_of_range(monkeypatch):
+    monkeypatch.setattr(
+        full_info,
+        "welfare_case3_min",
+        shifted_at(full_info.welfare_case3_min, [0.3, 0.7], 2.0),
+    )
+    with pytest.raises(AssertionError, match=r"^case3_min=2\.\d+ outside \[0, 4/3\] at c=0\.3$"):
+        sweep_rows(RunConfig())
+
+
+def test_guard_catches_negative_and_nan_values(monkeypatch):
+    monkeypatch.setattr(
+        cooperative, "welfare_case1", shifted_at(cooperative.welfare_case1, [0.5], -5.0)
+    )
+    with pytest.raises(AssertionError, match=r"^case1=-4\.\d+ outside \[0, 4/3\] at c=0\.5$"):
+        sweep_rows(RunConfig())
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        full_info,
+        "welfare_case3_max",
+        shifted_at(full_info.welfare_case3_max, [0.42], math.nan),
+    )
+    with pytest.raises(AssertionError, match=r"^case3_max=nan outside \[0, 4/3\] at c=0\.42$"):
+        sweep_rows(RunConfig())
+
+
+def test_guard_catches_a_broken_welfare_order(monkeypatch):
+    # in range, but the worst equilibrium now beats the best one
+    monkeypatch.setattr(
+        full_info,
+        "welfare_case3_max",
+        shifted_at(full_info.welfare_case3_max, [0.61, 0.9], -0.05),
+    )
+    with pytest.raises(AssertionError, match=r"^welfare ordering violated at c=0\.61$"):
+        sweep_rows(RunConfig())
+
+
+def test_snap_only_moves_values_within_1e_12_of_the_bounds():
+    top = 4.0 / 3.0
+    values = np.array([-2e-12, -1e-12, -1e-16, -0.0, 0.5, top + 1e-16, top + 1e-12, top + 2e-12])
+    snapped = cli._snap(values)
+    expected = [-2e-12, 0.0, 0.0, -0.0, 0.5, top, top, top + 2e-12]
+    assert [float(v).hex() for v in snapped] == [float(v).hex() for v in expected]
+
+
+def test_grid_cap_is_checked_before_the_grid_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="grid rows"):
+        RunConfig(c_step=1e-12).cost_grid()
+    with pytest.raises(ValueError, match="grid rows"):
+        RunConfig(c_step=5e-324).cost_grid()  # span overflows to inf
+    assert time.perf_counter() - start < 1.0
+
+
+def test_grid_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 11)
+    assert len(RunConfig(c_step=0.1).cost_grid()) == 11
+    with pytest.raises(ValueError, match="more than 11 grid rows"):
+        RunConfig(c_step=0.09).cost_grid()  # 12 rows
+
+
+def test_cli_grid_cap_is_a_usage_error(capsys):
+    code = main(["sweep", "--c-step", "1e-12"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "grid rows" in captured.err
+
+
+@pytest.mark.parametrize("field", ["c_start", "c_stop", "c_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_arguments(field, value):
+    config = RunConfig(**{field: value})
+    name = field.replace("_", "-")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        config.cost_grid()
+
+
+def test_cli_non_finite_grid_is_a_usage_error(capsys):
+    code = main(["sweep", "--c-step", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1 and "c-step must be finite, got nan" in captured.err
