@@ -20,6 +20,8 @@ verification engines (Monte Carlo, quadrature, grid search) every closed
 form is tested against; ``cli`` exposes the ``servergame`` command.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bayesian import (
     Distribution,
     ThresholdPair,
@@ -68,44 +70,9 @@ from .payoffs import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVE",
-    "INACTIVE",
-    "Action",
-    "DeviationReport",
-    "Distribution",
-    "EquilibriumKind",
-    "EquilibriumSet",
-    "Estimate",
-    "PayoffPair",
-    "Profile",
-    "State",
-    "ThresholdPair",
-    "ThresholdWelfare",
-    "best_response_fixed_point",
-    "best_response_threshold",
-    "classify_state",
-    "epsilon_nash_check",
-    "grid_best_response",
-    "mc_welfare",
-    "mixed_equilibrium",
-    "nash_threshold",
-    "nash_threshold_general",
-    "optimal_profile",
-    "optimal_thresholds",
-    "payoff",
-    "payoff_case2_regulated",
-    "payoff_case3_regulated",
-    "payoff_mixed",
-    "pointwise_welfare",
-    "power_distribution",
-    "quadrature",
-    "regulated_equilibrium",
-    "select_equilibrium",
-    "threshold_welfare_by_quadrature",
-    "uniform_distribution",
-    "welfare_case1",
-    "welfare_case3_max",
-    "welfare_case3_min",
-    "welfare_thresholds",
-]
+# every public name imported above; the submodules are reached as attributes
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

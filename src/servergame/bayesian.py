@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .payoffs import check_cost
+from .payoffs import check_cost, check_sigma
 
 __all__ = [
     "Distribution",
@@ -57,16 +57,9 @@ class ThresholdPair(NamedTuple):
     t2: float
 
 
-def _check_threshold(t: float, name: str = "threshold") -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {t!r}")
-    return t
-
-
 def best_response_threshold(t_opp: float, c: float, regulated: bool = False) -> float:
     """Best-response cutoff against a uniform opponent with cutoff ``t_opp``."""
-    t_opp = _check_threshold(t_opp, "t_opp")
+    t_opp = check_sigma(t_opp, "t_opp")
     c = check_cost(c)
     if regulated:
         if t_opp <= math.sqrt(c / 2.0):
@@ -120,7 +113,7 @@ def best_response_fixed_point(
     by at most ``tol``.
     """
     c = check_cost(c)
-    t = _check_threshold(start, "start")
+    t = check_sigma(start, "start")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     for iteration in range(1, max_iter + 1):

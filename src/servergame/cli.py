@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,10 +47,6 @@ SWEEP_COLUMNS = (
     "reg_case2",
     "reg_case3",
 )
-
-# Hidden self-test hook: shifts every verification target so the negative
-# control in the test-suite can prove `verify` actually fails on bad values.
-_TARGET_OFFSET_ENV = "SERVERGAME_VERIFY_TARGET_OFFSET"
 
 
 def _fmt(x: float) -> str:
@@ -330,115 +326,64 @@ def verification_checks(samples: int, seed: int, target_offset: float = 0.0) -> 
     """
     rows = []
 
-    def mc_row(name, target, strategy, c, seed_offset):
-        est = oracle.mc_welfare(strategy, c, n=samples, seed=seed + seed_offset)
-        tol = 3.0 * est.stderr
-        target = target + target_offset
-        rows.append(
-            {
-                "check": name,
-                "target": target,
-                "estimate": est.mean,
-                "stderr": est.stderr,
-                "tol": tol,
-                "passed": abs(est.mean - target) <= tol,
-            }
-        )
-
-    def exact_row(name, target, estimate, tol):
+    def row(name, target, estimate, stderr, tol):
         target = target + target_offset
         rows.append(
             {
                 "check": name,
                 "target": target,
                 "estimate": estimate,
-                "stderr": 0.0,
+                "stderr": stderr,
                 "tol": tol,
                 "passed": abs(estimate - target) <= tol,
             }
         )
 
-    offset = 0
-    for c in (0.1, 0.25, 0.5, 0.75, 0.9):
-        offset += 1
-        mc_row(
-            f"case1 welfare mc c={c:g}",
-            cooperative.welfare_case1(c),
-            lambda p1, p2, cc: cooperative.optimal_activity(p1, p2, cc),
-            c,
-            offset,
-        )
+    # (check, closed-form target, strategy, cost); the k-th runs at seed + k
+    mc_checks = [
+        ("case1 welfare", cooperative.welfare_case1(c), cooperative.optimal_activity, c)
+        for c in (0.1, 0.25, 0.5, 0.75, 0.9)
+    ]
+    best = partial(full_info.equilibrium_activity, policy="max_welfare")
+    worst = partial(full_info.equilibrium_activity, policy="min_welfare")
     for c in (0.25, 0.5, 0.8):
         ne = bayesian.nash_threshold(c)
         opt = bayesian.optimal_thresholds(c)
-        offset += 1
-        mc_row(
-            f"case2 equilibrium welfare mc c={c:g}",
-            bayesian.welfare_thresholds(ne.t1, ne.t2, c).total,
-            ne,
-            c,
-            offset,
-        )
-        offset += 1
-        mc_row(
-            f"case2 optimal-cutoff welfare mc c={c:g}",
-            bayesian.welfare_thresholds(opt.t1, opt.t2, c).total,
-            opt,
-            c,
-            offset,
-        )
-        offset += 1
-        mc_row(
-            f"case3 max welfare mc c={c:g}",
-            full_info.welfare_case3_max(c),
-            lambda p1, p2, cc: full_info.equilibrium_activity(p1, p2, cc, "max_welfare"),
-            c,
-            offset,
-        )
-        offset += 1
-        mc_row(
-            f"case3 min welfare mc c={c:g}",
-            full_info.welfare_case3_min(c),
-            lambda p1, p2, cc: full_info.equilibrium_activity(p1, p2, cc, "min_welfare"),
-            c,
-            offset,
-        )
-        offset += 1
-        mc_row(
-            f"case3 regulated welfare mc c={c:g}",
-            cooperative.welfare_case1(c),
-            lambda p1, p2, cc: full_info.regulated_activity(p1, p2, cc),
-            c,
-            offset,
-        )
+        mc_checks += [
+            ("case2 equilibrium welfare", bayesian.welfare_thresholds(*ne, c).total, ne, c),
+            ("case2 optimal-cutoff welfare", bayesian.welfare_thresholds(*opt, c).total, opt, c),
+            ("case3 max welfare", full_info.welfare_case3_max(c), best, c),
+            ("case3 min welfare", full_info.welfare_case3_min(c), worst, c),
+            ("case3 regulated welfare", cooperative.welfare_case1(c), full_info.regulated_activity, c),
+        ]
+    for offset, (check, target, strategy, c) in enumerate(mc_checks, start=1):
+        est = oracle.mc_welfare(strategy, c, n=samples, seed=seed + offset)
+        row(f"{check} mc c={c:g}", target, est.mean, est.stderr, 3.0 * est.stderr)
 
     for t1, t2, c in ((0.3, 0.7, 0.2), (0.1, 0.55, 0.6), (0.25, 0.8, 0.45)):
-        share = oracle.threshold_welfare_by_quadrature(t1, t2, c).server1
-        exact_row(
+        row(
             f"cutoff welfare quadrature t=({t1:g},{t2:g}) c={c:g}",
             bayesian.welfare_thresholds(t1, t2, c).server1,
-            share,
+            oracle.threshold_welfare_by_quadrature(t1, t2, c).server1,
+            0.0,
             1e-10,
         )
 
     for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4)):
         for regulated in (False, True):
             label = "regulated" if regulated else "unregulated"
-            exact_row(
+            row(
                 f"best response grid {label} t_opp={t_opp:g} c={c:g}",
                 bayesian.best_response_threshold(t_opp, c, regulated=regulated),
                 oracle.grid_best_response(t_opp, c, regulated=regulated, step=1e-3),
+                0.0,
                 1e-3,
             )
     return rows
 
 
 def cmd_verify(config: RunConfig) -> int:
-    try:
-        target_offset = float(os.environ.get(_TARGET_OFFSET_ENV, "0") or "0")
-    except ValueError:
-        target_offset = 0.0
-    rows = verification_checks(config.samples, config.seed, target_offset)
+    rows = verification_checks(config.samples, config.seed)
     width = max(len(row["check"]) for row in rows)
     lines = [
         f"{'check':<{width}}  {'target':>15}  {'estimate':>15}  {'stderr':>12}  status"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .payoffs import PAYOFF_VARIANTS, Profile, State, as_state, check_cost, payoff_mixed
+from .payoffs import Profile, State, as_state, check_cost, check_states, payoff_mixed
 
 __all__ = [
     "optimal_activity",
@@ -33,29 +33,28 @@ def optimal_activity(p1, p2, c: float):
     Server 1 serves on ties; nobody serves at ``max(p1, p2) <= c / 2``.
     """
     c = check_cost(c)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    worthwhile = np.maximum(p1, p2) > c / 2.0
-    sigma1 = (worthwhile & (p1 >= p2)).astype(float)
-    sigma2 = (worthwhile & (p2 > p1)).astype(float)
+    p1, p2 = check_states(p1, p2)
+    return _better_server_serves(p1, p2, np.maximum(p1, p2) > c / 2.0)
+
+
+def _better_server_serves(p1, p2, serve):
+    """Activities (sigma1, sigma2) with the better server active where
+    ``serve`` holds and nobody elsewhere; server 1 serves on ties."""
+    sigma1 = (serve & (p1 >= p2)).astype(float)
+    sigma2 = (serve & (p2 > p1)).astype(float)
     return sigma1, sigma2
 
 
 def optimal_profile(s: State, c: float) -> Profile:
     """The welfare-maximising profile at a single state."""
     s = as_state(s)
-    sigma1, sigma2 = optimal_activity(s.p1, s.p2, c)
-    return Profile(float(sigma1), float(sigma2))
+    return Profile(*map(float, optimal_activity(s.p1, s.p2, c)))
 
 
 def pointwise_welfare(
     s: State, prof: Profile, c: float, variant: str = "unregulated"
 ) -> float:
     """Total expected payoff u1 + u2 of a (possibly mixed) profile at one state."""
-    if variant not in PAYOFF_VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {sorted(PAYOFF_VARIANTS)}"
-        )
     return payoff_mixed(s, prof.sigma1, prof.sigma2, c, variant=variant).total
 
 

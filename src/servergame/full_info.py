@@ -49,7 +49,9 @@ from .payoffs import (
     State,
     as_state,
     check_cost,
+    check_states,
 )
+from .cooperative import _better_server_serves
 
 __all__ = [
     "BOUNDARY_EPS",
@@ -111,6 +113,14 @@ def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
     return min(1.0, max(0.0, sigma1)), min(1.0, max(0.0, sigma2))
 
 
+def _lone_server(p1, p2, c):
+    """Where, given max(p1, p2) > c, server 1 alone and server 2 alone is
+    the unique equilibrium.  Only ``<``, ``-`` and ``|``, so Python floats
+    stay on the fast scalar path and arrays get element-wise masks."""
+    eps = BOUNDARY_EPS
+    return (p2 < c - eps) | (p1 - p2 > c + eps), (p1 < c - eps) | (p2 - p1 > c + eps)
+
+
 def classify_state(s: State, c: float) -> EquilibriumSet:
     """Full equilibrium set of the unregulated game at state ``s``."""
     s = as_state(s)
@@ -131,9 +141,10 @@ def classify_state(s: State, c: float) -> EquilibriumSet:
         return EquilibriumSet(EquilibriumKind.BOUNDARY_MIX_2, (_II, _IA))
 
     # max > c from here on
-    if p2 < c - eps or p1 - p2 > c + eps:
+    alone1, alone2 = _lone_server(p1, p2, c)
+    if alone1:
         return EquilibriumSet(EquilibriumKind.ONLY_SERVER_1, (_AI,))
-    if p1 < c - eps or p2 - p1 > c + eps:
+    if alone2:
         return EquilibriumSet(EquilibriumKind.ONLY_SERVER_2, (_IA,))
 
     return EquilibriumSet(
@@ -165,14 +176,12 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
     if policy not in ("max_welfare", "min_welfare"):
         raise ValueError(f"unknown policy {policy!r}")
     c = check_cost(c)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    eps = BOUNDARY_EPS
-    top = np.maximum(p1, p2)
-
-    nobody = top <= c + eps  # both-inactive region plus the knife edge
-    only1 = ~nobody & ((p2 < c - eps) | (p1 - p2 > c + eps))
-    only2 = ~nobody & ((p1 < c - eps) | (p2 - p1 > c + eps))
+    p1, p2 = check_states(p1, p2)
+    # both-inactive region plus the knife edge
+    nobody = np.maximum(p1, p2) <= c + BOUNDARY_EPS
+    alone1, alone2 = _lone_server(p1, p2, c)
+    only1 = ~nobody & alone1
+    only2 = ~nobody & alone2
     contention = ~(nobody | only1 | only2)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
 
@@ -189,8 +198,7 @@ def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profi
     custom one, pass your own activity callable to ``oracle.mc_welfare``.
     """
     s = as_state(s)
-    sigma1, sigma2 = equilibrium_activity(s.p1, s.p2, c, policy=policy)
-    return Profile(float(sigma1), float(sigma2))
+    return Profile(*map(float, equilibrium_activity(s.p1, s.p2, c, policy=policy)))
 
 
 def welfare_case3_max(c: float | np.ndarray) -> float | np.ndarray:
@@ -226,12 +234,8 @@ def regulated_activity(p1, p2, c: float):
     server 1, where both asymmetric profiles are equilibria), nobody below.
     """
     c = check_cost(c)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    serve = np.maximum(p1, p2) >= c / 2.0
-    sigma1 = (serve & (p1 >= p2)).astype(float)
-    sigma2 = (serve & (p2 > p1)).astype(float)
-    return sigma1, sigma2
+    p1, p2 = check_states(p1, p2)
+    return _better_server_serves(p1, p2, np.maximum(p1, p2) >= c / 2.0)
 
 
 def regulated_equilibrium(s: State, c: float) -> Profile:
@@ -244,5 +248,4 @@ def regulated_equilibrium(s: State, c: float) -> Profile:
     activates the better server there; welfare is zero either way).
     """
     s = as_state(s)
-    sigma1, sigma2 = regulated_activity(s.p1, s.p2, c)
-    return Profile(float(sigma1), float(sigma2))
+    return Profile(*map(float, regulated_activity(s.p1, s.p2, c)))

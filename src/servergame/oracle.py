@@ -2,9 +2,10 @@
 
 Every closed-form result in this package is cross-checked against the
 machinery here, so this module deliberately recomputes everything from the
-payoff tables themselves -- it never calls the closed-form functions in
-``cooperative``, ``bayesian`` or ``full_info`` (only their plain data
-containers).  The routes kept independent:
+payoff *table* (``payoffs.payoff_table``), the ground truth it shares with
+the closed forms -- it never calls a closed form in ``cooperative``,
+``bayesian`` or ``full_info`` (only their plain data containers).  The
+routes kept independent:
 
 * interim activity gains against a cutoff opponent are integrated
   numerically (Simpson), not taken from the best-response algebra;
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayesian import Distribution, ThresholdWelfare, uniform_distribution
-from .payoffs import State, check_cost, check_sigma
+from .payoffs import State, check_cost, check_sigma, payoff_table
 
 __all__ = [
     "DeviationReport",
@@ -44,8 +45,8 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per slice in mc_welfare: the slice's draws, activities and
-# temporaries stay in a core's L2 cache.
+# States per slice in mc_welfare, and gains per block of own types in the
+# sampled deviation check: a block's temporaries stay in a core's L2 cache.
 _BLOCK = 1 << 14
 
 
@@ -116,30 +117,25 @@ def interim_activity_gain(
     the c/2-subsidy payoffs.
     """
     c = check_cost(c)
-    if not 0.0 <= t_opp <= 1.0:
-        raise ValueError(f"t_opp must lie in [0, 1], got {t_opp!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    t_opp = check_sigma(t_opp, "t_opp")
+    p = check_sigma(p, "p")
 
     # The gain jumps at q = t_opp, so each branch is integrated over its own
     # segment (a shared Simpson node straddling the jump would poison both).
-    if regulated:
-        idle_value = p - c / 2.0
-
-        def both_active(q):
-            return np.maximum(p, q) - c - (q - c / 2.0)
-
-    else:
-        idle_value = p - c
-
-        def both_active(q):
-            return np.maximum(p, q) - c - q
-
-    opp_idle_part = idle_value * t_opp  # constant integrand on [0, t_opp)
+    opp_idle_part = _activity_gains(p, t_opp, c, regulated)[1] * t_opp  # constant on [0, t_opp)
     opp_active_part = quadrature_piecewise(
-        both_active, t_opp, 1.0, breakpoints=(p,), panels=panels
+        lambda q: _activity_gains(p, q, c, regulated)[0], t_opp, 1.0, breakpoints=(p,), panels=panels
     )
     return opp_idle_part + opp_active_part
+
+
+def _activity_gains(p, q, c, regulated: bool):
+    """Gain of being active rather than idle at own type ``p``, against an
+    active and against an idle opponent of type ``q``: differences along
+    server 1's row of the payoff table (the c/2-subsidy table if
+    ``regulated``)."""
+    aa, ai, ia, ii = payoff_table(p, q, c, "case2_reg" if regulated else "unregulated")
+    return aa - ia, ai - ii
 
 
 def grid_best_response(
@@ -155,19 +151,23 @@ def grid_best_response(
     grid; a linear scan returns the same point.  Returns 1.0 when active
     never dominates on the grid.
     """
-    if not 0.0 < step <= 0.01:
-        raise ValueError(f"step must lie in (0, 0.01], got {step!r}")
+    if not (0.0 < step <= 0.01 and math.isfinite(1.0 / step)):
+        raise ValueError(f"step must lie in (0, 0.01] with 1/step finite, got {step!r}")
     c = check_cost(c)
     n = int(round(1.0 / step))
-    grid = np.linspace(0.0, 1.0, n + 1)
+    spacing = 1.0 / n
+
+    def point(idx: int) -> float:
+        # np.linspace(0, 1, n + 1)[idx], computed on demand
+        return idx * spacing if idx < n else 1.0
 
     def dominates(idx: int) -> bool:
         # weak dominance up to quadrature rounding, so a crossing that lands
         # exactly on a grid point is not pushed one step right by -1e-17 dust
-        return interim_activity_gain(float(grid[idx]), opp_threshold, c, regulated) >= -1e-12
+        return interim_activity_gain(point(idx), opp_threshold, c, regulated) >= -1e-12
 
     if dominates(0):
-        return float(grid[0])
+        return 0.0
     if not dominates(n):
         return 1.0
     lo, hi = 0, n  # not dominates(lo), dominates(hi)
@@ -177,7 +177,7 @@ def grid_best_response(
             hi = mid
         else:
             lo = mid
-    return float(grid[hi])
+    return point(hi)
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +302,9 @@ def _resolve_strategy(strategy):
 
 
 def _profile_welfare(p1, p2, sigma1, sigma2, c):
+    # The Monte Carlo kernel, whose bits `verify` output pins: it keeps
+    # 2*p1 - c rather than the table's (p1 - c) + p1, which differs in the
+    # last bit for some costs (22% of uniform states at c = 0.1).
     best = np.maximum(p1, p2)
     return (
         sigma1 * sigma2 * (2.0 * best - 2.0 * c)
@@ -422,56 +425,22 @@ class DeviationReport:
     eps: float
 
 
-def _payoff_components(p1, p2, c, variant: str):
-    """Vectorised per-profile payoffs; mirrors the tables in ``payoffs``."""
-    best = np.maximum(p1, p2)
-    zeros = np.zeros_like(p1)
-    if variant == "unregulated":
-        u1 = (best - c, p1 - c, p2, zeros)  # AA, AI, IA, II
-        u2 = (best - c, p1, p2 - c, zeros)
-    elif variant == "case2_reg":
-        u1 = (best - c, p1 - c / 2.0, p2 - c / 2.0, zeros)
-        u2 = (best - c, p1 - c / 2.0, p2 - c / 2.0, zeros)
-    elif variant == "case3_reg":
-        gate = best >= c / 2.0
-        u1 = (
-            best - c,
-            np.where(gate, (p1 - p2) / 2.0, p1 - c),
-            np.where(gate, (p1 + 3.0 * p2) / 2.0 - c, p2),
-            zeros,
-        )
-        u2 = (
-            best - c,
-            np.where(gate, (3.0 * p1 + p2) / 2.0 - c, p1),
-            np.where(gate, (p2 - p1) / 2.0, p2 - c),
-            zeros,
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return u1, u2
-
-
-def _map_deviation_gains(p1, p2, sigma1, sigma2, c, variant):
-    u1, u2 = _payoff_components(p1, p2, c, variant)
-    u1_active = sigma2 * u1[0] + (1.0 - sigma2) * u1[1]
-    u1_idle = sigma2 * u1[2] + (1.0 - sigma2) * u1[3]
-    u2_active = sigma1 * u2[0] + (1.0 - sigma1) * u2[2]
-    u2_idle = sigma1 * u2[1] + (1.0 - sigma1) * u2[3]
-    have1 = sigma1 * u1_active + (1.0 - sigma1) * u1_idle
-    have2 = sigma2 * u2_active + (1.0 - sigma2) * u2_idle
-    gain1 = np.maximum(u1_active, u1_idle) - have1
-    gain2 = np.maximum(u2_active, u2_idle) - have2
-    return gain1, gain2, u1_active >= u1_idle, u2_active >= u2_idle
+def _pure_deviation_gain(row, sigma_own, sigma_other):
+    """Best pure deviation's gain over a server's mixed play, given its own
+    payoff-table row (own action first), and whether active is that best."""
+    active = sigma_other * row[0] + (1.0 - sigma_other) * row[1]
+    idle = sigma_other * row[2] + (1.0 - sigma_other) * row[3]
+    have = sigma_own * active + (1.0 - sigma_own) * idle
+    return np.maximum(active, idle) - have, active >= idle
 
 
 def _check_state_map(strategy, c, states, eps, variant):
     p1 = np.asarray([s[0] for s in states], dtype=float)
     p2 = np.asarray([s[1] for s in states], dtype=float)
     activity = _resolve_strategy(strategy)
-    sigma1, sigma2 = activity(p1, p2, c)
-    gain1, gain2, better1, better2 = _map_deviation_gains(
-        p1, p2, np.asarray(sigma1), np.asarray(sigma2), c, variant
-    )
+    sigma1, sigma2 = map(np.asarray, activity(p1, p2, c))
+    gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
+    gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
     gains = np.concatenate([gain1, gain2])
     idx = int(np.argmax(gains))
     max_gain = float(gains[idx])
@@ -488,17 +457,21 @@ def _check_state_map(strategy, c, states, eps, variant):
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
-def _threshold_gain_samples(p_grid, opp_draws, t_opp, c, regulated):
-    q = opp_draws[np.newaxis, :]
-    p = p_grid[:, np.newaxis]
-    opp_active = q >= t_opp
-    if regulated:
-        gain = np.where(
-            opp_active, np.maximum(p, q) - c - (q - c / 2.0), p - c / 2.0
-        )
-    else:
-        gain = np.where(opp_active, np.maximum(p, q) - c - q, p - c)
-    return gain
+def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
+    """Mean and standard error of the activity gain at each own type,
+    over the opponent draws; the gain matrix is built a block of own types
+    at a time (per-row reductions, so the result does not depend on it)."""
+    opp_active = opp_draws >= t_opp
+    means = np.empty_like(p_grid)
+    ses = np.empty_like(p_grid)
+    rows = max(1, _BLOCK // opp_draws.size)
+    for lo in range(0, p_grid.size, rows):
+        block = slice(lo, lo + rows)
+        if_active, if_idle = _activity_gains(p_grid[block, np.newaxis], opp_draws, c, regulated)
+        gain = np.where(opp_active, if_active, if_idle)
+        means[block] = gain.mean(axis=1)
+        ses[block] = gain.std(axis=1, ddof=1) / np.sqrt(opp_draws.size)
+    return means, ses
 
 
 def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_step):
@@ -524,9 +497,7 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
             ses = np.zeros_like(means)
         else:
             draws = np.asarray(dist.sample(rng, samples), dtype=float)
-            g = _threshold_gain_samples(p_grid, draws, t_opp, c, regulated)
-            means = g.mean(axis=1)
-            ses = g.std(axis=1, ddof=1) / np.sqrt(samples)
+            means, ses = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
         active = p_grid >= t_own
         available = np.where(active, -means, means)  # positive = profitable switch
         idx = int(np.argmax(available))

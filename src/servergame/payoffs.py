@@ -45,10 +45,12 @@ __all__ = [
     "as_state",
     "check_cost",
     "check_sigma",
+    "check_states",
     "payoff",
     "payoff_case2_regulated",
     "payoff_case3_regulated",
     "payoff_mixed",
+    "payoff_table",
 ]
 
 
@@ -102,9 +104,6 @@ class PayoffPair(NamedTuple):
     def total(self) -> float:
         return self.u1 + self.u2
 
-    def swapped(self) -> "PayoffPair":
-        return PayoffPair(self.u2, self.u1)
-
 
 class Profile(NamedTuple):
     """Activity probabilities ``(sigma1, sigma2)``; pure play is 0/1."""
@@ -131,21 +130,20 @@ def check_cost(c: float | np.ndarray) -> float | np.ndarray:
     """
     if type(c) is not float:  # Python floats, the hot scalar case, skip this
         if isinstance(c, np.ndarray) and c.ndim:
-            return _check_cost_array(c)
+            return _check_unit_array(c, "cost")
         c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"cost must lie in [0, 1], got {c!r}")
     return c
 
 
-def _check_cost_array(c: np.ndarray) -> np.ndarray:
-    c = c.astype(float, copy=False)
-    # written so that NaN fails the range test
-    inside = (c >= 0.0) & (c <= 1.0)
-    if not inside.all():
-        bad = float(c[~inside][0])
-        raise ValueError(f"cost must lie in [0, 1], got {bad!r}")
-    return c
+def _check_unit_array(x: np.ndarray, name: str) -> np.ndarray:
+    x = x.astype(float, copy=False)
+    # min and max propagate NaN, so NaN fails the range test
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        bad = float(x[~((x >= 0.0) & (x <= 1.0))][0])
+        raise ValueError(f"{name} must lie in [0, 1], got {bad!r}")
+    return x
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> float:
@@ -156,20 +154,65 @@ def check_sigma(sigma: float, name: str = "sigma") -> float:
     return sigma
 
 
-def payoff(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
-    """Expected payoffs of the unregulated game at state ``s``."""
+def check_states(p1, p2) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the states of an activity map, returning float arrays.
+
+    Every entry of ``p1`` and ``p2`` must lie in [0, 1]; the error names
+    the first that is NaN or outside.  A single state given as two floats
+    comes back as numpy float scalars, whose arithmetic is much cheaper
+    than that of 0-d arrays.
+    """
+    if isinstance(p1, float) and isinstance(p2, float):
+        return np.float64(check_sigma(p1, "p1")), np.float64(check_sigma(p2, "p2"))
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    return _check_unit_array(p1, "p1"), _check_unit_array(p2, "p2")
+
+
+def payoff_table(p1, p2, c, variant: str = "unregulated") -> tuple:
+    """Server 1's expected payoffs in the profiles (AA, AI, IA, II).
+
+    The one definition of the stage game (A active, I inactive, server 1's
+    action first).  Server 2's payoffs are the same table at ``(p2, p1)``
+    with AI and IA swapped; this is bit-exact, because IEEE addition
+    commutes.  With a numpy array among ``p1``/``p2`` the entries are
+    arrays (``np.maximum``/``np.where``); scalars go through ``max``/``if``.
+    The caller validates ``p1``, ``p2`` and ``c``.
+    """
+    arrays = isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
+    best = np.maximum(p1, p2) if arrays else max(p1, p2)
+    # the regulations only add transfers to a lone active server (AI, IA)
+    if variant == "unregulated":
+        ai, ia = p1 - c, p2
+    elif variant == "case2_reg":
+        ai, ia = p1 - c + c / 2.0, p2 - c / 2.0
+    elif variant == "case3_reg":
+        ai, ia = p1 - c, p2
+        paid = ((p1 - p2) / 2.0, (p1 + 3.0 * p2) / 2.0 - c)
+        if arrays:
+            gate = best >= c / 2.0
+            ai, ia = np.where(gate, paid[0], ai), np.where(gate, paid[1], ia)
+        elif best >= c / 2.0:
+            ai, ia = paid
+    else:
+        raise ValueError(
+            f"unknown variant {variant!r}; expected one of {sorted(PAYOFF_VARIANTS)}"
+        )
+    return best - c, ai, ia, 0.0
+
+
+def _pure_payoff(s: State, a1: Action, a2: Action, c: float, variant: str) -> PayoffPair:
     s = as_state(s)
     c = check_cost(c)
-    active1 = a1 is Action.ACTIVE
-    active2 = a2 is Action.ACTIVE
-    if active1 and active2:
-        best = max(s.p1, s.p2)
-        return PayoffPair(best - c, best - c)
-    if active1:
-        return PayoffPair(s.p1 - c, s.p1)
-    if active2:
-        return PayoffPair(s.p2, s.p2 - c)
-    return PayoffPair(0.0, 0.0)
+    i, j = a1 is not Action.ACTIVE, a2 is not Action.ACTIVE  # 0 when active
+    u1 = payoff_table(s.p1, s.p2, c, variant)[2 * i + j]
+    u2 = payoff_table(s.p2, s.p1, c, variant)[2 * j + i]
+    return PayoffPair(u1, u2)
+
+
+def payoff(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
+    """Expected payoffs of the unregulated game at state ``s``."""
+    return _pure_payoff(s, a1, a2, c, "unregulated")
 
 
 def payoff_case2_regulated(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
@@ -177,15 +220,7 @@ def payoff_case2_regulated(s: State, a1: Action, a2: Action, c: float) -> Payoff
 
     Profiles where both or neither server is active are untouched.
     """
-    base = payoff(s, a1, a2, c)
-    c = check_cost(c)
-    active1 = a1 is Action.ACTIVE
-    active2 = a2 is Action.ACTIVE
-    if active1 and not active2:
-        return PayoffPair(base.u1 + c / 2.0, base.u2 - c / 2.0)
-    if active2 and not active1:
-        return PayoffPair(base.u1 - c / 2.0, base.u2 + c / 2.0)
-    return base
+    return _pure_payoff(s, a1, a2, c, "case2_reg")
 
 
 def payoff_case3_regulated(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
@@ -195,17 +230,7 @@ def payoff_case3_regulated(s: State, a1: Action, a2: Action, c: float) -> Payoff
     below the gate the game is unchanged.  Both-active and both-inactive
     profiles are never altered.
     """
-    s = as_state(s)
-    c = check_cost(c)
-    if max(s.p1, s.p2) < c / 2.0:
-        return payoff(s, a1, a2, c)
-    active1 = a1 is Action.ACTIVE
-    active2 = a2 is Action.ACTIVE
-    if active1 and not active2:
-        return PayoffPair((s.p1 - s.p2) / 2.0, (3.0 * s.p1 + s.p2) / 2.0 - c)
-    if active2 and not active1:
-        return PayoffPair((s.p1 + 3.0 * s.p2) / 2.0 - c, (s.p2 - s.p1) / 2.0)
-    return payoff(s, a1, a2, c)
+    return _pure_payoff(s, a1, a2, c, "case3_reg")
 
 
 PAYOFF_VARIANTS = {
@@ -231,20 +256,16 @@ def payoff_mixed(
     s = as_state(s)
     sigma1 = check_sigma(sigma1, "sigma1")
     sigma2 = check_sigma(sigma2, "sigma2")
-    try:
-        table = PAYOFF_VARIANTS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {sorted(PAYOFF_VARIANTS)}"
-        ) from None
-    u1 = 0.0
-    u2 = 0.0
-    for a1, w1 in ((ACTIVE, sigma1), (INACTIVE, 1.0 - sigma1)):
-        for a2, w2 in ((ACTIVE, sigma2), (INACTIVE, 1.0 - sigma2)):
+    c = check_cost(c)
+    row1 = payoff_table(s.p1, s.p2, c, variant)
+    row2 = payoff_table(s.p2, s.p1, c, variant)
+    u1 = u2 = 0.0
+    # i, j = 0 for an active server 1, 2; each server's row lists its own action first
+    for i, w1 in ((0, sigma1), (1, 1.0 - sigma1)):
+        for j, w2 in ((0, sigma2), (1, 1.0 - sigma2)):
             w = w1 * w2
             if w == 0.0:
                 continue
-            pair = table(s, a1, a2, c)
-            u1 += w * pair.u1
-            u2 += w * pair.u2
+            u1 += w * row1[2 * i + j]
+            u2 += w * row2[2 * j + i]
     return PayoffPair(u1, u2)

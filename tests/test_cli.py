@@ -1,9 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from servergame import cli
 from servergame.cli import (
     RunConfig,
     SWEEP_COLUMNS,
@@ -179,7 +181,9 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 
 def test_verify_negative_control(monkeypatch, capsys):
-    monkeypatch.setenv("SERVERGAME_VERIFY_TARGET_OFFSET", "0.05")
+    monkeypatch.setattr(
+        cli, "verification_checks", functools.partial(verification_checks, target_offset=0.05)
+    )
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
@@ -207,3 +211,11 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("c,case1")
+
+
+def test_best_response_step_without_a_finite_grid_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "best-response", "--c", "0.25", "--t-opp", "0.8", "--check", "--step", "1e-320"
+    )
+    assert code == 1 and out == ""
+    assert "step must lie" in err

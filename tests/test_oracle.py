@@ -12,7 +12,6 @@ from servergame.bayesian import (
 from servergame.cooperative import optimal_profile
 from servergame.oracle import (
     DeviationReport,
-    _payoff_components,
     epsilon_nash_check,
     grid_best_response,
     interim_activity_gain,
@@ -28,6 +27,7 @@ from servergame.payoffs import (
     INACTIVE,
     PAYOFF_VARIANTS,
     State,
+    payoff_table,
 )
 
 
@@ -185,7 +185,9 @@ def test_vectorised_payoff_components_match_pure_payoffs():
     p1, p2 = rng.random((2, 64))
     c = 0.37
     for variant, table in PAYOFF_VARIANTS.items():
-        u1, u2 = _payoff_components(p1, p2, c, variant)
+        u1 = payoff_table(p1, p2, c, variant)
+        aa, ai, ia, ii = payoff_table(p2, p1, c, variant)
+        u2 = (aa, ia, ai, ii)  # server 2's table, in server 1's profile order
         for k, (a1, a2) in enumerate(
             [(ACTIVE, ACTIVE), (ACTIVE, INACTIVE), (INACTIVE, ACTIVE), (INACTIVE, INACTIVE)]
         ):

@@ -1,0 +1,60 @@
+"""The package surface: the exported names and the demos' output."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import servergame
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPORTED = {
+    "ACTIVE", "INACTIVE", "Action", "DeviationReport", "Distribution",
+    "EquilibriumKind", "EquilibriumSet", "Estimate", "PayoffPair", "Profile",
+    "State", "ThresholdPair", "ThresholdWelfare", "best_response_fixed_point",
+    "best_response_threshold", "classify_state", "epsilon_nash_check",
+    "grid_best_response", "mc_welfare", "mixed_equilibrium", "nash_threshold",
+    "nash_threshold_general", "optimal_profile", "optimal_thresholds", "payoff",
+    "payoff_case2_regulated", "payoff_case3_regulated", "payoff_mixed",
+    "pointwise_welfare", "power_distribution", "quadrature",
+    "regulated_equilibrium", "select_equilibrium",
+    "threshold_welfare_by_quadrature", "uniform_distribution", "welfare_case1",
+    "welfare_case3_max", "welfare_case3_min", "welfare_thresholds",
+}  # fmt: skip
+
+# SHA-256 of each demo's stdout (numpy 2.4, Python 3.11); a demo whose
+# narrative changes on purpose records its new digest here
+DEMO_SHA256 = {
+    "cooperative_optimum.py": "6da97d963ede5cf184efc36788c97ac941842922bb50b2560298c75f84bf2e1f",
+    "cutoff_game.py": "030bf10926f7b626699b097ff81cfc1cf015c0b641e081ecb545ae346d5e2739",
+    "full_information_equilibria.py": "143ccc532f2f919e4e3124208dc022fcde1291c4be33eac1f1b234a22e53f97f",
+    "payoff_tables.py": "c535e5a80e25422f3d225a9929bf543b48f89a62579d862bf66dec82a9612c09",
+    "regulation_comparison.py": "f1e4de88c7b0c964223fd738d00573bc19f6e3b550d0dffa9ffaef76671b8eae",
+}
+
+
+def test_exported_names_are_pinned():
+    assert set(servergame.__all__) == EXPORTED
+    assert len(servergame.__all__) == len(EXPORTED)
+    assert all(hasattr(servergame, name) for name in EXPORTED)
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == sorted(DEMO_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_SHA256))
+def test_demo_output_is_unchanged(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo]
