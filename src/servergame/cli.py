@@ -105,12 +105,8 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where((values > 4.0 / 3.0) & (values <= 4.0 / 3.0 + 1e-12), 4.0 / 3.0, values)
 
 
-def sweep_rows(config: RunConfig) -> list[dict]:
-    """One row of closed-form welfare values per cost in the grid.
-
-    Each column is one array call of its closed form over the whole grid;
-    the rows hold Python floats.
-    """
+def _sweep_columns(config: RunConfig) -> list[list[float]]:
+    """Checked columns in SWEEP_COLUMNS order, as float lists; one closed-form call each."""
     c = np.array(config.cost_grid())
     ne = bayesian.nash_threshold(c)
     opt = bayesian.optimal_thresholds(c)
@@ -125,11 +121,14 @@ def sweep_rows(config: RunConfig) -> list[dict]:
     # the subsidy moves the cutoff equilibrium to the optimal pair; the
     # side payment restores the cooperative optimum (transfers are
     # welfare neutral, so the regulated columns reuse those values)
-    columns["reg_case2"] = columns["case2_opt"]
-    columns["reg_case3"] = columns["case1"]
+    columns["reg_case2"], columns["reg_case3"] = columns["case2_opt"], columns["case1"]
     _check_sweep_columns(columns)
-    values = zip(*(columns[column].tolist() for column in SWEEP_COLUMNS))
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in values]
+    return [columns[column].tolist() for column in SWEEP_COLUMNS]
+
+
+def sweep_rows(config: RunConfig) -> list[dict]:
+    """One row of closed-form welfare values (Python floats) per cost."""
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*_sweep_columns(config))]
 
 
 def _check_sweep_columns(columns: dict) -> None:
@@ -153,25 +152,36 @@ def _check_sweep_columns(columns: dict) -> None:
     c = float(columns["c"][i])
     for column, inside in in_range.items():
         if not inside[i]:
-            value = float(columns[column][i])
-            raise AssertionError(f"{column}={value} outside [0, 4/3] at c={c}")
+            raise AssertionError(f"{column}={float(columns[column][i])} outside [0, 4/3] at c={c}")
     if not ordered[i]:
         raise AssertionError(f"welfare ordering violated at c={c}")
     raise AssertionError(f"reg_case3 must equal case1 exactly at c={c}")
 
 
-def _render_sweep(rows: list[dict], output_format: str) -> str:
+_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{col}": %.12g' for col in SWEEP_COLUMNS) + "\n  }"
+
+
+def _json_row(row: tuple) -> str:
+    # json.dumps(indent=2) of the floats _fmt's tokens parse to.  Having 12 < 15 digits, a token
+    # with a '.' and no exponent is its float's repr (no key holds '.', "e-" or "e+"); "1"
+    # (repr "1.0") and "4.94065645841e-324" (repr "5e-324") are not: such rows go the long way
+    text = _JSON_ROW % row
+    if text.count(".") == len(row) and "e-" not in text and "e+" not in text:
+        return text
+    return _JSON_ROW.replace("%.12g", "%r") % tuple(float("%.12g" % x) for x in row)
+
+
+def _render_columns(columns: list[list[float]], output_format: str) -> str:
     if output_format == "csv":
-        lines = [",".join(SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[col]) for col in SWEEP_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return ",".join(SWEEP_COLUMNS) + "\n" + "".join(_CSV_ROW % row for row in zip(*columns))
     if output_format == "json":
-        payload = [
-            {col: float(_fmt(row[col])) for col in SWEEP_COLUMNS} for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return "[\n" + ",\n".join(map(_json_row, zip(*columns))) + "\n]\n"
     raise ValueError(f"unknown format {output_format!r}")
+
+
+def _render_sweep(rows: list[dict], output_format: str) -> str:
+    return _render_columns([[row[col] for row in rows] for col in SWEEP_COLUMNS], output_format)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -184,8 +194,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_sweep(config: RunConfig) -> int:
     try:
-        text = _render_sweep(sweep_rows(config), config.output_format)
-        _emit(text, config.out)
+        _emit(_render_columns(_sweep_columns(config), config.output_format), config.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayesian import Distribution, ThresholdWelfare, uniform_distribution
-from .payoffs import State, check_cost, check_sigma, payoff_table
+from .payoffs import State, check_cost, check_sigma, check_states, payoff_table
 
 __all__ = [
     "DeviationReport",
@@ -374,7 +374,9 @@ def mc_welfare(
     Each shard draws all its ``p1`` and then all its ``p2``; an array
     strategy is then called on consecutive slices of those draws, so it
     must act state by state.  Its activities must lie in [0, 1]
-    (ValueError otherwise, NaN included).  Shards run one after another.
+    (ValueError otherwise, NaN included), and a welfare sum that is not
+    finite, as NaN draws give, is a ValueError too.  Shards run one after
+    another.
     """
     c = check_cost(c)
     if n < 1:
@@ -402,6 +404,8 @@ def mc_welfare(
             _slice_welfare(activity, p1[block], p2[block], c, w[block])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
+    if not (math.isfinite(total) and math.isfinite(total_sq)):  # NaN draws, say
+        raise ValueError(f"welfare sum is not finite ({total}); check the sampled states")
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
@@ -435,10 +439,9 @@ def _pure_deviation_gain(row, sigma_own, sigma_other):
 
 
 def _check_state_map(strategy, c, states, eps, variant):
-    p1 = np.asarray([s[0] for s in states], dtype=float)
-    p2 = np.asarray([s[1] for s in states], dtype=float)
+    p1, p2 = check_states([s[0] for s in states], [s[1] for s in states])
     activity = _resolve_strategy(strategy)
-    sigma1, sigma2 = map(np.asarray, activity(p1, p2, c))
+    sigma1, sigma2 = (_activity_slice(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
     gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
     gains = np.concatenate([gain1, gain2])
@@ -539,8 +542,9 @@ def epsilon_nash_check(
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states``, at a state grid
     (analytic mode), or at sampled states; those gains are exact, so eps
-    defaults to 1e-6.  The own-type grid step ``p_step`` and the state
-    grid step ``state_step`` must lie in (0, 0.5].
+    defaults to 1e-6.  States and the map's activities must lie in [0, 1]
+    (ValueError otherwise, NaN included).  The own-type grid step
+    ``p_step`` and the state grid step ``state_step`` must lie in (0, 0.5].
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):

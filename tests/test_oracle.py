@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from servergame.bayesian import (
+    Distribution,
     nash_threshold,
     power_distribution,
     uniform_distribution,
@@ -282,3 +283,68 @@ def test_threshold_activity_contract():
     s1, s2 = strat(np.array([0.2, 0.3, 0.9]), np.array([0.59, 0.6, 0.61]), 0.1)
     assert s1.tolist() == [0.0, 1.0, 1.0]  # active at exactly the cutoff
     assert s2.tolist() == [0.0, 1.0, 1.0]
+
+
+def constant_map(sigma1, sigma2):
+    """Array strategy playing (sigma1, sigma2) at every state, unchecked."""
+    return lambda p1, p2, c: (np.full(np.shape(p1), sigma1), np.full(np.shape(p2), sigma2))
+
+
+class TestStateMapInputs:
+    def test_activity_above_one_is_rejected_not_passed(self):
+        # used to report passed=True: no pure deviation beats a sigma of 1.5
+        with pytest.raises(ValueError, match="sigma"):
+            epsilon_nash_check(constant_map(1.5, 0.0), 0.2, states=[(0.4, 0.5)])
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_activity_out_of_range_or_nan(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            epsilon_nash_check(constant_map(0.0, sigma), 0.2, states=[(0.4, 0.5)])
+        with pytest.raises(ValueError, match="sigma"):
+            epsilon_nash_check(constant_map(sigma, 1.0), 0.2, state_step=0.5)
+
+    def test_nan_state_is_rejected(self):
+        # used to give max_gain=nan
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\], got nan"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, states=[(math.nan, 0.5)])
+        with pytest.raises(ValueError, match="p2"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, states=[(0.5, 0.2), (0.5, math.nan)])
+
+    def test_state_out_of_range_is_rejected_without_a_witness(self):
+        # σ1 = 1, σ2 = 0 has no profitable deviation at (1.5, 0.5), so no
+        # witness State is built; the state check must fire regardless
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\], got 1.5"):
+            epsilon_nash_check(constant_map(1.0, 0.0), 0.2, states=[(1.5, 0.5)])
+        with pytest.raises(ValueError, match="p2"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, states=[(0.5, -0.25)])
+
+    def test_scalar_and_boundary_activities_are_accepted(self):
+        report = epsilon_nash_check(lambda p1, p2, c: (1.0, 0.0), 0.2, states=[(0.9, 0.1)])
+        assert report.passed and report.max_gain == 0.0
+        report = epsilon_nash_check(constant_map(0.5, 0.5), 0.2, states=[(0.0, 1.0)])
+        assert not report.passed and report.witness[0] == State(0.0, 1.0)
+
+
+def nan_sampler():
+    return Distribution("nan", cdf=lambda x: x, sample=lambda rng, n: np.full(n, np.nan))
+
+
+class TestMonteCarloNaNDraws:
+    def test_cutoff_pair_with_nan_draws_raises(self):
+        # used to return Estimate(mean=nan, stderr=0.0): max(0.0, nan) hid the NaN
+        with pytest.raises(ValueError, match="not finite"):
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist1=nan_sampler())
+        with pytest.raises(ValueError, match="not finite"):
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=nan_sampler(), shards=3)
+
+    def test_one_nan_draw_among_many_raises(self):
+        def sample(rng, n):
+            draws = rng.random(n)
+            draws[n // 2] = np.nan
+            return draws
+
+        dist = Distribution("one-nan", cdf=lambda x: x, sample=sample)
+        with pytest.raises(ValueError, match="not finite"):
+            mc_welfare(lambda p1, p2, c: (0.5, 0.5), 0.2, n=50_000, seed=4, dist2=dist)
+        with pytest.raises(ValueError, match="not finite"):
+            mc_welfare((0.0, 0.0), 0.2, n=1, seed=4, dist1=dist)

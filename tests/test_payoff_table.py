@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from servergame import oracle
 from servergame.bayesian import Distribution
-from servergame.cooperative import optimal_activity, pointwise_welfare
+from servergame.cooperative import optimal_activity, optimal_profile, pointwise_welfare
 from servergame.full_info import (
     classify_state,
     equilibrium_activity,
     regulated_activity,
+    regulated_equilibrium,
     select_equilibrium,
 )
 from servergame.oracle import grid_best_response, interim_activity_gain, mc_welfare
@@ -180,6 +181,56 @@ def test_equilibrium_selections_are_members_of_the_classified_set(case):
             scalar = tuple(select_equilibrium(s, c, policy))
             assert scalar == (sigma1[i], sigma2[i])
             assert scalar in pure
+
+
+@st.composite
+def gate_state(draw, c):
+    """(p1, p2) within 4 ulp of max = c/2, where the strict and weak gates
+    differ, or of the tie diagonal p1 = p2."""
+    u = draw(st.floats(0.0, 1.0))
+    p1, p2 = (c / 2.0, u * c / 2.0) if draw(st.booleans()) else (u, u)
+    p1, p2 = (min(1.0, max(0.0, ulp_steps(p, draw(st.integers(-4, 4))))) for p in (p1, p2))
+    return (p2, p1) if draw(st.booleans()) else (p1, p2)
+
+
+@st.composite
+def states_near_the_gates(draw):
+    """A cost and up to 20 states, mostly near its gates."""
+    c = draw(st.floats(0.0, 1.0))
+    state = gate_state(c) | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    return c, draw(st.lists(state, min_size=1, max_size=20))
+
+
+def reference_gate(p1, p2, c, weak):
+    """The better server serves where max(p1, p2) > c/2 (>= if ``weak``),
+    server 1 on ties, nobody elsewhere."""
+    best = max(p1, p2)
+    serve = best >= c / 2.0 if weak else best > c / 2.0
+    return float(serve and p1 >= p2), float(serve and p2 > p1)
+
+
+GATED_MAPS = (
+    (optimal_activity, optimal_profile, False),
+    (regulated_activity, regulated_equilibrium, True),
+)
+
+
+@SETTINGS
+@given(states_near_the_gates())
+@example(case=(0.5, [(0.25, 0.1), (0.1, 0.25), (0.25, 0.25), (0.3, 0.3), (0.0, 0.0)]))
+@example(case=(0.0, [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)]))
+def test_gated_maps_agree_with_their_scalar_views(case):
+    c, rows = case
+    p1 = np.array([r[0] for r in rows])
+    p2 = np.array([r[1] for r in rows])
+    for array_map, scalar_view, weak in GATED_MAPS:
+        sigma1, sigma2 = array_map(p1, p2, c)
+        for i, (q1, q2) in enumerate(rows):
+            profile = scalar_view(State(q1, q2), c)
+            assert type(profile.sigma1) is float and type(profile.sigma2) is float
+            expected = bits(reference_gate(q1, q2, c, weak))
+            assert bits((profile.sigma1, profile.sigma2)) == expected, (array_map, q1, q2, c)
+            assert bits((sigma1[i], sigma2[i])) == expected, (array_map, q1, q2, c)
 
 
 ACTIVITY_MAPS = (optimal_activity, equilibrium_activity, regulated_activity)

@@ -2,11 +2,14 @@
 scalar closed forms, the column guard and the grid limits."""
 
 import hashlib
+import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from servergame import bayesian, cli, cooperative, full_info
 from servergame.cli import SWEEP_COLUMNS, RunConfig, main, sweep_rows
@@ -167,3 +170,69 @@ def test_cli_non_finite_grid_is_a_usage_error(capsys):
     code = main(["sweep", "--c-step", "nan"])
     captured = capsys.readouterr()
     assert code == 1 and "c-step must be finite, got nan" in captured.err
+
+
+def reference_render(rows, output_format):
+    """The renderer before sweeps were written from their columns: every
+    value through ``_fmt``, and JSON through ``json.dumps(indent=2)`` of
+    the floats those strings parse to."""
+    if output_format == "csv":
+        lines = [",".join(SWEEP_COLUMNS)]
+        for row in rows:
+            lines.append(",".join(cli._fmt(row[col]) for col in SWEEP_COLUMNS))
+        return "\n".join(lines) + "\n"
+    payload = [{col: float(cli._fmt(row[col])) for col in SWEEP_COLUMNS} for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# whole numbers, signed zeros, repeating fractions, values whose 12-digit
+# form needs an exponent, the smallest normal and the smallest subnormal
+AWKWARD_VALUES = (
+    0.0,
+    -0.0,
+    1.0,
+    4.0 / 3.0,
+    1e-5,
+    1e-17,
+    2.2250738585072014e-308,
+    5e-324,
+    0.99999999999995,
+    0.0001,
+    9.99999999999999e-05,
+    123456789012.0,
+    1e12,
+    -2.5,
+)
+sweep_values = st.sampled_from(AWKWARD_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+value_rows = st.lists(st.lists(sweep_values, min_size=8, max_size=8), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=value_rows, output_format=st.sampled_from(("csv", "json")))
+def test_renderer_matches_the_reference_on_random_rows(rows, output_format):
+    rows = [dict(zip(SWEEP_COLUMNS, values)) for values in rows]
+    assert cli._render_sweep(rows, output_format) == reference_render(rows, output_format)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("value", AWKWARD_VALUES)
+def test_renderer_matches_the_reference_on_awkward_values(value, output_format):
+    mixed = (value, 0.5, -value, 4.0 / 3.0, value, 0.1, 0.25, value)
+    rows = [dict.fromkeys(SWEEP_COLUMNS, value), dict(zip(SWEEP_COLUMNS, mixed))]
+    assert cli._render_sweep(rows, output_format) == reference_render(rows, output_format)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("--c", "0.3"), RunConfig(c_start=0.3, c_stop=0.3)),  # single-row grids
+        (("--c", "1"), RunConfig(c_start=1.0, c_stop=1.0)),
+        (("--c", "0"), RunConfig(c_start=0.0, c_stop=0.0)),
+        (("--c-step", "0.001"), RunConfig(c_step=0.001)),
+    ],
+)
+def test_cli_sweep_matches_the_reference(capsys, args, config, output_format):
+    assert main(["sweep", *args, "--format", output_format]) == 0
+    out = capsys.readouterr().out
+    assert out == reference_render(sweep_rows(config), output_format)
