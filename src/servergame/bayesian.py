@@ -135,30 +135,14 @@ class ThresholdWelfare(NamedTuple):
     total: float
 
 
-def _shares_t1_below(t1, t2, c):
-    # valid on t1 <= t2
-    common = 4.0 + -3.0 * t1**2 * t2 - t2**3
-    s1 = (common + 6.0 * c * (t1 - 1.0)) / 6.0
-    s2 = (common + 6.0 * c * (t2 - 1.0)) / 6.0
-    return s1, s2
-
-
-def _shares_t1_above(t1, t2, c):
-    # valid on t1 >= t2 (mirror of _shares_t1_below)
-    common = 4.0 - 3.0 * t2**2 * t1 - t1**3
-    s1 = (common + 6.0 * c * (t1 - 1.0)) / 6.0
-    s2 = (common + 6.0 * c * (t2 - 1.0)) / 6.0
-    return s1, s2
-
-
 def welfare_thresholds(t1, t2, c: float | np.ndarray) -> ThresholdWelfare:
     """Expected welfare of cutoff play (t1, t2) under uniform states.
 
     Accepts scalars or broadcastable numpy arrays for ``t1``, ``t2`` and
     the cost ``c``; any array argument gives array fields, all-scalar
-    arguments give Python floats.  The two branch polynomials (t1
-    below/above t2) agree on the diagonal; the oracle module recomputes
-    the server-1 share by region quadrature.
+    arguments give Python floats.  Both shares are one polynomial in the
+    lower and the higher cutoff; the oracle module recomputes them by
+    region quadrature.
     """
     c = check_cost(c)
     t1 = np.asarray(t1, dtype=float)
@@ -166,11 +150,12 @@ def welfare_thresholds(t1, t2, c: float | np.ndarray) -> ThresholdWelfare:
     # written so that NaN fails the range test
     if not (np.all((t1 >= 0.0) & (t1 <= 1.0)) and np.all((t2 >= 0.0) & (t2 <= 1.0))):
         raise ValueError("thresholds must lie in [0, 1]")
-    lo1, lo2 = _shares_t1_below(t1, t2, c)
-    hi1, hi2 = _shares_t1_above(t1, t2, c)
+    # np.where keeps 0-d arrays, whose ** matches the array path bit for bit
     below = t1 < t2
-    s1 = np.where(below, lo1, hi1)
-    s2 = np.where(below, lo2, hi2)
+    low, high = np.where(below, t1, t2), np.where(below, t2, t1)
+    common = 4.0 + -3.0 * low**2 * high - high**3
+    s1 = (common + 6.0 * c * (t1 - 1.0)) / 6.0
+    s2 = (common + 6.0 * c * (t2 - 1.0)) / 6.0
     if s1.ndim == 0:
         return ThresholdWelfare(float(s1), float(s2), float(s1) + float(s2))
     return ThresholdWelfare(s1, s2, s1 + s2)

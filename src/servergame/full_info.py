@@ -132,13 +132,14 @@ def classify_state(s: State, c: float) -> EquilibriumSet:
     if top < c - eps:
         return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, (_II,))
 
-    if top <= c + eps:  # knife edge max == c
-        if p1 >= p2:
-            pure = [_II, _AI]
-            if p2 >= c - eps:  # double knife edge p1 == p2 == c
-                pure.append(_IA)
-            return EquilibriumSet(EquilibriumKind.BOUNDARY_MIX_1, tuple(pure))
-        return EquilibriumSet(EquilibriumKind.BOUNDARY_MIX_2, (_II, _IA))
+    if top <= c + eps:  # knife edge max == c: a server on it may be active alone
+        pure = [_II]
+        if p1 >= c - eps:
+            pure.append(_AI)
+        if p2 >= c - eps:  # both servers on it at p1 == p2 == c, in either order
+            pure.append(_IA)
+        kind = EquilibriumKind.BOUNDARY_MIX_1 if p1 >= p2 else EquilibriumKind.BOUNDARY_MIX_2
+        return EquilibriumSet(kind, tuple(pure))
 
     # max > c from here on
     alone1, alone2 = _lone_server(p1, p2, c)

@@ -8,10 +8,14 @@ the closed forms -- it never calls a closed form in ``cooperative``,
 routes kept independent:
 
 * interim activity gains against a cutoff opponent are integrated
-  numerically (Simpson), not taken from the best-response algebra;
-* cutoff-pair welfare is rebuilt by nested quadrature over the five
-  activity regions of the state square;
+  numerically, not taken from the best-response algebra;
+* cutoff-pair welfare is rebuilt by nested quadrature of the payoff table
+  over the activity regions of the state square;
 * expected welfare of any strategy map is estimated by seeded Monte Carlo.
+
+Every integral goes through one Simpson routine over rows of intervals cut
+at the integrands' kinks: all own types of a grid are one call, and inner
+integrals are rows over the outer nodes.  Panel counts are fixed.
 
 Monte Carlo uses ``numpy.random.default_rng`` (PCG64); estimates carry the
 seed and algorithm name and are bitwise reproducible for a given
@@ -53,6 +57,33 @@ _BLOCK = 1 << 14
 # --------------------------------------------------------------------------
 # quadrature
 
+# Simpson panels per row: the integrands are polynomials of degree <= 2 on
+# each row, so any count is exact up to rounding; these keep `verify` bytes.
+_GAIN_PANELS = 32
+_REGION_PANELS = 16
+
+
+def _simpson(f, lo, hi, panels: int):
+    """Composite Simpson rule with ``panels`` panels on every row [lo, hi].
+
+    ``lo`` and ``hi`` broadcast to the rows' shape; ``f`` maps the nodes,
+    that shape plus a last axis of 2*panels+1, to values.  lo == hi gives 0.
+    """
+    nodes = np.linspace(lo, hi, 2 * panels + 1, axis=-1)
+    weights = np.ones(2 * panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    h = (hi - lo) / (2 * panels)
+    return h / 3.0 * (f(nodes) @ weights)
+
+
+def _split(lo, hi, at):
+    """Rows [lo, k] and [k, hi] on a new last axis, k = ``at`` clipped to [lo, hi]."""
+    k = np.clip(at, lo, hi)
+    edges = np.empty(np.shape(k) + (3,))
+    edges[..., 0], edges[..., 1], edges[..., 2] = lo, k, hi
+    return edges[..., :2], edges[..., 1:]
+
 
 def quadrature(f, a: float, b: float, panels: int = 64) -> float:
     """Composite Simpson rule with ``panels`` panels (2*panels+1 nodes).
@@ -69,15 +100,12 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
         raise ValueError(f"panels must be >= 1, got {panels}")
     if a == b:
         return 0.0
-    nodes = np.linspace(a, b, 2 * panels + 1)
-    values = np.asarray(f(nodes), dtype=float)
-    if values.shape != nodes.shape:
-        values = np.array([float(f(x)) for x in nodes])
-    weights = np.ones_like(nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = (b - a) / (2 * panels)
-    return float(h / 3.0 * np.dot(weights, values))
+
+    def values(nodes):
+        v = np.asarray(f(nodes), dtype=float)
+        return v if v.shape == nodes.shape else np.array([float(f(x)) for x in nodes])
+
+    return float(_simpson(values, a, b, panels))
 
 
 def quadrature_piecewise(f, a: float, b: float, breakpoints=(), panels: int = 64) -> float:
@@ -90,24 +118,11 @@ def quadrature_piecewise(f, a: float, b: float, breakpoints=(), panels: int = 64
     return sum(quadrature(f, lo, hi, panels) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
-def _quad_scalar(scalar_f, a: float, b: float, breakpoints=(), panels: int = 16) -> float:
-    # outer integrals whose integrand itself runs an inner quadrature
-    return quadrature_piecewise(
-        lambda xs: np.array([scalar_f(float(x)) for x in xs]), a, b, breakpoints, panels
-    )
-
-
 # --------------------------------------------------------------------------
 # interim gains and best responses against a cutoff opponent
 
 
-def interim_activity_gain(
-    p: float,
-    t_opp: float,
-    c: float,
-    regulated: bool = False,
-    panels: int = 32,
-) -> float:
+def interim_activity_gain(p: float, t_opp: float, c: float, regulated: bool = False) -> float:
     """Expected payoff gain of being active rather than inactive at own type ``p``,
     against a uniform opponent playing the cutoff ``t_opp``.
 
@@ -119,21 +134,23 @@ def interim_activity_gain(
     c = check_cost(c)
     t_opp = check_sigma(t_opp, "t_opp")
     p = check_sigma(p, "p")
+    return float(_interim_gains(np.array([p]), t_opp, c, regulated)[0])
 
-    # The gain jumps at q = t_opp, so each branch is integrated over its own
-    # segment (a shared Simpson node straddling the jump would poison both).
-    opp_idle_part = _activity_gains(p, t_opp, c, regulated)[1] * t_opp  # constant on [0, t_opp)
-    opp_active_part = quadrature_piecewise(
-        lambda q: _activity_gains(p, q, c, regulated)[0], t_opp, 1.0, breakpoints=(p,), panels=panels
-    )
-    return opp_idle_part + opp_active_part
+
+def _interim_gains(p, t_opp: float, c: float, regulated: bool):
+    """``interim_activity_gain`` at every own type in the array ``p``: the
+    gain is constant on [0, t_opp), where it jumps, and is integrated on
+    [t_opp, 1] in two rows per type, cut at its kink q = p."""
+    own = p[..., np.newaxis, np.newaxis]
+    if_active = lambda q: _activity_gains(own, q, c, regulated)[0]
+    opp_active = _simpson(if_active, *_split(t_opp, 1.0, p), _GAIN_PANELS).sum(axis=-1)
+    return _activity_gains(p, t_opp, c, regulated)[1] * t_opp + opp_active
 
 
 def _activity_gains(p, q, c, regulated: bool):
-    """Gain of being active rather than idle at own type ``p``, against an
-    active and against an idle opponent of type ``q``: differences along
-    server 1's row of the payoff table (the c/2-subsidy table if
-    ``regulated``)."""
+    """Gain of being active rather than idle at own type ``p`` against an
+    active and an idle opponent of type ``q``, from server 1's row of the
+    payoff table (the c/2-subsidy table if ``regulated``)."""
     aa, ai, ia, ii = payoff_table(p, q, c, "case2_reg" if regulated else "unregulated")
     return aa - ia, ai - ii
 
@@ -184,62 +201,37 @@ def grid_best_response(
 # cutoff-pair welfare by region quadrature
 
 
-def _server1_share_by_regions(t1: float, t2: float, c: float, panels: int = 16) -> float:
+def _server1_share_by_regions(t1: float, t2: float, c: float) -> float:
     """Server 1's expected payoff under cutoffs (t1, t2), by nested Simpson.
 
-    The state square splits into five regions: both idle (zero payoff),
-    self active alone (p1 - c), opponent active alone (p2), and both
-    active with the task going to the better server (split along p1 = p2).
-    All integrands are piecewise polynomial, so the rule is exact up to
-    rounding.
+    Each region of who is active (nobody pays 0) integrates server 1's
+    payoff-table entry.  Integrals over p1 are cut at the kink p1 = p2 of
+    max(p1, p2), and those over p2 at t1, where the inner integral kinks.
     """
+    def region(entry: int, p2_range, p1_range) -> float:
+        def over_p1(p2):
+            q = p2[..., np.newaxis, np.newaxis]
+            own = lambda p1: payoff_table(p1, np.broadcast_to(q, p1.shape), c)[entry]
+            return _simpson(own, *_split(*p1_range, p2), _REGION_PANELS).sum(axis=-1)
 
-    both_idle = 0.0  # the region contributes nothing
-    self_alone = _quad_scalar(
-        lambda p1: quadrature(lambda q: np.full_like(q, p1 - c), 0.0, t2, panels),
-        t1,
-        1.0,
-        panels=panels,
-    )
-    opp_alone = _quad_scalar(
-        lambda p1: quadrature(lambda q: q, t2, 1.0, panels),
-        0.0,
-        t1,
-        panels=panels,
-    )
-    # both active: p2 >= t2 and p1 >= t1, opponent serves on p1 <= p2
-    opp_serves = _quad_scalar(
-        lambda p2: (
-            quadrature(lambda q: np.full_like(q, p2 - c), t1, p2, panels)
-            if p2 > t1
-            else 0.0
-        ),
-        t2,
-        1.0,
-        breakpoints=(t1,),
-        panels=panels,
-    )
-    self_serves = _quad_scalar(
-        lambda p2: quadrature(lambda q: q - c, max(t1, p2), 1.0, panels),
-        t2,
-        1.0,
-        breakpoints=(t1,),
-        panels=panels,
-    )
-    return both_idle + self_alone + opp_alone + opp_serves + self_serves
+        return float(_simpson(over_p1, *_split(*p2_range, t1), _REGION_PANELS).sum())
+
+    self_alone = region(1, (0.0, t2), (t1, 1.0))
+    opp_alone = region(2, (t2, 1.0), (0.0, t1))
+    both_active = region(0, (t2, 1.0), (t1, 1.0))
+    return self_alone + opp_alone + both_active
 
 
-def threshold_welfare_by_quadrature(
-    t1: float, t2: float, c: float, panels: int = 16
-) -> ThresholdWelfare:
+def threshold_welfare_by_quadrature(t1: float, t2: float, c: float) -> ThresholdWelfare:
     """Quadrature counterpart of ``bayesian.welfare_thresholds``.
 
     Server 2's share is server 1's share with the roles swapped (the game
     is symmetric).
     """
     c = check_cost(c)
-    s1 = _server1_share_by_regions(t1, t2, c, panels)
-    s2 = _server1_share_by_regions(t2, t1, c, panels)
+    t1, t2 = check_sigma(t1, "t1"), check_sigma(t2, "t2")
+    s1 = _server1_share_by_regions(t1, t2, c)
+    s2 = _server1_share_by_regions(t2, t1, c)
     return ThresholdWelfare(s1, s2, s1 + s2)
 
 
@@ -373,10 +365,9 @@ def mc_welfare(
 
     Each shard draws all its ``p1`` and then all its ``p2``; an array
     strategy is then called on consecutive slices of those draws, so it
-    must act state by state.  Its activities must lie in [0, 1]
-    (ValueError otherwise, NaN included), and a welfare sum that is not
-    finite, as NaN draws give, is a ValueError too.  Shards run one after
-    another.
+    must act state by state.  The draws and the activities must lie in
+    [0, 1] (ValueError otherwise, NaN included); each slice of draws is
+    checked while it is in cache.  Shards run one after another.
     """
     c = check_cost(c)
     if n < 1:
@@ -401,11 +392,13 @@ def mc_welfare(
         w = np.empty(size)
         for lo in range(0, size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            _slice_welfare(activity, p1[block], p2[block], c, w[block])
+            try:
+                s1, s2 = check_states(p1[block], p2[block])
+            except ValueError as err:
+                raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
+            _slice_welfare(activity, s1, s2, c, w[block])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
-    if not (math.isfinite(total) and math.isfinite(total_sq)):  # NaN draws, say
-        raise ValueError(f"welfare sum is not finite ({total}); check the sampled states")
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
@@ -478,42 +471,32 @@ def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
 
 
 def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_step):
-    t = (float(pair[0]), float(pair[1]))
-    n_grid = int(round(1.0 / p_step))
-    p_grid = np.linspace(0.0, 1.0, n_grid + 1)
+    t = (check_sigma(pair[0], "cutoff t1"), check_sigma(pair[1], "cutoff t2"))
+    p_grid = np.linspace(0.0, 1.0, int(round(1.0 / p_step)) + 1)
 
-    best_gain = 0.0
-    witness = None
-    eps_used = eps
-    worst_se = 0.0
+    best_gain, witness, witness_se, worst_se = 0.0, None, 0.0, 0.0
     rng = np.random.default_rng(seed)
-    if mode == "sampled":
-        dist = dist or uniform_distribution()
-
+    dist = dist or uniform_distribution()
     for server in (1, 2):
-        t_own = t[server - 1]
-        t_opp = t[2 - server]
+        t_own, t_opp = t[server - 1], t[2 - server]
         if mode == "analytic_quadrature":
-            means = np.array(
-                [interim_activity_gain(p, t_opp, c, regulated) for p in p_grid]
-            )
+            means = _interim_gains(p_grid, t_opp, c, regulated)
             ses = np.zeros_like(means)
         else:
             draws = np.asarray(dist.sample(rng, samples), dtype=float)
             means, ses = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
-        active = p_grid >= t_own
-        available = np.where(active, -means, means)  # positive = profitable switch
+        available = np.where(p_grid >= t_own, -means, means)  # positive = profitable switch
         idx = int(np.argmax(available))
         worst_se = max(worst_se, float(np.max(ses)))
         if available[idx] > best_gain:
             best_gain = float(available[idx])
             witness = (server, float(p_grid[idx]), best_gain)
-            if eps is None:
-                eps_used = 1e-6 if mode == "analytic_quadrature" else 3.0 * float(ses[idx])
+            witness_se = float(ses[idx])
 
-    if eps_used is None:  # no profitable point found anywhere and eps unset
-        eps_used = 1e-6 if mode == "analytic_quadrature" else 3.0 * worst_se
-    return DeviationReport(best_gain, witness, best_gain <= eps_used, eps_used)
+    if eps is None:
+        se = witness_se if witness else worst_se  # at the witness, else the worst point
+        eps = 1e-6 if mode == "analytic_quadrature" else 3.0 * se
+    return DeviationReport(best_gain, witness, best_gain <= eps, eps)
 
 
 def epsilon_nash_check(
@@ -542,8 +525,8 @@ def epsilon_nash_check(
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states``, at a state grid
     (analytic mode), or at sampled states; those gains are exact, so eps
-    defaults to 1e-6.  States and the map's activities must lie in [0, 1]
-    (ValueError otherwise, NaN included).  The own-type grid step
+    defaults to 1e-6.  Cutoffs, states and the map's activities must lie in
+    [0, 1] (ValueError otherwise, NaN included).  The own-type grid step
     ``p_step`` and the state grid step ``state_step`` must lie in (0, 0.5].
     """
     c = check_cost(c)

@@ -12,8 +12,6 @@ import pytest
 
 from servergame import cli
 from servergame.bayesian import (
-    _shares_t1_above,
-    _shares_t1_below,
     best_response_fixed_point,
     best_response_threshold,
     nash_threshold,
@@ -110,10 +108,11 @@ def test_criterion_04_cutoff_welfare_algebra_vs_quadrature():
     assert worst <= 1e-10
     for t in np.linspace(0.0, 1.0, 41):
         for c in (0.15, 0.5, 0.85):
-            below = sum(_shares_t1_below(t, t, c))
-            above = sum(_shares_t1_above(t, t, c))
-            assert abs(below - above) <= 1e-12
-    _report(4, f"region quadrature vs closed form, worst gap {worst:.2e} over 50 triples")
+            closed = welfare_thresholds(t, t, c).server1
+            numeric = threshold_welfare_by_quadrature(t, t, c).server1
+            worst = max(worst, abs(closed - numeric))
+    assert worst <= 1e-10
+    _report(4, f"region quadrature vs closed form, worst gap {worst:.2e} (50 triples, diagonal)")
 
 
 def test_criterion_05_subsidy_moves_the_equilibrium_to_the_optimum():

@@ -5,8 +5,6 @@ import pytest
 
 from servergame.bayesian import (
     ThresholdPair,
-    _shares_t1_above,
-    _shares_t1_below,
     best_response_fixed_point,
     best_response_threshold,
     nash_threshold,
@@ -125,14 +123,6 @@ def test_welfare_matches_region_quadrature():
         assert swapped.total == pytest.approx(
             welfare_thresholds(t2, t1, c).total, abs=1e-10
         )
-
-
-def test_welfare_branches_agree_on_the_diagonal():
-    for t in np.linspace(0.0, 1.0, 21):
-        for c in (0.1, 0.5, 0.9):
-            below = sum(_shares_t1_below(t, t, c))
-            above = sum(_shares_t1_above(t, t, c))
-            assert below == pytest.approx(above, abs=1e-12)
 
 
 def test_one_server_permanently_idle_is_a_degenerate_pair():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from servergame.bayesian import (
     Distribution,
@@ -13,6 +15,7 @@ from servergame.bayesian import (
 from servergame.cooperative import optimal_profile
 from servergame.oracle import (
     DeviationReport,
+    _interim_gains,
     epsilon_nash_check,
     grid_best_response,
     interim_activity_gain,
@@ -348,3 +351,161 @@ class TestMonteCarloNaNDraws:
             mc_welfare(lambda p1, p2, c: (0.5, 0.5), 0.2, n=50_000, seed=4, dist2=dist)
         with pytest.raises(ValueError, match="not finite"):
             mc_welfare((0.0, 0.0), 0.2, n=1, seed=4, dist1=dist)
+
+
+def constant_sampler(value):
+    return Distribution(f"constant-{value}", cdf=lambda x: x, sample=lambda rng, n: np.full(n, value))
+
+
+class TestMonteCarloDrawRange:
+    @pytest.mark.parametrize("value", [1.5, -0.25, math.inf])
+    def test_cutoff_pair_rejects_draws_outside_the_unit_interval(self, value):
+        # a sampler yielding 1.5 used to give a mean of 2.7248, above the
+        # largest possible welfare of 2
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist1=constant_sampler(value))
+        with pytest.raises(ValueError, match=r"p2 must lie in \[0, 1\]"):
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=constant_sampler(value), shards=3)
+
+    def test_custom_map_rejects_draws_outside_the_unit_interval(self):
+        # an always-active map used to give 2.80
+        with pytest.raises(ValueError, match="outside"):
+            mc_welfare(constant_map(1.0, 1.0), 0.2, n=1000, seed=1, dist1=constant_sampler(1.5))
+
+    def test_one_bad_draw_in_the_last_slice_raises(self):
+        def sample(rng, n):
+            draws = rng.random(n)
+            draws[-1] = math.nextafter(1.0, 2.0)
+            return draws
+
+        dist = Distribution("one-above", cdf=lambda x: x, sample=sample)
+        with pytest.raises(ValueError, match="p2"):
+            mc_welfare((0.3, 0.6), 0.2, n=50_000, seed=4, dist2=dist)
+
+    def test_draws_at_the_interval_ends_are_accepted(self):
+        # server 1 always active at p1 = 1, server 2 never at p2 = 0
+        est = mc_welfare(
+            (0.0, 1.0), 0.2, n=1000, seed=1, dist1=constant_sampler(1.0), dist2=constant_sampler(0.0)
+        )
+        assert est.mean == pytest.approx(1.8, abs=1e-12) and est.stderr <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# the row-wise Simpson engine against the point-by-point routes it replaced
+
+ENGINE_SETTINGS = settings(deadline=None, max_examples=100)
+UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+
+
+def ulp_steps(x: float, k: int) -> float:
+    toward = math.copysign(math.inf, k)
+    for _ in range(abs(k)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def near(x: float):
+    """Points within 4 ulp of x, kept in [0, 1]."""
+    return st.integers(-4, 4).map(lambda k: min(1.0, max(0.0, ulp_steps(x, k))))
+
+
+@st.composite
+def interim_cases(draw):
+    """Own types, an opponent cutoff, a cost and a payoff table; own types
+    sit anywhere, at 0 or 1, or within 4 ulp of the cutoff."""
+    t_opp = draw(UNIT)
+    ps = draw(st.lists(UNIT | near(t_opp), min_size=1, max_size=8))
+    return ps, t_opp, draw(st.floats(0.0, 1.0)), draw(st.booleans())
+
+
+@st.composite
+def cutoff_cases(draw):
+    """(t1, t2, c) in either order, with cutoffs at 0 and 1, on the
+    diagonal and within 4 ulp of it."""
+    t1 = draw(UNIT)
+    t2 = draw(UNIT | st.just(t1) | near(t1))
+    if draw(st.booleans()):
+        t1, t2 = t2, t1
+    return t1, t2, draw(st.floats(0.0, 1.0))
+
+
+def reference_interim_gain(p, t_opp, c, regulated, panels=32):
+    """The gain one own type at a time: the idle opponent's part is
+    constant, the active one goes through quadrature_piecewise with a
+    breakpoint at p."""
+    variant = "case2_reg" if regulated else "unregulated"
+    _, ai, _, ii = payoff_table(p, t_opp, c, variant)
+
+    def if_active(q):
+        aa, _, ia, _ = payoff_table(p, q, c, variant)
+        return aa - ia
+
+    return (ai - ii) * t_opp + quadrature_piecewise(if_active, t_opp, 1.0, (p,), panels)
+
+
+def reference_region_share(t1, t2, c, panels=16):
+    """Server 1's share by nested scalar quadrature: an outer Simpson rule
+    whose integrand runs a whole inner quadrature at each node."""
+
+    def nested(inner, a, b, breakpoints=()):
+        outer = lambda xs: np.array([inner(float(x)) for x in xs])
+        return quadrature_piecewise(outer, a, b, breakpoints, panels)
+
+    self_alone = nested(
+        lambda p1: quadrature(lambda q: np.full_like(q, p1 - c), 0.0, t2, panels), t1, 1.0
+    )
+    opp_alone = nested(lambda p1: quadrature(lambda q: q, t2, 1.0, panels), 0.0, t1)
+    opp_serves = nested(  # both active, p1 <= p2
+        lambda p2: quadrature(lambda q: np.full_like(q, p2 - c), t1, p2, panels) if p2 > t1 else 0.0,
+        t2,
+        1.0,
+        (t1,),
+    )
+    self_serves = nested(  # both active, p1 >= p2
+        lambda p2: quadrature(lambda q: q - c, max(t1, p2), 1.0, panels), t2, 1.0, (t1,)
+    )
+    return self_alone + opp_alone + opp_serves + self_serves
+
+
+@ENGINE_SETTINGS
+@given(interim_cases())
+@example(case=([0.3, math.nextafter(0.3, 1.0), 0.0, 1.0], 0.3, 0.2, False))
+@example(case=([0.0, 0.5, 1.0], 1.0, 1.0, True))
+def test_interim_gains_match_the_point_by_point_reference(case):
+    ps, t_opp, c, regulated = case
+    reference = [reference_interim_gain(p, t_opp, c, regulated) for p in ps]
+    rows = _interim_gains(np.array(ps), t_opp, c, regulated)
+    for p, want, got in zip(ps, reference, rows):
+        assert abs(got - want) <= 1e-14, (p, t_opp, c, regulated)
+        assert abs(interim_activity_gain(p, t_opp, c, regulated) - want) <= 1e-14
+
+
+@ENGINE_SETTINGS
+@given(cutoff_cases())
+@example(case=(0.7, 0.3, 0.2))
+@example(case=(0.4, 0.4, 0.5))
+@example(case=(1.0, 0.0, 0.3))
+def test_region_shares_match_nested_scalar_quadrature(case):
+    t1, t2, c = case
+    rows = threshold_welfare_by_quadrature(t1, t2, c)
+    assert abs(rows.server1 - reference_region_share(t1, t2, c)) <= 1e-14
+    assert abs(rows.server2 - reference_region_share(t2, t1, c)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=150)
+@given(cutoff_cases())
+def test_region_quadrature_matches_the_closed_form(case):
+    t1, t2, c = case
+    numeric = threshold_welfare_by_quadrature(t1, t2, c)
+    closed = welfare_thresholds(t1, t2, c)
+    for got, want in zip(numeric, closed):
+        assert abs(got - want) <= 1e-10, case
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, 1.5), (-0.1, 0.2)])
+def test_quadrature_routes_reject_cutoffs_outside_the_unit_interval(pair):
+    with pytest.raises(ValueError, match="t[12]"):
+        threshold_welfare_by_quadrature(*pair, 0.2)
+    for mode in ("analytic_quadrature", "sampled"):
+        with pytest.raises(ValueError, match="cutoff"):
+            epsilon_nash_check(pair, 0.2, mode=mode, samples=100)
