@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .payoffs import check_cost, check_sigma
+from .payoffs import _check_unit_array, check_cost, check_sigma
 
 __all__ = [
     "Distribution",
@@ -145,11 +145,8 @@ def welfare_thresholds(t1, t2, c: float | np.ndarray) -> ThresholdWelfare:
     region quadrature.
     """
     c = check_cost(c)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    # written so that NaN fails the range test
-    if not (np.all((t1 >= 0.0) & (t1 <= 1.0)) and np.all((t2 >= 0.0) & (t2 <= 1.0))):
-        raise ValueError("thresholds must lie in [0, 1]")
+    t1 = _check_unit_array(np.asarray(t1), "thresholds")
+    t2 = _check_unit_array(np.asarray(t2), "thresholds")
     # np.where keeps 0-d arrays, whose ** matches the array path bit for bit
     below = t1 < t2
     low, high = np.where(below, t1, t2), np.where(below, t2, t1)

@@ -19,12 +19,14 @@ resulting pure/mixed equilibrium structure over the state square:
   unstable: nudging sigma1 up makes inactive strictly better for server 2,
   nudging it down makes active strictly better.
 
-The closed edges of the contention region (``min == c`` or
-``|p1 - p2| == c``) are classified as contention too: there the asymmetric
-pure profiles are still (weakly) stable and the mixed formula degenerates
-consistently to a 0/1 component.  All region tests use a 1e-9 equality
-tolerance so states sitting on a boundary up to float rounding get the
-boundary's equilibrium set.
+The region map lists exactly the pure profiles that pass the
+unilateral-deviation test: II where ``max(p1, p2) <= c``, AI where
+``p1 >= c`` and ``p2 - p1 <= c``, IA where ``p2 >= c`` and
+``p1 - p2 <= c``; both-active is never stable when c > 0.  Each inequality
+is closed by 1e-9, so a state on a boundary up to float rounding gets the
+boundary's set, and the region label is read off the same masks.  The
+closed edges of contention (``min == c`` or ``|p1 - p2| == c``) are thus
+contention too, where the mixed formula degenerates to a 0/1 component.
 
 Selecting the best (worst) equilibrium per state means handing the task to
 the higher (lower) probability server inside contention; the resulting
@@ -113,44 +115,32 @@ def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
     return min(1.0, max(0.0, sigma1)), min(1.0, max(0.0, sigma2))
 
 
-def _lone_server(p1, p2, c):
-    """Where, given max(p1, p2) > c, server 1 alone and server 2 alone is
-    the unique equilibrium.  Only ``<``, ``-`` and ``|``, so Python floats
-    stay on the fast scalar path and arrays get element-wise masks."""
-    eps = BOUNDARY_EPS
-    return (p2 < c - eps) | (p1 - p2 > c + eps), (p1 < c - eps) | (p2 - p1 > c + eps)
+def _stable_profiles(p1, p2, c):
+    """Where (II, AI, IA) survive every unilateral pure deviation, each weak
+    inequality closed by BOUNDARY_EPS; AA never does when c > 0.  Only
+    ``<=``, ``>=``, ``-`` and ``&``, so Python floats stay on the fast
+    scalar path and arrays get element-wise masks."""
+    hi, lo = c + BOUNDARY_EPS, c - BOUNDARY_EPS
+    gap = p1 - p2  # IEEE: p2 - p1 == -gap exactly
+    return (p1 <= hi) & (p2 <= hi), (p1 >= lo) & (gap >= -hi), (p2 >= lo) & (gap <= hi)
 
 
 def classify_state(s: State, c: float) -> EquilibriumSet:
     """Full equilibrium set of the unregulated game at state ``s``."""
     s = as_state(s)
     c = check_cost(c)
-    p1, p2 = s.p1, s.p2
-    top = max(p1, p2)
-    eps = BOUNDARY_EPS
-
-    if top < c - eps:
-        return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, (_II,))
-
-    if top <= c + eps:  # knife edge max == c: a server on it may be active alone
-        pure = [_II]
-        if p1 >= c - eps:
-            pure.append(_AI)
-        if p2 >= c - eps:  # both servers on it at p1 == p2 == c, in either order
-            pure.append(_IA)
-        kind = EquilibriumKind.BOUNDARY_MIX_1 if p1 >= p2 else EquilibriumKind.BOUNDARY_MIX_2
-        return EquilibriumSet(kind, tuple(pure))
-
-    # max > c from here on
-    alone1, alone2 = _lone_server(p1, p2, c)
-    if alone1:
-        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_1, (_AI,))
-    if alone2:
-        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_2, (_IA,))
-
-    return EquilibriumSet(
-        EquilibriumKind.CONTENTION, (_AI, _IA), _mixed_formula(p1, p2, c)
-    )
+    ii, ai, ia = _stable_profiles(s.p1, s.p2, c)
+    pure = ((_II,) if ii else ()) + ((_AI,) if ai else ()) + ((_IA,) if ia else ())
+    if ii:  # a server on the knife edge max == c may also be active alone
+        if len(pure) == 1:
+            return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, pure)
+        kind = EquilibriumKind.BOUNDARY_MIX_1 if s.p1 >= s.p2 else EquilibriumKind.BOUNDARY_MIX_2
+        return EquilibriumSet(kind, pure)
+    if not ia:
+        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_1, pure)
+    if not ai:
+        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_2, pure)
+    return EquilibriumSet(EquilibriumKind.CONTENTION, pure, _mixed_formula(s.p1, s.p2, c))
 
 
 def mixed_equilibrium(s: State, c: float) -> tuple[float, float]:
@@ -178,17 +168,11 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
         raise ValueError(f"unknown policy {policy!r}")
     c = check_cost(c)
     p1, p2 = check_states(p1, p2)
-    # both-inactive region plus the knife edge
-    nobody = np.maximum(p1, p2) <= c + BOUNDARY_EPS
-    alone1, alone2 = _lone_server(p1, p2, c)
-    only1 = ~nobody & alone1
-    only2 = ~nobody & alone2
-    contention = ~(nobody | only1 | only2)
+    ii, ai, ia = _stable_profiles(p1, p2, c)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
-
-    sigma1 = (only1 | (contention & first)).astype(float)
-    sigma2 = (only2 | (contention & ~first)).astype(float)
-    return sigma1, sigma2
+    sigma1 = ai & ~ii & (~ia | first)
+    sigma2 = ia & ~ii & ~(ai & first)
+    return sigma1.astype(float), sigma2.astype(float)
 
 
 def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profile:

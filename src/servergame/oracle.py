@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayesian import Distribution, ThresholdWelfare, uniform_distribution
-from .payoffs import State, check_cost, check_sigma, check_states, payoff_table
+from .payoffs import State, _check_unit_array, check_cost, check_sigma, check_states, payoff_table
 
 __all__ = [
     "DeviationReport",
@@ -319,9 +319,15 @@ def _activity_slice(sigma, shape):
     ones = sigma == 1.0
     if np.all(ones | (sigma == 0.0)):
         return sigma, ones
-    if not (np.min(sigma) >= 0.0 and np.max(sigma) <= 1.0):  # False on NaN
-        raise ValueError("strategy activity sigma must lie in [0, 1], got NaN or out of range")
-    return sigma, None
+    return _check_unit_array(sigma, "strategy activity sigma"), None
+
+
+def _checked_draws(draws, name: str):
+    """Sampled types as a float array; ValueError if any is NaN or outside [0, 1]."""
+    try:
+        return _check_unit_array(np.asarray(draws, dtype=float), name)
+    except ValueError as err:
+        raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
 
 
 def _slice_welfare(activity, p1, p2, c, out):
@@ -392,10 +398,7 @@ def mc_welfare(
         w = np.empty(size)
         for lo in range(0, size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            try:
-                s1, s2 = check_states(p1[block], p2[block])
-            except ValueError as err:
-                raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
+            s1, s2 = _checked_draws(p1[block], "p1"), _checked_draws(p2[block], "p2")
             _slice_welfare(activity, s1, s2, c, w[block])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
@@ -483,7 +486,7 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
             means = _interim_gains(p_grid, t_opp, c, regulated)
             ses = np.zeros_like(means)
         else:
-            draws = np.asarray(dist.sample(rng, samples), dtype=float)
+            draws = _checked_draws(dist.sample(rng, samples), f"p{3 - server}")
             means, ses = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
         available = np.where(p_grid >= t_own, -means, means)  # positive = profitable switch
         idx = int(np.argmax(available))
@@ -525,8 +528,9 @@ def epsilon_nash_check(
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states``, at a state grid
     (analytic mode), or at sampled states; those gains are exact, so eps
-    defaults to 1e-6.  Cutoffs, states and the map's activities must lie in
-    [0, 1] (ValueError otherwise, NaN included).  The own-type grid step
+    defaults to 1e-6.  Cutoffs, states, sampled opponent types and the
+    map's activities must lie in [0, 1] (ValueError otherwise, NaN
+    included).  The own-type grid step
     ``p_step`` and the state grid step ``state_step`` must lie in (0, 0.5].
     """
     c = check_cost(c)

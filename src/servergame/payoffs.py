@@ -72,15 +72,15 @@ INACTIVE = Action.INACTIVE
 
 @dataclass(frozen=True)
 class State:
-    """Success probabilities ``(p1, p2)``, each in [0, 1]."""
+    """Success probabilities ``(p1, p2)``, each a float in [0, 1]."""
 
     p1: float
     p2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        # keep the validated Python floats, as as_state does for pairs
+        object.__setattr__(self, "p1", check_sigma(self.p1, "p1"))
+        object.__setattr__(self, "p2", check_sigma(self.p2, "p2"))
 
     def swapped(self) -> "State":
         return State(self.p2, self.p1)
@@ -91,7 +91,7 @@ def as_state(value) -> State:
     if isinstance(value, State):
         return value
     p1, p2 = value
-    return State(float(p1), float(p2))
+    return State(p1, p2)
 
 
 class PayoffPair(NamedTuple):

@@ -1,10 +1,12 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import servergame
 from servergame import cli
 from servergame.cli import (
     RunConfig,
@@ -204,10 +206,14 @@ def test_run_config_grid():
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from the same tree as this test run
+    src = os.path.dirname(os.path.dirname(servergame.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "servergame.cli", "sweep", "--c", "0.5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("c,case1")

@@ -10,6 +10,8 @@ from servergame.cooperative import optimal_profile, welfare_case1
 from servergame.full_info import (
     BOUNDARY_EPS,
     EquilibriumKind,
+    EquilibriumSet,
+    _mixed_formula,
     classify_state,
     equilibrium_activity,
     mixed_equilibrium,
@@ -26,6 +28,9 @@ from servergame.payoffs import (
     PAYOFF_VARIANTS,
     Profile,
     State,
+    as_state,
+    check_cost,
+    check_states,
     payoff,
     payoff_mixed,
     payoff_table,
@@ -367,3 +372,123 @@ def test_classification_matches_the_table_near_region_boundaries(case):
     listed = classify_state(State(p1, p2), c).pure_equilibria
     assert len(set(listed)) == len(listed)
     assert set(listed) == table_stable_profiles(p1, p2, c), case
+
+
+# --------------------------------------------------------------------------
+# the region map as it was before classify_state and equilibrium_activity
+# read one set of stability masks, kept as a bit-for-bit reference
+
+
+def reference_lone_server(p1, p2, c):
+    eps = BOUNDARY_EPS
+    return (p2 < c - eps) | (p1 - p2 > c + eps), (p1 < c - eps) | (p2 - p1 > c + eps)
+
+
+def reference_classify_state(s, c):
+    s = as_state(s)
+    c = check_cost(c)
+    p1, p2 = s.p1, s.p2
+    top = max(p1, p2)
+    eps = BOUNDARY_EPS
+
+    if top < c - eps:
+        return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, (II,))
+
+    if top <= c + eps:
+        pure = [II]
+        if p1 >= c - eps:
+            pure.append(AI)
+        if p2 >= c - eps:
+            pure.append(IA)
+        kind = EquilibriumKind.BOUNDARY_MIX_1 if p1 >= p2 else EquilibriumKind.BOUNDARY_MIX_2
+        return EquilibriumSet(kind, tuple(pure))
+
+    alone1, alone2 = reference_lone_server(p1, p2, c)
+    if alone1:
+        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_1, (AI,))
+    if alone2:
+        return EquilibriumSet(EquilibriumKind.ONLY_SERVER_2, (IA,))
+    return EquilibriumSet(EquilibriumKind.CONTENTION, (AI, IA), _mixed_formula(p1, p2, c))
+
+
+def reference_equilibrium_activity(p1, p2, c, policy):
+    c = check_cost(c)
+    p1, p2 = check_states(p1, p2)
+    nobody = np.maximum(p1, p2) <= c + BOUNDARY_EPS
+    alone1, alone2 = reference_lone_server(p1, p2, c)
+    only1 = ~nobody & alone1
+    only2 = ~nobody & alone2
+    contention = ~(nobody | only1 | only2)
+    first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
+    sigma1 = (only1 | (contention & first)).astype(float)
+    sigma2 = (only2 | (contention & ~first)).astype(float)
+    return sigma1, sigma2
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def states_near_the_region_edges(draw):
+    """A cost, in [0, 1e-9) or [1e-9, 1], and up to 16 states within 4 ulp
+    of max = x, min = x, |p1 - p2| = x or p1 = p2, for x = c and the
+    BOUNDARY_EPS closures c + eps and c - eps, in either order: one
+    coordinate is stepped off the edge, the other stays where it was drawn."""
+    c = draw(
+        st.floats(0.0, BOUNDARY_EPS, exclude_max=True)
+        | st.floats(BOUNDARY_EPS, 1.0)
+        | st.sampled_from([0.0, BOUNDARY_EPS, 0.5, 1.0])
+    )
+    states = []
+    for _ in range(draw(st.integers(1, 16))):
+        x = draw(st.sampled_from([c, c + BOUNDARY_EPS, c - BOUNDARY_EPS]))
+        u = draw(st.floats(0.0, 1.0))
+        kind = draw(st.sampled_from(("max", "min", "gap", "tie")))
+        if kind == "max":
+            edge, other = x, u * x
+        elif kind == "min":
+            edge, other = x, x + u * (1.0 - x)
+        elif kind == "gap":
+            other = u * (1.0 - x)
+            edge = other + x
+        else:
+            edge = other = u
+        edge, other = (
+            min(1.0, max(0.0, p)) for p in (ulp_steps(edge, draw(st.integers(-4, 4))), other)
+        )
+        states.append((other, edge) if draw(st.booleans()) else (edge, other))
+    return c, states
+
+
+EDGE = 0.3 + BOUNDARY_EPS  # c + eps at c = 0.3; (0.5 + EDGE) - 0.5 == EDGE exactly
+
+
+# Every weak inequality of the region map is hit exactly by at least one
+# pinned example, so turning any of them strict changes some output.
+@settings(deadline=None, max_examples=300)
+@given(states_near_the_region_edges())
+@example(case=(0.3, [(EDGE, 0.1), (0.1, EDGE)]))  # max == c + eps
+@example(case=(0.3, [(0.3 - BOUNDARY_EPS, 0.1), (0.1, 0.3 - BOUNDARY_EPS)]))  # max == c - eps
+@example(case=(0.3, [(0.5, 0.5 + EDGE), (0.5 + EDGE, 0.5)]))  # |p1 - p2| == c + eps
+@example(case=(0.3, [(0.6, 0.3 - BOUNDARY_EPS), (0.3 - BOUNDARY_EPS, 0.6)]))  # min == c - eps
+@example(case=(0.3, [(0.3, 0.3), (0.7, 0.7), (0.0, 0.0)]))  # ties
+@example(case=(0.0, [(0.0, 0.0), (BOUNDARY_EPS, 0.0), (0.0, BOUNDARY_EPS), (0.5, 0.2)]))
+def test_region_map_matches_its_former_definition_bit_for_bit(case):
+    c, states = case
+    for p1, p2 in states:
+        got, want = classify_state(State(p1, p2), c), reference_classify_state(State(p1, p2), c)
+        assert got.kind is want.kind, (p1, p2, c)
+        assert got.pure_equilibria == want.pure_equilibria, (p1, p2, c)
+        assert (got.mixed is None) == (want.mixed is None), (p1, p2, c)
+        if want.mixed is not None:
+            assert bits(got.mixed) == bits(want.mixed), (p1, p2, c)
+    p1s = np.array([p for p, _ in states])
+    p2s = np.array([q for _, q in states])
+    for policy in ("max_welfare", "min_welfare"):
+        want = reference_equilibrium_activity(p1s, p2s, c, policy)
+        got = equilibrium_activity(p1s, p2s, c, policy)
+        assert [bits(g) for g in got] == [bits(w) for w in want], (c, policy)
+        for k, (p1, p2) in enumerate(states):
+            profile = select_equilibrium(State(p1, p2), c, policy)
+            assert bits(profile) == bits([want[0][k], want[1][k]]), (p1, p2, c, policy)

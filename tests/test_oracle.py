@@ -390,6 +390,21 @@ class TestMonteCarloDrawRange:
         assert est.mean == pytest.approx(1.8, abs=1e-12) and est.stderr <= 1e-6
 
 
+class TestSampledDeviationDraws:
+    @pytest.mark.parametrize("dist", [constant_sampler(1.5), nan_sampler()], ids=["1.5", "nan"])
+    def test_opponent_draws_outside_the_unit_interval_raise(self, dist):
+        # used to return a failed report: max_gain=0.25 with eps 0.0 for
+        # draws of 1.5, and eps 1.8e-18 for NaN draws
+        with pytest.raises(ValueError, match=r"p2 must lie in \[0, 1\], got (1\.5|nan)"):
+            epsilon_nash_check(nash_threshold(0.25), 0.25, mode="sampled", dist=dist)
+
+    def test_draws_at_the_interval_ends_are_accepted(self):
+        report = epsilon_nash_check(
+            nash_threshold(0.25), 0.25, mode="sampled", dist=constant_sampler(1.0), samples=100
+        )
+        assert report.eps == 0.0 and report.witness is not None
+
+
 # --------------------------------------------------------------------------
 # the row-wise Simpson engine against the point-by-point routes it replaced
 

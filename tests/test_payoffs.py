@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_state_validation():
         payoff(State(0.5, 0.5), ACTIVE, ACTIVE, 1.5)
     with pytest.raises(ValueError):
         payoff_mixed(State(0.5, 0.5), 1.1, 0.5, 0.2)
+
+
+def test_state_errors_name_the_value_as_a_plain_float():
+    with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\], got 1\.5$"):
+        State(np.float64(1.5), 0.5)  # not "got np.float64(1.5)"
+    with pytest.raises(ValueError, match=r"p2 must lie in \[0, 1\], got nan$"):
+        State(0.5, math.nan)
+    state = State(np.float64(0.25), np.float64(0.5))
+    assert (type(state.p1), type(state.p2)) == (float, float) and state == State(0.25, 0.5)
 
 
 def test_transfer_neutrality_and_symmetry():
