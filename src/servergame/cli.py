@@ -57,6 +57,8 @@ def _fmt(x: float) -> str:
 # Largest sweep grid, counted before anything is allocated: a million
 # rows is ~100 MB of output, and a mistyped --c-step should not hang.
 _MAX_GRID_ROWS = 10**6 + 1
+# Most Monte Carlo states per verify check: its draws take 16 bytes a state.
+_MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,6 @@ class RunConfig:
             raise ValueError(
                 f"c-start {self.c_start} exceeds c-stop {self.c_stop}"
             )
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
         span = (self.c_stop - self.c_start) / self.c_step + 1e-9
         # rows = floor(span) + 1, so the cap holds iff span < _MAX_GRID_ROWS
         if not span < _MAX_GRID_ROWS:
@@ -392,6 +392,8 @@ def verification_checks(samples: int, seed: int, target_offset: float = 0.0) -> 
 
 
 def cmd_verify(config: RunConfig) -> int:
+    if not 1 <= config.samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {_MAX_SAMPLES}], got {config.samples}")
     rows = verification_checks(config.samples, config.seed)
     width = max(len(row["check"]) for row in rows)
     lines = [

@@ -11,11 +11,15 @@ routes kept independent:
   numerically, not taken from the best-response algebra;
 * cutoff-pair welfare is rebuilt by nested quadrature of the payoff table
   over the activity regions of the state square;
-* expected welfare of any strategy map is estimated by seeded Monte Carlo.
+* expected welfare of any strategy map is estimated by seeded Monte Carlo,
+  each state's welfare being the sum of both servers' payoff-table
+  entries for the profile played.
 
 Every integral goes through one Simpson routine over rows of intervals cut
 at the integrands' kinks: all own types of a grid are one call, and inner
-integrals are rows over the outer nodes.  Panel counts are fixed.
+integrals are rows over the outer nodes.  The integrands are polynomials
+of degree <= 2 on every row, so one Simpson panel per row is exact up to
+rounding.
 
 Monte Carlo uses ``numpy.random.default_rng`` (PCG64); estimates carry the
 seed and algorithm name and are bitwise reproducible for a given
@@ -57,13 +61,8 @@ _BLOCK = 1 << 14
 # --------------------------------------------------------------------------
 # quadrature
 
-# Simpson panels per row: the integrands are polynomials of degree <= 2 on
-# each row, so any count is exact up to rounding; these keep `verify` bytes.
-_GAIN_PANELS = 32
-_REGION_PANELS = 16
 
-
-def _simpson(f, lo, hi, panels: int):
+def _simpson(f, lo, hi, panels: int = 1):
     """Composite Simpson rule with ``panels`` panels on every row [lo, hi].
 
     ``lo`` and ``hi`` broadcast to the rows' shape; ``f`` maps the nodes,
@@ -143,7 +142,7 @@ def _interim_gains(p, t_opp: float, c: float, regulated: bool):
     [t_opp, 1] in two rows per type, cut at its kink q = p."""
     own = p[..., np.newaxis, np.newaxis]
     if_active = lambda q: _activity_gains(own, q, c, regulated)[0]
-    opp_active = _simpson(if_active, *_split(t_opp, 1.0, p), _GAIN_PANELS).sum(axis=-1)
+    opp_active = _simpson(if_active, *_split(t_opp, 1.0, p)).sum(axis=-1)
     return _activity_gains(p, t_opp, c, regulated)[1] * t_opp + opp_active
 
 
@@ -212,9 +211,9 @@ def _server1_share_by_regions(t1: float, t2: float, c: float) -> float:
         def over_p1(p2):
             q = p2[..., np.newaxis, np.newaxis]
             own = lambda p1: payoff_table(p1, np.broadcast_to(q, p1.shape), c)[entry]
-            return _simpson(own, *_split(*p1_range, p2), _REGION_PANELS).sum(axis=-1)
+            return _simpson(own, *_split(*p1_range, p2)).sum(axis=-1)
 
-        return float(_simpson(over_p1, *_split(*p2_range, t1), _REGION_PANELS).sum())
+        return float(_simpson(over_p1, *_split(*p2_range, t1)).sum())
 
     self_alone = region(1, (0.0, t2), (t1, 1.0))
     opp_alone = region(2, (t2, 1.0), (0.0, t1))
@@ -293,18 +292,6 @@ def _resolve_strategy(strategy):
     )
 
 
-def _profile_welfare(p1, p2, sigma1, sigma2, c):
-    # The Monte Carlo kernel, whose bits `verify` output pins: it keeps
-    # 2*p1 - c rather than the table's (p1 - c) + p1, which differs in the
-    # last bit for some costs (22% of uniform states at c = 0.1).
-    best = np.maximum(p1, p2)
-    return (
-        sigma1 * sigma2 * (2.0 * best - 2.0 * c)
-        + sigma1 * (1.0 - sigma2) * (2.0 * p1 - c)
-        + (1.0 - sigma1) * sigma2 * (2.0 * p2 - c)
-    )
-
-
 def _activity_slice(sigma, shape):
     """``sigma`` as a float array of ``shape``, and its mask of ones when
     every entry is exactly 0 or 1 (None otherwise).
@@ -331,26 +318,31 @@ def _checked_draws(draws, name: str):
 
 
 def _slice_welfare(activity, p1, p2, c, out):
-    """Per-state welfare of ``activity`` on one slice of draws, into ``out``.
+    """Per-state welfare of ``activity`` on one slice of draws, into ``out``:
+    the sum of both servers' payoff-table entries for the profile played.
 
-    With 0/1 activities and no both-active state the welfare is
-    ``sigma1*(2p1 - c) + sigma2*(2p2 - c)``: every product by an exact 0
-    or 1 is exact and at most one term is nonzero, so the result is
-    bit-identical to the bilinear form, which every other slice keeps.
+    With 0/1 activities each lone-server sum is scaled by its server's 0
+    or 1, and the both-active sum written where both are: bit-identical to
+    the bilinear mix of the same entries, which fractional activities take.
     """
     sigma1, sigma2 = activity(p1, p2, c)
     sigma1, ones1 = _activity_slice(sigma1, p1.shape)
     sigma2, ones2 = _activity_slice(sigma2, p2.shape)
-    if ones1 is None or ones2 is None or np.any(ones1 & ones2):
-        out[...] = _profile_welfare(p1, p2, sigma1, sigma2, c)
+    aa, ai, ia, _ = payoff_table(p1, p2, c)
+    aa2, ai2, ia2, _ = payoff_table(p2, p1, c)
+    # server 2's row lists its own action first: its IA is server 1's AI
+    alone1, alone2, both = ai + ia2, ia + ai2, aa + aa2
+    if ones1 is None or ones2 is None:
+        out[...] = (
+            sigma1 * sigma2 * both
+            + sigma1 * (1.0 - sigma2) * alone1
+            + (1.0 - sigma1) * sigma2 * alone2
+        )
         return
-    np.multiply(p1, 2.0, out=out)
-    out -= c
-    out *= sigma1
-    term = 2.0 * p2
-    term -= c
-    term *= sigma2
-    out += term
+    np.multiply(sigma1, alone1, out=out)
+    alone2 *= sigma2
+    out += alone2
+    np.putmask(out, ones1 & ones2, both)
 
 
 def mc_welfare(
@@ -365,14 +357,16 @@ def mc_welfare(
     """Monte Carlo estimate of expected welfare under a strategy map.
 
     States are drawn i.i.d. (uniform unless per-server distributions are
-    given); welfare per state is the total expected payoff of the selected
-    (possibly mixed) profile, and regulations never change it, so the
-    unregulated table is used.  stderr is sample std / sqrt(n).
+    given); welfare per state is the sum of both servers' entries of the
+    payoff table for the selected (possibly mixed) profile, and
+    regulations never change it, so the unregulated table is used.
+    stderr is sample std / sqrt(n).
 
     Each shard draws all its ``p1`` and then all its ``p2``; an array
     strategy is then called on consecutive slices of those draws, so it
-    must act state by state.  The draws and the activities must lie in
-    [0, 1] (ValueError otherwise, NaN included); each slice of draws is
+    must act state by state.  Each slice's welfare goes into one reused
+    buffer and is reduced at once.  The draws and the activities must lie
+    in [0, 1] (ValueError otherwise, NaN included); each slice of draws is
     checked while it is in cache.  Shards run one after another.
     """
     c = check_cost(c)
@@ -388,6 +382,7 @@ def mc_welfare(
     base, extra = divmod(n, shards)
     total = 0.0
     total_sq = 0.0
+    buffer = np.empty(min(n, _BLOCK))
     for k, child in enumerate(seeds):
         size = base + (1 if k < extra else 0)
         if size == 0:
@@ -395,13 +390,15 @@ def mc_welfare(
         rng = np.random.default_rng(child)
         p1 = np.asarray(dist1.sample(rng, size), dtype=float)
         p2 = np.asarray(dist2.sample(rng, size), dtype=float)
-        w = np.empty(size)
         for lo in range(0, size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             s1, s2 = _checked_draws(p1[block], "p1"), _checked_draws(p2[block], "p2")
-            _slice_welfare(activity, s1, s2, c, w[block])
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
+            w = buffer[: s1.size]
+            _slice_welfare(activity, s1, s2, c, w)
+            total += float(np.sum(w))
+            # squared in place and summed pairwise: a BLAS dot (w @ w) may
+            # split the sum across threads, so its bits depend on their count
+            total_sq += float(np.sum(np.square(w, out=w)))
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))

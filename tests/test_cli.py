@@ -225,3 +225,14 @@ def test_best_response_step_without_a_finite_grid_is_a_usage_error(capsys):
     )
     assert code == 1 and out == ""
     assert "step must lie" in err
+
+
+@pytest.mark.parametrize("samples", ["0", str(10**7 + 1)])
+def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("verify drew states before rejecting --samples")
+
+    monkeypatch.setattr(cli.oracle, "mc_welfare", draw)
+    code, out, err = run_cli(capsys, "verify", "--samples", samples)
+    assert code == 1 and out == ""
+    assert "samples must lie in [1, 10000000]" in err

@@ -1,12 +1,15 @@
 """The blocked Monte Carlo welfare kernel against the plain bilinear form.
 
-``mc_welfare`` evaluates strategies on cache-sized slices and takes a
-select-style shortcut for pure activities.  Both must leave every
-estimate bit-identical to evaluating the whole shard with the bilinear
-mixed-profile welfare, which is kept here as the reference.
+``mc_welfare`` evaluates strategies on cache-sized slices, takes a
+select-style shortcut for pure activities and reduces each slice as soon
+as it is computed.  Every estimate must be bit-identical to the bilinear
+mix of both servers' payoff-table entries evaluated over the whole shard
+and summed one ``_BLOCK`` chunk at a time, which is kept here as the
+reference.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,20 +26,21 @@ from servergame.oracle import (
     pointwise_strategy,
     threshold_activity,
 )
-from servergame.payoffs import check_cost
+from servergame.payoffs import check_cost, payoff_table
 
 
 def reference_profile_welfare(p1, p2, sigma1, sigma2, c):
-    best = np.maximum(p1, p2)
+    aa, ai, ia, _ = payoff_table(p1, p2, c)
+    aa2, ai2, ia2, _ = payoff_table(p2, p1, c)
     return (
-        sigma1 * sigma2 * (2.0 * best - 2.0 * c)
-        + sigma1 * (1.0 - sigma2) * (2.0 * p1 - c)
-        + (1.0 - sigma1) * sigma2 * (2.0 * p2 - c)
+        sigma1 * sigma2 * (aa + aa2)
+        + sigma1 * (1.0 - sigma2) * (ai + ia2)
+        + (1.0 - sigma1) * sigma2 * (ia + ai2)
     )
 
 
 def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None, shards=1):
-    """Whole-shard bilinear evaluation, as mc_welfare computed it before blocking."""
+    """Whole-shard bilinear evaluation, reduced per _BLOCK chunk."""
     c = check_cost(c)
     activity = _resolve_strategy(strategy)
     dist1 = dist1 or uniform_distribution()
@@ -54,8 +58,10 @@ def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None, shards=1)
         p2 = np.asarray(dist2.sample(rng, size), dtype=float)
         sigma1, sigma2 = activity(p1, p2, c)
         w = reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
-        total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
+        for lo in range(0, size, _BLOCK):
+            chunk = w[lo : lo + _BLOCK]
+            total += float(np.sum(chunk))
+            total_sq += float(np.sum(chunk * chunk))
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
@@ -162,16 +168,37 @@ def test_power_distribution_is_bit_identical(name):
     )
 
 
-def test_verify_stdout_is_pinned(capsys):
-    # SHA-256 of `servergame verify --samples 20000 --seed 42`, recorded with
-    # the unblocked bilinear kernel; any change to the RNG stream, the
-    # per-state welfare or the summation order shows here
-    assert main(["verify", "--samples", "20000", "--seed", "42"]) == 0
+@pytest.mark.parametrize(
+    "samples, seed, digest",
+    [
+        # recorded with the unblocked bilinear kernel
+        ("20000", "42", "2f234676696e75921dec28cee43ad3817653e946c703993d5fc2055571e72acb"),
+        # recorded with the blocked kernel before welfare was read from the
+        # table; it spans about a dozen slices per Monte Carlo check
+        ("200000", "3", "e182ad52cb2e23e65cd5e0f44f4393a77ed42040149c6480d04ad2565c3dbe84"),
+    ],
+    ids=["20000-42", "200000-3"],
+)
+def test_verify_stdout_is_pinned(capsys, samples, seed, digest):
+    # SHA-256 of `servergame verify --samples <samples> --seed <seed>`: any
+    # change to the RNG stream, the per-state welfare or the summation
+    # order that reaches the printed digits shows here
+    assert main(["verify", "--samples", samples, "--seed", seed]) == 0
     out = capsys.readouterr().out
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "2f234676696e75921dec28cee43ad3817653e946c703993d5fc2055571e72acb"
-    )
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_peak_memory_is_the_draws_plus_one_slice():
+    # two 7.6 MiB whole-shard draws plus slice-sized temporaries; a
+    # welfare array of the shard's size would add 7.6 MiB more
+    mc_welfare(optimal_activity, 0.3, n=1_000)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        mc_welfare(optimal_activity, 0.3, n=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 class TestActivityContract:
