@@ -63,15 +63,11 @@ _MAX_SAMPLES = 10**7
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Grid/sampling/output settings shared by sweep and verify."""
+    """The sweep's cost grid: c_start to c_stop in steps of c_step."""
 
     c_start: float = 0.0
     c_stop: float = 1.0
     c_step: float = 0.01
-    samples: int = 1_000_000
-    seed: int = 42
-    output_format: str = "csv"
-    out: str | None = None
 
     def cost_grid(self) -> list[float]:
         for name, value in (
@@ -192,12 +188,10 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    try:
-        _emit(_render_columns(_sweep_columns(config), config.output_format), config.out)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_sweep(args) -> int:
+    start, stop = (args.c, args.c) if args.c is not None else (args.c_start, args.c_stop)
+    columns = _sweep_columns(RunConfig(start, stop, args.c_step))
+    _emit(_render_columns(columns, args.format), args.out)
     return 0
 
 
@@ -205,7 +199,7 @@ def cmd_sweep(config: RunConfig) -> int:
 # equilibrium reports
 
 
-def _profile_words(profile) -> tuple[str, str]:
+def _profile_words(profile) -> dict:
     def word(sigma: float) -> str:
         if sigma == 1.0:
             return "active"
@@ -213,60 +207,39 @@ def _profile_words(profile) -> tuple[str, str]:
             return "inactive"
         return f"active with probability {_fmt(sigma)}"
 
-    return word(profile.sigma1), word(profile.sigma2)
+    return {"server1": word(profile.sigma1), "server2": word(profile.sigma2)}
 
 
 def _equilibrium_payload(case: str, s: State | None, c: float, regulated: bool) -> dict:
-    if case == "I":
-        profile = cooperative.optimal_profile(s, c)
-        return {
-            "case": case,
-            "state": {"p1": s.p1, "p2": s.p2},
-            "c": c,
-            "profile": {"server1": _profile_words(profile)[0], "server2": _profile_words(profile)[1]},
-            "welfare": cooperative.pointwise_welfare(s, profile, c),
-        }
     if case == "II":
         pair = bayesian.nash_threshold(c, regulated=regulated)
-        welfare = bayesian.welfare_thresholds(pair.t1, pair.t2, c).total
         return {
             "case": case,
             "regulated": regulated,
             "c": c,
             "thresholds": {"t1": pair.t1, "t2": pair.t2},
-            "expected_welfare": welfare,
+            "expected_welfare": bayesian.welfare_thresholds(pair.t1, pair.t2, c).total,
         }
-    # case III
-    if regulated:
-        profile = full_info.regulated_equilibrium(s, c)
-        return {
-            "case": case,
-            "regulated": True,
-            "state": {"p1": s.p1, "p2": s.p2},
-            "c": c,
-            "profile": {"server1": _profile_words(profile)[0], "server2": _profile_words(profile)[1]},
-            "welfare": cooperative.pointwise_welfare(s, profile, c, variant="case3_reg"),
-        }
+    payload = {"case": case, "regulated": regulated} if case == "III" else {"case": case}
+    payload.update(state={"p1": s.p1, "p2": s.p2}, c=c)
+    if case == "I" or regulated:
+        # one profile: the cooperative optimum, or the side-payment equilibrium
+        solve = cooperative.optimal_profile if case == "I" else full_info.regulated_equilibrium
+        variant = "unregulated" if case == "I" else "case3_reg"
+        profile = solve(s, c)
+        payload["profile"] = _profile_words(profile)
+        payload["welfare"] = cooperative.pointwise_welfare(s, profile, c, variant=variant)
+        return payload
     result = full_info.classify_state(s, c)
-    payload = {
-        "case": case,
-        "regulated": False,
-        "state": {"p1": s.p1, "p2": s.p2},
-        "c": c,
-        "kind": result.kind.value,
-        "pure_equilibria": [
-            [a1.value, a2.value] for a1, a2 in result.pure_equilibria
-        ],
-    }
+    payload["kind"] = result.kind.value
+    payload["pure_equilibria"] = [[a1.value, a2.value] for a1, a2 in result.pure_equilibria]
     if result.mixed is not None:
         payload["mixed"] = {"sigma1": result.mixed[0], "sigma2": result.mixed[1]}
     payload["welfare"] = {
-        "best_equilibrium": cooperative.pointwise_welfare(
-            s, full_info.select_equilibrium(s, c, "max_welfare"), c
-        ),
-        "worst_equilibrium": cooperative.pointwise_welfare(
-            s, full_info.select_equilibrium(s, c, "min_welfare"), c
-        ),
+        f"{rank}_equilibrium": cooperative.pointwise_welfare(
+            s, full_info.select_equilibrium(s, c, policy), c
+        )
+        for rank, policy in (("best", "max_welfare"), ("worst", "min_welfare"))
     }
     return payload
 
@@ -291,14 +264,9 @@ def _render_report(payload: dict, output_format: str) -> str:
 
 
 def cmd_equilibrium(args) -> int:
-    s = None
-    if args.case in ("I", "III"):
-        if args.p1 is None or args.p2 is None:
-            print(
-                f"error: case {args.case} needs --p1 and --p2", file=sys.stderr
-            )
-            return 1
-        s = State(args.p1, args.p2)
+    if args.case != "II" and (args.p1 is None or args.p2 is None):
+        raise ValueError(f"case {args.case} needs --p1 and --p2")
+    s = None if args.case == "II" else State(args.p1, args.p2)
     payload = _equilibrium_payload(args.case, s, args.c, args.regulated)
     _emit(_render_report(payload, args.format), args.out)
     return 0
@@ -391,10 +359,12 @@ def verification_checks(samples: int, seed: int, target_offset: float = 0.0) -> 
     return rows
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if not 1 <= config.samples <= _MAX_SAMPLES:
-        raise ValueError(f"samples must lie in [1, {_MAX_SAMPLES}], got {config.samples}")
-    rows = verification_checks(config.samples, config.seed)
+def cmd_verify(args) -> int:
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {_MAX_SAMPLES}], got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    rows = verification_checks(args.samples, args.seed)
     width = max(len(row["check"]) for row in rows)
     lines = [
         f"{'check':<{width}}  {'target':>15}  {'estimate':>15}  {'stderr':>12}  status"
@@ -408,9 +378,9 @@ def cmd_verify(config: RunConfig) -> int:
     failures = sum(not row["passed"] for row in rows)
     lines.append(
         f"{len(rows)} checks, {failures} failed "
-        f"(samples={config.samples}, seed={config.seed})"
+        f"(samples={args.samples}, seed={args.seed})"
     )
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 2 if failures else 0
 
 
@@ -438,6 +408,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--c", type=float, default=None, help="single cost (overrides the grid)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None)
+    sweep.set_defaults(run=cmd_sweep)
 
     eq = sub.add_parser("equilibrium", help="equilibrium report for one regime")
     eq.add_argument("--case", choices=("I", "II", "III"), required=True)
@@ -447,6 +418,7 @@ def _build_parser() -> _Parser:
     eq.add_argument("--regulated", action="store_true")
     eq.add_argument("--format", choices=("text", "json"), default="text")
     eq.add_argument("--out", default=None)
+    eq.set_defaults(run=cmd_equilibrium)
 
     br = sub.add_parser("best-response", help="cutoff best response to an opponent cutoff")
     br.add_argument("--c", type=float, required=True)
@@ -456,11 +428,13 @@ def _build_parser() -> _Parser:
     br.add_argument("--step", type=float, default=1e-3)
     br.add_argument("--format", choices=("text", "json"), default="text")
     br.add_argument("--out", default=None)
+    br.set_defaults(run=cmd_best_response)
 
     verify = sub.add_parser("verify", help="run the oracle-vs-closed-form checks")
     verify.add_argument("--samples", type=int, default=1_000_000)
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--out", default=None)
+    verify.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -471,29 +445,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # the one error boundary: bad values and unwritable --out paths are usage errors
     try:
-        if args.command == "sweep":
-            start = args.c if args.c is not None else args.c_start
-            stop = args.c if args.c is not None else args.c_stop
-            config = RunConfig(
-                c_start=start,
-                c_stop=stop,
-                c_step=args.c_step,
-                output_format=args.format,
-                out=args.out,
-            )
-            return cmd_sweep(config)
-        if args.command == "equilibrium":
-            return cmd_equilibrium(args)
-        if args.command == "best-response":
-            return cmd_best_response(args)
-        if args.command == "verify":
-            config = RunConfig(samples=args.samples, seed=args.seed, out=args.out)
-            return cmd_verify(config)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

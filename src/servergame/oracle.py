@@ -431,8 +431,8 @@ def _pure_deviation_gain(row, sigma_own, sigma_other):
     return np.maximum(active, idle) - have, active >= idle
 
 
-def _check_state_map(strategy, c, states, eps, variant):
-    p1, p2 = check_states([s[0] for s in states], [s[1] for s in states])
+def _check_state_map(strategy, c, p1, p2, eps, variant):
+    p1, p2 = check_states(p1, p2)
     activity = _resolve_strategy(strategy)
     sigma1, sigma2 = (_activity_slice(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
@@ -523,12 +523,12 @@ def epsilon_nash_check(
     switching away from the prescribed action.
 
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
-    checked pointwise for pure deviations at ``states``, at a state grid
-    (analytic mode), or at sampled states; those gains are exact, so eps
-    defaults to 1e-6.  Cutoffs, states, sampled opponent types and the
-    map's activities must lie in [0, 1] (ValueError otherwise, NaN
-    included).  The own-type grid step
-    ``p_step`` and the state grid step ``state_step`` must lie in (0, 0.5].
+    checked pointwise for pure deviations at ``states`` (``(p1, p2)`` pairs,
+    shape ``(n, 2)``), at a state grid (analytic mode), or at sampled states;
+    those gains are exact, so eps defaults to 1e-6.  Cutoffs, states, sampled
+    opponent types and the map's activities must lie in [0, 1] (ValueError
+    otherwise, NaN included).  The own-type grid step ``p_step`` and the state
+    grid step ``state_step`` must lie in (0, 0.5].
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
@@ -543,14 +543,14 @@ def epsilon_nash_check(
             strategy, c, mode, eps, seed, regulated, dist, samples, p_step
         )
 
-    if states is None:
-        if mode == "analytic_quadrature":
-            side = np.linspace(0.0, 1.0, int(round(1.0 / state_step)) + 1)
-            g1, g2 = np.meshgrid(side, side, indexing="ij")
-            states = np.column_stack([g1.ravel(), g2.ravel()])
-        else:
-            rng = np.random.default_rng(seed)
-            states = rng.random((samples, 2))
+    if states is not None:
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 2 or states.shape[1] != 2:
+            raise ValueError(f"states must be (p1, p2) pairs of shape (n, 2), got {states.shape}")
+    elif mode == "analytic_quadrature":
+        side = np.linspace(0.0, 1.0, int(round(1.0 / state_step)) + 1)
+        states = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
-        states = [(float(s[0]), float(s[1])) for s in states]
-    return _check_state_map(strategy, c, states, 1e-6 if eps is None else eps, variant)
+        states = np.random.default_rng(seed).random((samples, 2))
+    eps = 1e-6 if eps is None else eps
+    return _check_state_map(strategy, c, states[:, 0], states[:, 1], eps, variant)

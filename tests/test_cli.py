@@ -236,3 +236,58 @@ def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, 
     code, out, err = run_cli(capsys, "verify", "--samples", samples)
     assert code == 1 and out == ""
     assert "samples must lie in [1, 10000000]" in err
+
+
+SUBCOMMANDS_WITH_OUT = [
+    ("sweep",),
+    ("equilibrium", "--case", "II", "--c", "0.25"),
+    ("best-response", "--c", "0.25", "--t-opp", "0.8"),
+    ("verify", "--samples", "100"),
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS_WITH_OUT, ids=lambda argv: argv[0])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path):
+    # a subprocess, so that a traceback would show in stderr
+    src = os.path.dirname(os.path.dirname(servergame.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "servergame.cli", *argv, "--out", str(tmp_path / "no" / "dir.txt")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--c-step", "0.05"),
+        ("sweep", "--c-step", "0.05", "--format", "json"),
+        ("equilibrium", "--case", "III", "--p1", "0.6", "--p2", "0.7", "--c", "0.3",
+         "--format", "json"),
+        ("best-response", "--c", "0.25", "--t-opp", "0.8", "--check"),
+        ("verify", "--samples", "2000", "--seed", "42"),
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    out_path = tmp_path / "report.txt"
+    code, nothing, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and nothing == ""
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_verify_negative_seed_is_a_usage_error(seed, monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("verify drew states before rejecting --seed")
+
+    monkeypatch.setattr(cli.oracle, "mc_welfare", draw)
+    code, out, err = run_cli(capsys, "verify", "--samples", "100", "--seed", seed)
+    assert code == 1 and out == ""
+    assert f"seed must be non-negative, got {seed}" in err

@@ -327,6 +327,24 @@ class TestStateMapInputs:
         report = epsilon_nash_check(constant_map(0.5, 0.5), 0.2, states=[(0.0, 1.0)])
         assert not report.passed and report.witness[0] == State(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "states", [[(0.4, 0.5, 0.9)], [0.4, 0.5], [[0.4], [0.5]], np.zeros((2, 2, 2)), []]
+    )
+    def test_states_must_be_pairs(self, states):
+        # a third entry must not be dropped in silence
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, states=states)
+
+    @pytest.mark.parametrize("c", [0.1, 0.45, 0.8])
+    @pytest.mark.parametrize("variant", PAYOFF_VARIANTS)
+    def test_list_and_array_states_give_equal_reports(self, c, variant):
+        states = np.vstack([np.random.default_rng(3).random((64, 2)), [[0.0, 0.0], [1.0, c]]])
+        strategy = lambda p1, p2, c: (p1 * p2, 1.0 - p1 * p2)  # noqa: E731
+        as_array = epsilon_nash_check(strategy, c, states=states, variant=variant)
+        as_list = [(p1, p2) for p1, p2 in states.tolist()]
+        assert epsilon_nash_check(strategy, c, states=as_list, variant=variant) == as_array
+        assert as_array.witness is not None  # fractional play leaves a pure deviation
+
 
 def nan_sampler():
     return Distribution("nan", cdf=lambda x: x, sample=lambda rng, n: np.full(n, np.nan))
