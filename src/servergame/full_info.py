@@ -38,6 +38,7 @@ unique equilibrium matching the cooperative optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,9 +104,11 @@ def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
     sigma1 = (p2 - c) / denom
     sigma2 = (p1 - c) / denom
     # Inside contention both components lie in [0, 1] by construction; the
-    # BOUNDARY_EPS closure admits an overshoot of at most eps / denom, and
-    # anything beyond that means a caller bug.
-    slack = BOUNDARY_EPS / denom + 1e-12
+    # BOUNDARY_EPS closure admits an overshoot of eps / denom, the rounding
+    # of the differences at scale c + eps a few ulps more, and the division
+    # a relative ulp on top.  Anything beyond that means a caller bug.
+    scale = max(p1, p2, c) + BOUNDARY_EPS
+    slack = (BOUNDARY_EPS + 4.0 * math.ulp(scale)) / denom * (1.0 + 1e-12) + 1e-12
     for value in (sigma1, sigma2):
         if not -slack <= value <= 1.0 + slack:
             raise AssertionError(

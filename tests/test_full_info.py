@@ -474,6 +474,9 @@ EDGE = 0.3 + BOUNDARY_EPS  # c + eps at c = 0.3; (0.5 + EDGE) - 0.5 == EDGE exac
 @example(case=(0.3, [(0.6, 0.3 - BOUNDARY_EPS), (0.3 - BOUNDARY_EPS, 0.6)]))  # min == c - eps
 @example(case=(0.3, [(0.3, 0.3), (0.7, 0.7), (0.0, 0.0)]))  # ties
 @example(case=(0.0, [(0.0, 0.0), (BOUNDARY_EPS, 0.0), (0.0, BOUNDARY_EPS), (0.5, 0.2)]))
+# c < eps with a denormal-scale denominator: the mixed profile's ratio is
+# ~4.5e6, so its own rounding exceeds any fixed absolute slack.
+@example(case=(3.190669872083154e-10, [(1.3190672092529203e-09, 2.220446046321396e-16)]))
 def test_region_map_matches_its_former_definition_bit_for_bit(case):
     c, states = case
     for p1, p2 in states:
