@@ -61,16 +61,11 @@ def best_response_threshold(t_opp: float, c: float, regulated: bool = False) -> 
     """Best-response cutoff against a uniform opponent with cutoff ``t_opp``."""
     t_opp = check_sigma(t_opp, "t_opp")
     c = check_cost(c)
-    if regulated:
-        if t_opp <= math.sqrt(c / 2.0):
-            value = math.sqrt(c - t_opp**2)
-        else:
-            value = c / (2.0 * t_opp)
+    d = 2.0 if regulated else 1.0  # under the c/2 subsidy, activity costs c / d
+    if t_opp <= math.sqrt(c / d):
+        value = math.sqrt(2.0 * c / d - t_opp**2)
     else:
-        if t_opp <= math.sqrt(c):
-            value = math.sqrt(2.0 * c - t_opp**2)
-        else:
-            value = c / t_opp
+        value = c / (d * t_opp)
     return min(1.0, max(0.0, value))
 
 
@@ -87,7 +82,7 @@ def nash_threshold(c: float | np.ndarray, regulated: bool = False) -> ThresholdP
     gives Python floats.
     """
     c = check_cost(c)
-    t = _sqrt(c / 2.0) if regulated else _sqrt(c)
+    t = _sqrt(c / (2.0 if regulated else 1.0))
     return ThresholdPair(t, t)
 
 

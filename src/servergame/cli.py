@@ -293,18 +293,15 @@ def cmd_best_response(args) -> int:
 # verification suite
 
 
-def verification_checks(samples: int, seed: int, target_offset: float = 0.0) -> list[dict]:
+def verification_checks(samples: int, seed: int) -> list[dict]:
     """Every oracle-vs-closed-form check, as rows of name/target/estimate.
 
     Monte Carlo rows pass within three standard errors; deterministic
-    quadrature and grid rows carry fixed tolerances.  ``target_offset``
-    shifts the closed-form targets and exists only so a negative control
-    can prove failures are detected.
+    quadrature and grid rows carry fixed tolerances.
     """
     rows = []
 
     def row(name, target, estimate, stderr, tol):
-        target = target + target_offset
         rows.append(
             {
                 "check": name,

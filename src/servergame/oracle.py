@@ -22,13 +22,12 @@ of degree <= 2 on every row, so one Simpson panel per row is exact up to
 rounding.
 
 Monte Carlo uses ``numpy.random.default_rng`` (PCG64); estimates carry the
-seed and algorithm name and are bitwise reproducible for a given
-(seed, n, shards).  Sharded runs derive per-shard seeds from the root seed
-via ``SeedSequence.spawn`` and evaluate the shards one after another.
+seed and algorithm name and are bitwise reproducible for a given (seed, n).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -164,8 +163,8 @@ def grid_best_response(
 
     The activity gain is nondecreasing in own type (single crossing), so
     the leftmost nonnegative grid point is found by bisection over the
-    grid; a linear scan returns the same point.  Returns 1.0 when active
-    never dominates on the grid.
+    grid; a linear scan returns the same point.  Returns 1.0, the last
+    grid point, when no point below it dominates; 1.0 is never probed.
     """
     if not (0.0 < step <= 0.01 and math.isfinite(1.0 / step)):
         raise ValueError(f"step must lie in (0, 0.01] with 1/step finite, got {step!r}")
@@ -182,18 +181,7 @@ def grid_best_response(
         # exactly on a grid point is not pushed one step right by -1e-17 dust
         return interim_activity_gain(point(idx), opp_threshold, c, regulated) >= -1e-12
 
-    if dominates(0):
-        return 0.0
-    if not dominates(n):
-        return 1.0
-    lo, hi = 0, n  # not dominates(lo), dominates(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if dominates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return point(hi)
+    return point(bisect.bisect_left(range(n), True, key=dominates))
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +340,6 @@ def mc_welfare(
     seed: int = 0,
     dist1: Distribution | None = None,
     dist2: Distribution | None = None,
-    shards: int = 1,
 ) -> Estimate:
     """Monte Carlo estimate of expected welfare under a strategy map.
 
@@ -362,43 +349,35 @@ def mc_welfare(
     regulations never change it, so the unregulated table is used.
     stderr is sample std / sqrt(n).
 
-    Each shard draws all its ``p1`` and then all its ``p2``; an array
+    All ``p1`` are drawn and then all ``p2``, from one generator on the
+    first child of ``seed`` (``SeedSequence(seed).spawn(1)[0]``); an array
     strategy is then called on consecutive slices of those draws, so it
     must act state by state.  Each slice's welfare goes into one reused
     buffer and is reduced at once.  The draws and the activities must lie
     in [0, 1] (ValueError otherwise, NaN included); each slice of draws is
-    checked while it is in cache.  Shards run one after another.
+    checked while it is in cache.
     """
     c = check_cost(c)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     activity = _resolve_strategy(strategy)
     dist1 = dist1 or uniform_distribution()
     dist2 = dist2 or uniform_distribution()
 
-    seeds = np.random.SeedSequence(seed).spawn(shards)
-    base, extra = divmod(n, shards)
-    total = 0.0
-    total_sq = 0.0
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    p1 = np.asarray(dist1.sample(rng, n), dtype=float)
+    p2 = np.asarray(dist2.sample(rng, n), dtype=float)
+    total = total_sq = 0.0
     buffer = np.empty(min(n, _BLOCK))
-    for k, child in enumerate(seeds):
-        size = base + (1 if k < extra else 0)
-        if size == 0:
-            continue
-        rng = np.random.default_rng(child)
-        p1 = np.asarray(dist1.sample(rng, size), dtype=float)
-        p2 = np.asarray(dist2.sample(rng, size), dtype=float)
-        for lo in range(0, size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            s1, s2 = _checked_draws(p1[block], "p1"), _checked_draws(p2[block], "p2")
-            w = buffer[: s1.size]
-            _slice_welfare(activity, s1, s2, c, w)
-            total += float(np.sum(w))
-            # squared in place and summed pairwise: a BLAS dot (w @ w) may
-            # split the sum across threads, so its bits depend on their count
-            total_sq += float(np.sum(np.square(w, out=w)))
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        s1, s2 = _checked_draws(p1[block], "p1"), _checked_draws(p2[block], "p2")
+        w = buffer[: s1.size]
+        _slice_welfare(activity, s1, s2, c, w)
+        total += float(np.sum(w))
+        # squared in place and summed pairwise: a BLAS dot (w @ w) may
+        # split the sum across threads, so its bits depend on their count
+        total_sq += float(np.sum(np.square(w, out=w)))
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
@@ -474,29 +453,25 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
     t = (check_sigma(pair[0], "cutoff t1"), check_sigma(pair[1], "cutoff t2"))
     p_grid = np.linspace(0.0, 1.0, int(round(1.0 / p_step)) + 1)
 
-    best_gain, witness, witness_se, worst_se = 0.0, None, 0.0, 0.0
     rng = np.random.default_rng(seed)
     dist = dist or uniform_distribution()
-    for server in (1, 2):
-        t_own, t_opp = t[server - 1], t[2 - server]
+    gains = np.empty((2, p_grid.size))  # row k is server k + 1; positive = profitable switch
+    ses = np.zeros((2, p_grid.size))
+    for k in range(2):
+        t_own, t_opp = t[k], t[1 - k]
         if mode == "analytic_quadrature":
             means = _interim_gains(p_grid, t_opp, c, regulated)
-            ses = np.zeros_like(means)
         else:
-            draws = _checked_draws(dist.sample(rng, samples), f"p{3 - server}")
-            means, ses = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
-        available = np.where(p_grid >= t_own, -means, means)  # positive = profitable switch
-        idx = int(np.argmax(available))
-        worst_se = max(worst_se, float(np.max(ses)))
-        if available[idx] > best_gain:
-            best_gain = float(available[idx])
-            witness = (server, float(p_grid[idx]), best_gain)
-            witness_se = float(ses[idx])
-
+            draws = _checked_draws(dist.sample(rng, samples), f"p{2 - k}")
+            means, ses[k] = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
+        gains[k] = np.where(p_grid >= t_own, -means, means)
+    k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
+    max_gain = max(0.0, float(gains[k, j]))
+    witness = (k + 1, float(p_grid[j]), max_gain) if max_gain > 0.0 else None
     if eps is None:
-        se = witness_se if witness else worst_se  # at the witness, else the worst point
-        eps = 1e-6 if mode == "analytic_quadrature" else 3.0 * se
-    return DeviationReport(best_gain, witness, best_gain <= eps, eps)
+        se = ses[k, j] if witness else ses.max()  # at the witness, else the worst point
+        eps = 1e-6 if mode == "analytic_quadrature" else 3.0 * float(se)
+    return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
 def epsilon_nash_check(
@@ -528,7 +503,8 @@ def epsilon_nash_check(
     those gains are exact, so eps defaults to 1e-6.  Cutoffs, states, sampled
     opponent types and the map's activities must lie in [0, 1] (ValueError
     otherwise, NaN included).  The own-type grid step ``p_step`` and the state
-    grid step ``state_step`` must lie in (0, 0.5].
+    grid step ``state_step`` must lie in (0, 0.5], and there must be a state
+    to probe: ``sampled`` mode needs ``samples`` >= 2 for a cutoff pair.
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
@@ -538,15 +514,20 @@ def epsilon_nash_check(
         if not 0.0 < step <= 0.5:
             raise ValueError(f"{name} must lie in (0, 0.5], got {step!r}")
 
-    if isinstance(strategy, (tuple, list)) and not callable(strategy):
-        return _check_threshold_pair(
-            strategy, c, mode, eps, seed, regulated, dist, samples, p_step
-        )
+    pair = isinstance(strategy, (tuple, list)) and not callable(strategy)
+    # a cutoff pair's standard errors need two draws, a map one sampled state
+    least = 2 if pair else 1
+    if mode == "sampled" and (pair or states is None) and samples < least:
+        raise ValueError(f"samples must be >= {least} for this sampled check, got {samples!r}")
+    if pair:
+        return _check_threshold_pair(strategy, c, mode, eps, seed, regulated, dist, samples, p_step)
 
     if states is not None:
         states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[1] != 2:
-            raise ValueError(f"states must be (p1, p2) pairs of shape (n, 2), got {states.shape}")
+        if states.ndim != 2 or states.shape[1] != 2 or len(states) == 0:
+            raise ValueError(
+                f"states must be (p1, p2) pairs of shape (n, 2), n >= 1, got {states.shape}"
+            )
     elif mode == "analytic_quadrature":
         side = np.linspace(0.0, 1.0, int(round(1.0 / state_step)) + 1)
         states = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from servergame.bayesian import (
     ThresholdPair,
@@ -54,6 +56,37 @@ def test_branches_agree_at_the_seam():
         assert math.sqrt(2 * c - seam**2) == pytest.approx(c / seam, abs=1e-12)
         seam = math.sqrt(c / 2)
         assert math.sqrt(c - seam**2) == pytest.approx(c / (2 * seam), abs=1e-12)
+
+
+def two_branch_best_response(t_opp, c, regulated):
+    """The best response as written before the subsidy became a cost
+    divisor: one branch pair per regime."""
+    if regulated:
+        if t_opp <= math.sqrt(c / 2.0):
+            value = math.sqrt(c - t_opp**2)
+        else:
+            value = c / (2.0 * t_opp)
+    elif t_opp <= math.sqrt(c):
+        value = math.sqrt(2.0 * c - t_opp**2)
+    else:
+        value = c / t_opp
+    return min(1.0, max(0.0, value))
+
+
+UNIT_OR_TINY = st.floats(0.0, 1.0) | st.floats(0.0, 1e-300) | st.sampled_from([0.0, 5e-324, 1.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(t_opp=UNIT_OR_TINY, c=UNIT_OR_TINY, regulated=st.booleans())
+@example(t_opp=0.5, c=0.25, regulated=False)  # on the seam t = sqrt(c)
+@example(t_opp=math.sqrt(0.16), c=0.32, regulated=True)  # on the seam t = sqrt(c/2)
+@example(t_opp=5e-324, c=5e-324, regulated=True)
+@example(t_opp=math.nextafter(math.sqrt(0.5), 1.0), c=1.0, regulated=True)
+def test_one_cost_divisor_matches_the_two_branch_form(t_opp, c, regulated):
+    got = best_response_threshold(t_opp, c, regulated=regulated)
+    assert got.hex() == two_branch_best_response(t_opp, c, regulated).hex()
+    want = math.sqrt(c / 2.0) if regulated else math.sqrt(c)
+    assert nash_threshold(c, regulated=regulated).t1.hex() == want.hex()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-import functools
+import dataclasses
 import json
 import os
 import subprocess
@@ -183,9 +183,15 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 
 def test_verify_negative_control(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli, "verification_checks", functools.partial(verification_checks, target_offset=0.05)
-    )
+    # every Monte Carlo estimate shifted by 0.05, far beyond three standard
+    # errors at 20000 samples: the suite must report the failure
+    mc_welfare = cli.oracle.mc_welfare
+
+    def shifted(*args, **kwargs):
+        est = mc_welfare(*args, **kwargs)
+        return dataclasses.replace(est, mean=est.mean + 0.05)
+
+    monkeypatch.setattr(cli.oracle, "mc_welfare", shifted)
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out

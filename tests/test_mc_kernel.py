@@ -3,8 +3,8 @@
 ``mc_welfare`` evaluates strategies on cache-sized slices, takes a
 select-style shortcut for pure activities and reduces each slice as soon
 as it is computed.  Every estimate must be bit-identical to the bilinear
-mix of both servers' payoff-table entries evaluated over the whole shard
-and summed one ``_BLOCK`` chunk at a time, which is kept here as the
+mix of both servers' payoff-table entries evaluated over all draws at
+once and summed one ``_BLOCK`` chunk at a time, which is kept here as the
 reference.
 """
 
@@ -39,29 +39,23 @@ def reference_profile_welfare(p1, p2, sigma1, sigma2, c):
     )
 
 
-def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None, shards=1):
-    """Whole-shard bilinear evaluation, reduced per _BLOCK chunk."""
+def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None):
+    """Bilinear evaluation of all draws at once, reduced per _BLOCK chunk."""
     c = check_cost(c)
     activity = _resolve_strategy(strategy)
     dist1 = dist1 or uniform_distribution()
     dist2 = dist2 or uniform_distribution()
-    seeds = np.random.SeedSequence(seed).spawn(shards)
-    base, extra = divmod(n, shards)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    p1 = np.asarray(dist1.sample(rng, n), dtype=float)
+    p2 = np.asarray(dist2.sample(rng, n), dtype=float)
+    sigma1, sigma2 = activity(p1, p2, c)
+    w = reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
     total = 0.0
     total_sq = 0.0
-    for k, child in enumerate(seeds):
-        size = base + (1 if k < extra else 0)
-        if size == 0:
-            continue
-        rng = np.random.default_rng(child)
-        p1 = np.asarray(dist1.sample(rng, size), dtype=float)
-        p2 = np.asarray(dist2.sample(rng, size), dtype=float)
-        sigma1, sigma2 = activity(p1, p2, c)
-        w = reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
-        for lo in range(0, size, _BLOCK):
-            chunk = w[lo : lo + _BLOCK]
-            total += float(np.sum(chunk))
-            total_sq += float(np.sum(chunk * chunk))
+    for lo in range(0, n, _BLOCK):
+        chunk = w[lo : lo + _BLOCK]
+        total += float(np.sum(chunk))
+        total_sq += float(np.sum(chunk * chunk))
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
@@ -147,16 +141,6 @@ def test_scalar_map_wrapper_is_bit_identical():
     )
 
 
-@pytest.mark.parametrize("name", ["cooperative", "case3_min", "cutoff_pair_both_active"])
-def test_sharded_run_is_bit_identical(name):
-    strategy = STRATEGIES[name]
-    n = 4 * _BLOCK + 3
-    assert_identical(
-        mc_welfare(strategy, 0.4, n=n, seed=4, shards=4),
-        reference_mc_welfare(strategy, 0.4, n=n, seed=4, shards=4),
-    )
-
-
 @pytest.mark.parametrize("name", ["cooperative", "case3_max", "cutoff_pair_both_active"])
 def test_power_distribution_is_bit_identical(name):
     strategy = STRATEGIES[name]
@@ -189,8 +173,8 @@ def test_verify_stdout_is_pinned(capsys, samples, seed, digest):
 
 
 def test_peak_memory_is_the_draws_plus_one_slice():
-    # two 7.6 MiB whole-shard draws plus slice-sized temporaries; a
-    # welfare array of the shard's size would add 7.6 MiB more
+    # two 7.6 MiB whole-run draws plus slice-sized temporaries; a
+    # welfare array of the run's size would add 7.6 MiB more
     mc_welfare(optimal_activity, 0.3, n=1_000)  # imports and caches outside the trace
     tracemalloc.start()
     try:

@@ -109,13 +109,6 @@ class TestMonteCarlo:
         est = mc_welfare(pair, 0.25, n=300_000, seed=77)
         assert abs(est.mean - 11.0 / 12.0) <= 3 * est.stderr
 
-    def test_sharded_run_is_deterministic_and_consistent(self):
-        pair = nash_threshold(0.25)
-        a = mc_welfare(pair, 0.25, n=300_000, seed=4, shards=4)
-        b = mc_welfare(pair, 0.25, n=300_000, seed=4, shards=4)
-        assert a == b
-        assert abs(a.mean - 11.0 / 12.0) <= 3 * a.stderr
-
     def test_distribution_draws(self):
         # always-active pair under cdf x^2; welfare = E[2 max - 2c]
         dist = power_distribution(2)
@@ -328,10 +321,12 @@ class TestStateMapInputs:
         assert not report.passed and report.witness[0] == State(0.0, 1.0)
 
     @pytest.mark.parametrize(
-        "states", [[(0.4, 0.5, 0.9)], [0.4, 0.5], [[0.4], [0.5]], np.zeros((2, 2, 2)), []]
+        "states",
+        [[(0.4, 0.5, 0.9)], [0.4, 0.5], [[0.4], [0.5]], np.zeros((2, 2, 2)), [], np.empty((0, 2))],
     )
     def test_states_must_be_pairs(self, states):
-        # a third entry must not be dropped in silence
+        # a third entry must not be dropped in silence, and no state at all
+        # used to end in numpy's unnamed "argmax of an empty sequence"
         with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
             epsilon_nash_check(constant_map(0.0, 0.0), 0.2, states=states)
 
@@ -356,7 +351,7 @@ class TestMonteCarloNaNDraws:
         with pytest.raises(ValueError, match="not finite"):
             mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist1=nan_sampler())
         with pytest.raises(ValueError, match="not finite"):
-            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=nan_sampler(), shards=3)
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=nan_sampler())
 
     def test_one_nan_draw_among_many_raises(self):
         def sample(rng, n):
@@ -383,7 +378,7 @@ class TestMonteCarloDrawRange:
         with pytest.raises(ValueError, match=r"p1 must lie in \[0, 1\]"):
             mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist1=constant_sampler(value))
         with pytest.raises(ValueError, match=r"p2 must lie in \[0, 1\]"):
-            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=constant_sampler(value), shards=3)
+            mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=constant_sampler(value))
 
     def test_custom_map_rejects_draws_outside_the_unit_interval(self):
         # an always-active map used to give 2.80
@@ -421,6 +416,46 @@ class TestSampledDeviationDraws:
             nash_threshold(0.25), 0.25, mode="sampled", dist=constant_sampler(1.0), samples=100
         )
         assert report.eps == 0.0 and report.witness is not None
+
+
+def unsampled():
+    """A distribution whose sampler fails the test if it is ever called."""
+
+    def sample(rng, n):
+        raise AssertionError(f"drew {n} samples before the input check")
+
+    return Distribution("unsampled", cdf=lambda x: x, sample=sample)
+
+
+class TestDeviationCheckCounts:
+    # each used to end in an unnamed numpy error, a ZeroDivisionError or a
+    # report with eps = nan
+    def test_sampled_map_needs_a_state(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, mode="sampled", samples=0)
+
+    def test_negative_samples_are_rejected(self):
+        with pytest.raises(ValueError, match=r"samples must be >= 1 .*, got -1$"):
+            epsilon_nash_check(constant_map(0.0, 0.0), 0.2, mode="sampled", samples=-1)
+        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got -1$"):
+            epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=-1, dist=unsampled())
+
+    def test_sampled_cutoff_pair_without_draws_is_rejected(self):
+        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got 0$"):
+            epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=0, dist=unsampled())
+
+    def test_sampled_cutoff_pair_needs_two_draws_for_a_standard_error(self):
+        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got 1$"):
+            epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=1, dist=unsampled())
+        report = epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=2, seed=1)
+        assert math.isfinite(report.eps)
+
+    def test_samples_are_not_read_when_unused(self):
+        assert epsilon_nash_check((0.5, 0.5), 0.25, samples=0).passed
+        report = epsilon_nash_check(
+            constant_map(1.0, 0.0), 0.2, mode="sampled", samples=0, states=[(0.9, 0.1)]
+        )
+        assert report.passed
 
 
 # --------------------------------------------------------------------------

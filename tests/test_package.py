@@ -58,3 +58,26 @@ def test_demo_output_is_unchanged(demo):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo]
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    # perfbench/tracing.py wraps functions by name and reads the arguments
+    # n, mode, a, b and panels by name; renaming or dropping one in src/
+    # must fail here, not only in a traced benchmark run
+    script = "\n".join(
+        [
+            "from servergame import oracle",
+            "from tracing import Tracer",
+            "original = oracle.mc_welfare",
+            "Tracer().install()",
+            "assert oracle.mc_welfare is not original, 'mc_welfare was not wrapped'",
+        ]
+    )
+    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
