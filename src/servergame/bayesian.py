@@ -176,30 +176,31 @@ class Distribution:
     ``cdf`` must be nondecreasing with cdf(1) == 1 and accept numpy arrays;
     ``sample(rng, n)`` must draw n variates from the same law using the
     supplied generator.  :func:`validate_distribution` checks the pairing.
+
+    An optional ``uniform_map`` takes standard uniforms into [0, 1], so that
+    ``sample(rng, n) == uniform_map(rng.random(n))``; mc_welfare uses it unchecked.
     """
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
     sample: Callable[[np.random.Generator, int], np.ndarray]
+    uniform_map: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _inverse_transform(name: str, cdf, uniform_map) -> Distribution:
+    return Distribution(name, cdf, lambda rng, n: uniform_map(rng.random(n)), uniform_map)
 
 
 def uniform_distribution() -> Distribution:
-    return Distribution(
-        name="uniform",
-        cdf=lambda x: np.asarray(x, dtype=float),
-        sample=lambda rng, n: rng.random(n),
-    )
+    return _inverse_transform("uniform", lambda x: np.asarray(x, dtype=float), lambda u: u)
 
 
 def power_distribution(k: float) -> Distribution:
     """CDF x**k on [0, 1] (finite k > 0), sampled by inverse transform."""
     if not (k > 0 and math.isfinite(k)):
         raise ValueError(f"k must be finite and positive, got {k!r}")
-    return Distribution(
-        name=f"power-{k:g}",
-        cdf=lambda x: np.asarray(x, dtype=float) ** k,
-        sample=lambda rng, n: rng.random(n) ** (1.0 / k),
-    )
+    cdf = lambda x: np.asarray(x, dtype=float) ** k
+    return _inverse_transform(f"power-{k:g}", cdf, lambda u: u ** (1.0 / k))
 
 
 def validate_distribution(

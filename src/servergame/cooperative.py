@@ -28,7 +28,7 @@ __all__ = [
 
 
 def optimal_activity(p1, p2, c: float):
-    """Vectorised welfare-optimal activity: arrays of (sigma1, sigma2) in {0, 1}.
+    """Vectorised welfare-optimal activity: boolean masks (sigma1, sigma2).
 
     Server 1 serves on ties; nobody serves at ``max(p1, p2) <= c / 2``.
     """
@@ -38,11 +38,9 @@ def optimal_activity(p1, p2, c: float):
 
 
 def _better_server_serves(p1, p2, serve):
-    """Activities (sigma1, sigma2) with the better server active where
-    ``serve`` holds and nobody elsewhere; server 1 serves on ties."""
-    sigma1 = (serve & (p1 >= p2)).astype(float)
-    sigma2 = (serve & (p2 > p1)).astype(float)
-    return sigma1, sigma2
+    """Boolean activities (sigma1, sigma2) with the better server active
+    where ``serve`` holds and nobody elsewhere; server 1 serves on ties."""
+    return serve & (p1 >= p2), serve & (p2 > p1)
 
 
 def optimal_profile(s: State, c: float) -> Profile:

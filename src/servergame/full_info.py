@@ -22,11 +22,12 @@ resulting pure/mixed equilibrium structure over the state square:
 The region map lists exactly the pure profiles that pass the
 unilateral-deviation test: II where ``max(p1, p2) <= c``, AI where
 ``p1 >= c`` and ``p2 - p1 <= c``, IA where ``p2 >= c`` and
-``p1 - p2 <= c``; both-active is never stable when c > 0.  Each inequality
-is closed by 1e-9, so a state on a boundary up to float rounding gets the
-boundary's set, and the region label is read off the same masks.  The
-closed edges of contention (``min == c`` or ``|p1 - p2| == c``) are thus
-contention too, where the mixed formula degenerates to a 0/1 component.
+``p1 - p2 <= c``, and AA everywhere when ``c <= 0`` (a second active
+server costs nothing).  Each inequality is closed by 1e-9, so a state on a
+boundary up to float rounding gets the boundary's set, and the region
+label is read off the same masks.  The closed edges of contention
+(``min == c`` or ``|p1 - p2| == c``) are thus contention too, where the
+mixed formula degenerates to a 0/1 component.
 
 Selecting the best (worst) equilibrium per state means handing the task to
 the higher (lower) probability server inside contention; the resulting
@@ -97,6 +98,7 @@ class EquilibriumSet:
 _II = (INACTIVE, INACTIVE)
 _AI = (ACTIVE, INACTIVE)
 _IA = (INACTIVE, ACTIVE)
+_AA = (ACTIVE, ACTIVE)
 
 
 def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
@@ -119,23 +121,25 @@ def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
 
 
 def _stable_profiles(p1, p2, c):
-    """Where (II, AI, IA) survive every unilateral pure deviation, each weak
-    inequality closed by BOUNDARY_EPS; AA never does when c > 0.  Only
-    ``<=``, ``>=``, ``-`` and ``&``, so Python floats stay on the fast
-    scalar path and arrays get element-wise masks."""
+    """Where (II, AI, IA, AA) survive every unilateral pure deviation, each
+    weak inequality closed by BOUNDARY_EPS.  Only ``<=``, ``>=``, ``-`` and
+    ``&``, so Python floats stay on the fast scalar path and arrays get
+    element-wise masks; AA's test reads c alone and stays a scalar."""
     hi, lo = c + BOUNDARY_EPS, c - BOUNDARY_EPS
     gap = p1 - p2  # IEEE: p2 - p1 == -gap exactly
-    return (p1 <= hi) & (p2 <= hi), (p1 >= lo) & (gap >= -hi), (p2 >= lo) & (gap <= hi)
+    ii = (p1 <= hi) & (p2 <= hi)
+    return ii, (p1 >= lo) & (gap >= -hi), (p2 >= lo) & (gap <= hi), c <= BOUNDARY_EPS
 
 
 def classify_state(s: State, c: float) -> EquilibriumSet:
     """Full equilibrium set of the unregulated game at state ``s``."""
     s = as_state(s)
     c = check_cost(c)
-    ii, ai, ia = _stable_profiles(s.p1, s.p2, c)
+    ii, ai, ia, aa = _stable_profiles(s.p1, s.p2, c)
     pure = ((_II,) if ii else ()) + ((_AI,) if ai else ()) + ((_IA,) if ia else ())
+    pure += (_AA,) if aa else ()
     if ii:  # a server on the knife edge max == c may also be active alone
-        if len(pure) == 1:
+        if not (ai or ia):
             return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, pure)
         kind = EquilibriumKind.BOUNDARY_MIX_1 if s.p1 >= s.p2 else EquilibriumKind.BOUNDARY_MIX_2
         return EquilibriumSet(kind, pure)
@@ -160,7 +164,7 @@ def mixed_equilibrium(s: State, c: float) -> tuple[float, float]:
 
 
 def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
-    """Vectorised equilibrium selection: arrays of (sigma1, sigma2) in {0, 1}.
+    """Vectorised equilibrium selection: boolean masks (sigma1, sigma2).
 
     Outside contention there is a unique equilibrium (knife-edge states
     resolve to both-inactive, the canonical member of their indifference
@@ -171,11 +175,9 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
         raise ValueError(f"unknown policy {policy!r}")
     c = check_cost(c)
     p1, p2 = check_states(p1, p2)
-    ii, ai, ia = _stable_profiles(p1, p2, c)
+    ii, ai, ia, _ = _stable_profiles(p1, p2, c)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
-    sigma1 = ai & ~ii & (~ia | first)
-    sigma2 = ia & ~ii & ~(ai & first)
-    return sigma1.astype(float), sigma2.astype(float)
+    return ai & ~ii & (~ia | first), ia & ~ii & ~(ai & first)
 
 
 def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profile:
@@ -216,7 +218,7 @@ def welfare_case3_min(c: float | np.ndarray) -> float | np.ndarray:
 
 
 def regulated_activity(p1, p2, c: float):
-    """Vectorised unique equilibrium of the side-payment game.
+    """Vectorised unique equilibrium of the side-payment game: boolean masks.
 
     The better server is active whenever ``max(p1, p2) >= c/2`` (ties to
     server 1, where both asymmetric profiles are equilibria), nobody below.

@@ -52,9 +52,12 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per slice in mc_welfare, and gains per block of own types in the
-# sampled deviation check: a block's temporaries stay in a core's L2 cache.
+# States per reduction chunk and per compute slice in mc_welfare, and draws
+# per slice of a sampled gain row: slice temporaries of 32 and 64 KiB stay
+# below glibc's trim threshold, so the heap is reused, not refaulted.
 _BLOCK = 1 << 14
+_SLICE = 1 << 12
+_ROW_SLICE = 1 << 13
 
 
 # --------------------------------------------------------------------------
@@ -238,12 +241,12 @@ class Estimate:
 
 
 def threshold_activity(pair):
-    """Array strategy 'active iff own p >= cutoff' for a (t1, t2) pair."""
+    """Array strategy 'active iff own p >= cutoff' for a (t1, t2) pair: boolean masks."""
     t1 = check_sigma(pair[0], "cutoff t1")
     t2 = check_sigma(pair[1], "cutoff t2")
 
     def activity(p1, p2, c):
-        return (p1 >= t1).astype(float), (p2 >= t2).astype(float)
+        return p1 >= t1, p2 >= t2
 
     return activity
 
@@ -281,19 +284,13 @@ def _resolve_strategy(strategy):
 
 
 def _activity_slice(sigma, shape):
-    """``sigma`` as a float array of ``shape``, and its mask of ones when
-    every entry is exactly 0 or 1 (None otherwise).
-
-    Raises ValueError for an entry that is NaN or outside [0, 1]; the
-    range is read only when the 0/1 test fails, so pure maps pay nothing
-    extra for the check.
-    """
-    sigma = np.asarray(sigma, dtype=float)
+    """``sigma`` as an array of ``shape`` and its mask of ones: itself if boolean,
+    as the pure maps return, else None after a ValueError check of [0, 1]."""
+    sigma = np.asarray(sigma)
     if sigma.shape != shape:
         sigma = np.broadcast_to(sigma, shape)
-    ones = sigma == 1.0
-    if np.all(ones | (sigma == 0.0)):
-        return sigma, ones
+    if sigma.dtype == bool:
+        return sigma, sigma
     return _check_unit_array(sigma, "strategy activity sigma"), None
 
 
@@ -309,9 +306,9 @@ def _slice_welfare(activity, p1, p2, c, out):
     """Per-state welfare of ``activity`` on one slice of draws, into ``out``:
     the sum of both servers' payoff-table entries for the profile played.
 
-    With 0/1 activities each lone-server sum is scaled by its server's 0
-    or 1, and the both-active sum written where both are: bit-identical to
-    the bilinear mix of the same entries, which fractional activities take.
+    With boolean activities each lone-server sum is scaled by its server's
+    0 or 1, and the both-active sum written where both are: bit-identical
+    to the bilinear mix of the same entries, which numeric activities take.
     """
     sigma1, sigma2 = activity(p1, p2, c)
     sigma1, ones1 = _activity_slice(sigma1, p1.shape)
@@ -333,6 +330,26 @@ def _slice_welfare(activity, p1, p2, c, out):
     np.putmask(out, ones1 & ones2, both)
 
 
+def _draws(dist1, dist2, n: int, seed: int):
+    """Yield mc_welfare's (p1, p2) in consecutive slices of ``_SLICE`` states."""
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    rng = np.random.default_rng(seq)
+    if dist1.uniform_map and dist2.uniform_map:
+        rng2 = np.random.Generator(np.random.PCG64(seq).advance(n))
+        u1, u2 = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE))
+        for lo in range(0, n, _SLICE):
+            m = min(_SLICE, n - lo)
+            yield (
+                dist1.uniform_map(rng.random(out=u1[:m])),
+                dist2.uniform_map(rng2.random(out=u2[:m])),
+            )
+        return
+    p1 = np.asarray(dist1.sample(rng, n), dtype=float)
+    p2 = np.asarray(dist2.sample(rng, n), dtype=float)
+    for lo in range(0, n, _SLICE):
+        yield _checked_draws(p1[lo : lo + _SLICE], "p1"), _checked_draws(p2[lo : lo + _SLICE], "p2")
+
+
 def mc_welfare(
     strategy,
     c: float,
@@ -349,13 +366,15 @@ def mc_welfare(
     regulations never change it, so the unregulated table is used.
     stderr is sample std / sqrt(n).
 
-    All ``p1`` are drawn and then all ``p2``, from one generator on the
-    first child of ``seed`` (``SeedSequence(seed).spawn(1)[0]``); an array
-    strategy is then called on consecutive slices of those draws, so it
-    must act state by state.  Each slice's welfare goes into one reused
-    buffer and is reduced at once.  The draws and the activities must lie
-    in [0, 1] (ValueError otherwise, NaN included); each slice of draws is
-    checked while it is in cache.
+    The states are those of one generator on ``SeedSequence(seed).spawn(1)[0]``
+    drawing all ``p1``, then all ``p2``.  If both distributions have a
+    ``uniform_map``, ``p1`` comes from that generator and ``p2`` from a
+    second on the same seed advanced by n, a slice at a time into reused
+    buffers.  Other samplers draw the whole run, checked to lie in [0, 1].
+    An array strategy is called on slices of 2**12 states, so it must act
+    state by state, with activities in [0, 1]; welfare is reduced in chunks
+    of 2**14 states, which fix the bits.  A slice's temporaries are 32 KiB,
+    below glibc's 128 KiB mmap and trim thresholds, so the heap reuses them.
     """
     c = check_cost(c)
     if n < 1:
@@ -364,16 +383,14 @@ def mc_welfare(
     dist1 = dist1 or uniform_distribution()
     dist2 = dist2 or uniform_distribution()
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    p1 = np.asarray(dist1.sample(rng, n), dtype=float)
-    p2 = np.asarray(dist2.sample(rng, n), dtype=float)
+    draws = _draws(dist1, dist2, n, seed)
     total = total_sq = 0.0
     buffer = np.empty(min(n, _BLOCK))
     for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        s1, s2 = _checked_draws(p1[block], "p1"), _checked_draws(p2[block], "p2")
-        w = buffer[: s1.size]
-        _slice_welfare(activity, s1, s2, c, w)
+        w = buffer[: min(_BLOCK, n - lo)]
+        # range first: zip stops there without drawing the next slice
+        for at, (s1, s2) in zip(range(0, w.size, _SLICE), draws):
+            _slice_welfare(activity, s1, s2, c, w[at : at + _SLICE])
         total += float(np.sum(w))
         # squared in place and summed pairwise: a BLAS dot (w @ w) may
         # split the sum across threads, so its bits depend on their count
@@ -433,19 +450,21 @@ def _check_state_map(strategy, c, p1, p2, eps, variant):
 
 
 def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
-    """Mean and standard error of the activity gain at each own type,
-    over the opponent draws; the gain matrix is built a block of own types
-    at a time (per-row reductions, so the result does not depend on it)."""
+    """Mean and standard error (numpy's ``mean`` and ``std(ddof=1)``, step by
+    step) of each own type's whole row of gains against the opponent draws,
+    the row filled a slice of draws at a time into a reused buffer."""
     opp_active = opp_draws >= t_opp
-    means = np.empty_like(p_grid)
-    ses = np.empty_like(p_grid)
-    rows = max(1, _BLOCK // opp_draws.size)
-    for lo in range(0, p_grid.size, rows):
-        block = slice(lo, lo + rows)
-        if_active, if_idle = _activity_gains(p_grid[block, np.newaxis], opp_draws, c, regulated)
-        gain = np.where(opp_active, if_active, if_idle)
-        means[block] = gain.mean(axis=1)
-        ses[block] = gain.std(axis=1, ddof=1) / np.sqrt(opp_draws.size)
+    means, ses = np.empty((2, p_grid.size))
+    row, dev = np.empty((2, opp_draws.size))
+    for k, p in enumerate(p_grid):
+        for lo in range(0, row.size, _ROW_SLICE):
+            part = slice(lo, lo + _ROW_SLICE)
+            if_active, if_idle = _activity_gains(p, opp_draws[part], c, regulated)
+            row[part] = np.where(opp_active[part], if_active, if_idle)
+        means[k] = np.add.reduce(row) / row.size
+        np.subtract(row, means[k], out=dev)
+        np.multiply(dev, dev, out=dev)
+        ses[k] = np.sqrt(np.add.reduce(dev) / (row.size - 1)) / np.sqrt(row.size)
     return means, ses
 
 

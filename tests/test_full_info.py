@@ -21,7 +21,7 @@ from servergame.full_info import (
     welfare_case3_max,
     welfare_case3_min,
 )
-from servergame.oracle import mc_welfare
+from servergame.oracle import epsilon_nash_check, mc_welfare
 from servergame.payoffs import (
     ACTIVE,
     INACTIVE,
@@ -73,6 +73,8 @@ def _other(action):
         ((0.3, 0.1), 0.3, EquilibriumKind.BOUNDARY_MIX_1, [II, AI]),
         ((0.25, 0.5), 0.5, EquilibriumKind.BOUNDARY_MIX_2, [II, IA]),
         ((0.5, 0.5), 0.5, EquilibriumKind.BOUNDARY_MIX_1, [II, AI, IA]),
+        ((0.5, 0.5), 0.0, EquilibriumKind.CONTENTION, [AI, IA, AA]),  # free second server
+        ((0.0, 0.0), 0.0, EquilibriumKind.BOUNDARY_MIX_1, [II, AI, IA, AA]),
     ],
 )
 def test_classification(state, c, kind, pure):
@@ -354,24 +356,36 @@ def near_case3_boundary(draw):
     return c, *((p2, p1) if draw(st.booleans()) else (p1, p2))
 
 
+def playing(profile):
+    """Array strategy playing the pure ``profile`` at every state."""
+    active1, active2 = (action is ACTIVE for action in profile)
+    return lambda p1, p2, c: (np.full(np.shape(p1), active1), np.full(np.shape(p2), active2))
+
+
 # On a boundary up to rounding the region map lists the closed region's set,
 # which a 1e-12 deviation oracle reproduces.  A state on one boundary may lie
 # between a few ulp and BOUNDARY_EPS from another, where the map's wider
-# equality tolerance decides by convention; those states are skipped.  Costs
-# stop at 1e-9: at c = 0 a second active server is costless, so both-active
-# is weakly stable too, a degenerate game the region map does not model.
+# equality tolerance decides by convention; those states are skipped.  So
+# are costs in that band: both-active is weakly stable at every state where
+# c <= 0 (a second active server costs nothing), closed by BOUNDARY_EPS like
+# the rest, so c itself is its distance from the boundary.  Drawn costs
+# start at 1e-9; c = 0 is pinned by examples.
 @settings(deadline=None, max_examples=300)
 @given(near_case3_boundary())
 @example(case=(0.3, math.nextafter(0.3, 0.0), 0.3))  # double knife edge, p1 < p2
 @example(case=(0.3, 0.3, math.nextafter(0.3, 0.0)))
 @example(case=(0.25, 0.5, 0.25))  # max = min + c = 2c
+@example(case=(0.0, 0.5, 0.5))  # c = 0: (A, A) too
+@example(case=(0.0, 0.6, 0.2))
 def test_classification_matches_the_table_near_region_boundaries(case):
     c, p1, p2 = case
-    gaps = (abs(max(p1, p2) - c), abs(min(p1, p2) - c), abs(abs(p1 - p2) - c))
+    gaps = (abs(max(p1, p2) - c), abs(min(p1, p2) - c), abs(abs(p1 - p2) - c), c)
     assume(all(d <= 1e-14 or d > BOUNDARY_EPS for d in gaps))
     listed = classify_state(State(p1, p2), c).pure_equilibria
     assert len(set(listed)) == len(listed)
     assert set(listed) == table_stable_profiles(p1, p2, c), case
+    for profile in listed:
+        assert epsilon_nash_check(playing(profile), c, states=[(p1, p2)]).passed, (case, profile)
 
 
 # --------------------------------------------------------------------------
@@ -479,10 +493,12 @@ EDGE = 0.3 + BOUNDARY_EPS  # c + eps at c = 0.3; (0.5 + EDGE) - 0.5 == EDGE exac
 @example(case=(3.190669872083154e-10, [(1.3190672092529203e-09, 2.220446046321396e-16)]))
 def test_region_map_matches_its_former_definition_bit_for_bit(case):
     c, states = case
+    # the one change to the former map: it omitted (A, A) where c <= eps
+    both_active = (AA,) if c <= BOUNDARY_EPS else ()
     for p1, p2 in states:
         got, want = classify_state(State(p1, p2), c), reference_classify_state(State(p1, p2), c)
         assert got.kind is want.kind, (p1, p2, c)
-        assert got.pure_equilibria == want.pure_equilibria, (p1, p2, c)
+        assert got.pure_equilibria == want.pure_equilibria + both_active, (p1, p2, c)
         assert (got.mixed is None) == (want.mixed is None), (p1, p2, c)
         if want.mixed is not None:
             assert bits(got.mixed) == bits(want.mixed), (p1, p2, c)

@@ -1,26 +1,37 @@
 """The blocked Monte Carlo welfare kernel against the plain bilinear form.
 
-``mc_welfare`` evaluates strategies on cache-sized slices, takes a
-select-style shortcut for pure activities and reduces each slice as soon
-as it is computed.  Every estimate must be bit-identical to the bilinear
-mix of both servers' payoff-table entries evaluated over all draws at
-once and summed one ``_BLOCK`` chunk at a time, which is kept here as the
-reference.
+``mc_welfare`` draws its states one ``_SLICE`` at a time, evaluates
+strategies on those slices, takes a select-style shortcut for boolean
+activities and reduces each ``_BLOCK`` chunk as soon as it is computed.
+Every estimate must be bit-identical to the bilinear mix of both servers'
+payoff-table entries evaluated over whole-run draws at once and summed
+one ``_BLOCK`` chunk at a time, which is kept here as the reference.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from servergame.bayesian import nash_threshold, power_distribution, uniform_distribution
+from servergame.bayesian import (
+    Distribution,
+    nash_threshold,
+    power_distribution,
+    uniform_distribution,
+)
 from servergame.cli import main
 from servergame.cooperative import optimal_activity, optimal_profile
 from servergame.full_info import equilibrium_activity, regulated_activity
 from servergame.oracle import (
     Estimate,
     _BLOCK,
+    _SLICE,
     _resolve_strategy,
     mc_welfare,
     pointwise_strategy,
@@ -109,6 +120,10 @@ SIZES = {
     "one_block": _BLOCK,
     "several_blocks": 3 * _BLOCK,
     "not_a_block_multiple": 3 * _BLOCK + 17,
+    "below_one_slice": _SLICE - 1,
+    "one_slice": _SLICE,
+    "one_slice_and_one": _SLICE + 1,
+    "block_slice_and_three": _BLOCK + _SLICE + 3,
 }
 
 
@@ -141,14 +156,60 @@ def test_scalar_map_wrapper_is_bit_identical():
     )
 
 
-@pytest.mark.parametrize("name", ["cooperative", "case3_max", "cutoff_pair_both_active"])
-def test_power_distribution_is_bit_identical(name):
+def squared_uniforms(rng, n):
+    # the law of power_distribution(0.5), but with no uniform map
+    return rng.random(n) ** 2.0
+
+
+CUSTOM = Distribution("squared", cdf=lambda x: x**0.5, sample=squared_uniforms)
+
+DISTRIBUTIONS = {
+    "power_2": (power_distribution(2), power_distribution(2)),
+    "power_mixed": (power_distribution(0.5), power_distribution(3)),
+    "custom": (CUSTOM, CUSTOM),
+    "custom_and_uniform": (uniform_distribution(), CUSTOM),
+}
+
+
+@pytest.mark.parametrize("n", [1, _SLICE + 1, _BLOCK + _SLICE + 3, 2 * _BLOCK + 9])
+@pytest.mark.parametrize(
+    "name", ["cooperative", "case3_max", "case3_min", "cutoff_pair_both_active", "rare_mix"]
+)
+@pytest.mark.parametrize("dists", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+def test_distributions_are_bit_identical(dists, name, n):
     strategy = STRATEGIES[name]
-    dist = power_distribution(2)
-    n = 2 * _BLOCK + 9
+    dist1, dist2 = dists
     assert_identical(
-        mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist, dist2=dist),
-        reference_mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist, dist2=dist),
+        mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist1, dist2=dist2),
+        reference_mc_welfare(strategy, 0.2, n=n, seed=6, dist1=dist1, dist2=dist2),
+    )
+
+
+def test_sampler_without_uniform_map_draws_the_whole_run():
+    runs = []
+
+    def sample(rng, n):
+        runs.append(n)
+        return rng.random(n)
+
+    custom = Distribution("recorded", cdf=lambda x: x, sample=sample)
+    n = 2 * _BLOCK + 7
+    assert_identical(
+        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=custom, dist2=custom),
+        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8),
+    )
+    assert runs == [n, n]
+
+
+def test_uniform_map_draws_never_call_the_sampler():
+    def sample(rng, n):
+        raise AssertionError("the whole-run sampler was called")
+
+    streamed = Distribution("streamed", cdf=lambda x: x, sample=sample, uniform_map=lambda u: u)
+    n = _BLOCK + _SLICE + 3
+    assert_identical(
+        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=streamed, dist2=streamed),
+        reference_mc_welfare((0.3, 0.6), 0.2, n=n, seed=8),
     )
 
 
@@ -160,8 +221,11 @@ def test_power_distribution_is_bit_identical(name):
         # recorded with the blocked kernel before welfare was read from the
         # table; it spans about a dozen slices per Monte Carlo check
         ("200000", "3", "e182ad52cb2e23e65cd5e0f44f4393a77ed42040149c6480d04ad2565c3dbe84"),
+        # the benchmark's own input, recorded with whole-run draws; the only
+        # pin whose p2 generator is advanced by 10**6
+        ("1000000", "42", "06f30871d7de983e39a83d9991648fad1404b2528364f910596149bc8f4b2ed2"),
     ],
-    ids=["20000-42", "200000-3"],
+    ids=["20000-42", "200000-3", "1000000-42"],
 )
 def test_verify_stdout_is_pinned(capsys, samples, seed, digest):
     # SHA-256 of `servergame verify --samples <samples> --seed <seed>`: any
@@ -173,8 +237,9 @@ def test_verify_stdout_is_pinned(capsys, samples, seed, digest):
 
 
 def test_peak_memory_is_the_draws_plus_one_slice():
-    # two 7.6 MiB whole-run draws plus slice-sized temporaries; a
-    # welfare array of the run's size would add 7.6 MiB more
+    # no run-sized array at all: the two slice buffers of uniforms, the
+    # chunk's 128 KiB welfare buffer and a slice's 32 KiB temporaries come
+    # to about 0.45 MiB; one 10**6-state array of draws would add 7.6 MiB
     mc_welfare(optimal_activity, 0.3, n=1_000)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -182,7 +247,38 @@ def test_peak_memory_is_the_draws_plus_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 1 * 2**20
+
+
+FAULT_SCRIPT = textwrap.dedent(
+    """
+    import resource
+
+    from servergame.cooperative import optimal_activity
+    from servergame.oracle import mc_welfare
+
+    mc_welfare(optimal_activity, 0.3, n=10**6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mc_welfare(optimal_activity, 0.3, n=10**6)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap and minor faults")
+def test_repeat_run_reuses_the_heap_without_page_faults():
+    # slice temporaries above glibc's trim threshold are handed back to the
+    # system and faulted in again on every slice, about 12k-16k minor faults
+    # per 10**6 states; at 32 KiB the heap keeps them.  A fresh interpreter,
+    # because the faults depend on the heap's history, with the allocator's
+    # default thresholds.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 class TestActivityContract:
@@ -205,7 +301,7 @@ class TestActivityContract:
 
         with pytest.raises(ValueError, match="sigma"):
             mc_welfare(activity, 0.3, n=4 * _BLOCK, seed=2)
-        assert calls == [_BLOCK] * 4
+        assert calls == [_SLICE] * 4
 
     def test_boundary_activities_are_accepted(self):
         est = mc_welfare(lambda p1, p2, c: (0.0, 1.0), 0.3, n=1_000, seed=2)

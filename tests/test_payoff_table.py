@@ -271,13 +271,13 @@ def test_monte_carlo_rejects_a_sampler_that_yields_nan():
 
 
 @pytest.mark.parametrize("regulated", [False, True])
-@pytest.mark.parametrize("rows", [None, 7, 1])
-def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, rows):
+@pytest.mark.parametrize("row_slice", [None, 700, 1_999])
+def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, row_slice):
     rng = np.random.default_rng(3)
     draws = rng.random(2_000)
     p_grid = np.linspace(0.0, 1.0, 201)
-    if rows is not None:
-        monkeypatch.setattr(oracle, "_BLOCK", rows * draws.size)
+    if row_slice is not None:  # several slices per row, the last one short
+        monkeypatch.setattr(oracle, "_ROW_SLICE", row_slice)
     for t_opp, c in ((0.5, 0.25), (0.7, 0.49)):
         # the gain matrix built whole, from server 1's row of the table
         p, q = p_grid[:, np.newaxis], draws[np.newaxis, :]
