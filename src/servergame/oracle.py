@@ -13,7 +13,9 @@ routes kept independent:
   over the activity regions of the state square;
 * expected welfare of any strategy map is estimated by seeded Monte Carlo,
   each state's welfare being the sum of both servers' payoff-table
-  entries for the profile played.
+  entries for the profile played; a block of 2**14 states at a time is
+  drawn, played and reduced, its draws and table entries written into one
+  workspace made per call.
 
 Every integral goes through one Simpson routine over rows of intervals cut
 at the integrands' kinks: all own types of a grid are one call, and inner
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +55,10 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per reduction chunk and per compute slice in mc_welfare, and draws
-# per slice of a sampled gain row: slice temporaries of 32 and 64 KiB stay
-# below glibc's trim threshold, so the heap is reused, not refaulted.
+# States per block in mc_welfare, and draws per slice of a sampled gain row,
+# whose 64 KiB temporaries stay below glibc's trim threshold, so the heap is
+# reused, not refaulted.
 _BLOCK = 1 << 14
-_SLICE = 1 << 12
 _ROW_SLICE = 1 << 13
 
 
@@ -283,7 +285,7 @@ def _resolve_strategy(strategy):
     )
 
 
-def _activity_slice(sigma, shape):
+def _checked_activity(sigma, shape):
     """``sigma`` as an array of ``shape`` and its mask of ones: itself if boolean,
     as the pure maps return, else None after a ValueError check of [0, 1]."""
     sigma = np.asarray(sigma)
@@ -302,43 +304,55 @@ def _checked_draws(draws, name: str):
         raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
 
 
-def _slice_welfare(activity, p1, p2, c, out):
-    """Per-state welfare of ``activity`` on one slice of draws, into ``out``:
-    the sum of both servers' payoff-table entries for the profile played.
+def _block_welfare(activity, p1, p2, c, work, both_active):
+    """Per-state welfare of ``activity`` on one block of draws: the sum of
+    both servers' payoff-table entries for the profile played.
 
-    With boolean activities each lone-server sum is scaled by its server's
-    0 or 1, and the both-active sum written where both are: bit-identical
-    to the bilinear mix of the same entries, which numeric activities take.
+    Both servers' AA and AI entries are computed into the four rows of
+    ``work``, and the lone-server and both-active sums formed in place;
+    the welfare is returned in the row of server 1's AI.  With boolean
+    activities each lone-server sum is scaled by its server's 0 or 1, and
+    the both-active sum written where ``both_active``, a boolean row, holds:
+    bit-identical to the bilinear mix of the same entries, which numeric
+    activities take.
     """
     sigma1, sigma2 = activity(p1, p2, c)
-    sigma1, ones1 = _activity_slice(sigma1, p1.shape)
-    sigma2, ones2 = _activity_slice(sigma2, p2.shape)
-    aa, ai, ia, _ = payoff_table(p1, p2, c)
-    aa2, ai2, ia2, _ = payoff_table(p2, p1, c)
+    sigma1, ones1 = _checked_activity(sigma1, p1.shape)
+    sigma2, ones2 = _checked_activity(sigma2, p2.shape)
+    both, alone1, ia, _ = payoff_table(p1, p2, c, out=work[:2])
+    aa2, alone2, ia2, _ = payoff_table(p2, p1, c, out=work[2:])
     # server 2's row lists its own action first: its IA is server 1's AI
-    alone1, alone2, both = ai + ia2, ia + ai2, aa + aa2
+    alone1 += ia2
+    alone2 += ia
+    both += aa2
     if ones1 is None or ones2 is None:
-        out[...] = (
+        alone1[...] = (
             sigma1 * sigma2 * both
             + sigma1 * (1.0 - sigma2) * alone1
             + (1.0 - sigma1) * sigma2 * alone2
         )
-        return
-    np.multiply(sigma1, alone1, out=out)
+        return alone1
+    alone1 *= sigma1
     alone2 *= sigma2
-    out += alone2
-    np.putmask(out, ones1 & ones2, both)
+    alone1 += alone2
+    np.logical_and(ones1, ones2, out=both_active)
+    np.putmask(alone1, both_active, both)
+    return alone1
 
 
-def _draws(dist1, dist2, n: int, seed: int):
-    """Yield mc_welfare's (p1, p2) in consecutive slices of ``_SLICE`` states."""
+def _draws(dist1, dist2, n: int, seed: int, u1, u2):
+    """Yield mc_welfare's (p1, p2) in consecutive blocks of ``u1.size`` states.
+
+    Uniform maps read the uniforms into ``u1`` and ``u2``; other samplers
+    draw the whole run, checked a block at a time.
+    """
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     rng = np.random.default_rng(seq)
+    block = u1.size
     if dist1.uniform_map and dist2.uniform_map:
         rng2 = np.random.Generator(np.random.PCG64(seq).advance(n))
-        u1, u2 = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE))
-        for lo in range(0, n, _SLICE):
-            m = min(_SLICE, n - lo)
+        for lo in range(0, n, block):
+            m = min(block, n - lo)
             yield (
                 dist1.uniform_map(rng.random(out=u1[:m])),
                 dist2.uniform_map(rng2.random(out=u2[:m])),
@@ -346,8 +360,22 @@ def _draws(dist1, dist2, n: int, seed: int):
         return
     p1 = np.asarray(dist1.sample(rng, n), dtype=float)
     p2 = np.asarray(dist2.sample(rng, n), dtype=float)
-    for lo in range(0, n, _SLICE):
-        yield _checked_draws(p1[lo : lo + _SLICE], "p1"), _checked_draws(p2[lo : lo + _SLICE], "p2")
+    for lo in range(0, n, block):
+        yield _checked_draws(p1[lo : lo + block], "p1"), _checked_draws(p2[lo : lo + block], "p2")
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a Python int >= ``least``: a numpy integer is one, a bool
+    or float is a TypeError and a smaller value a ValueError, naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def mc_welfare(
@@ -364,33 +392,35 @@ def mc_welfare(
     given); welfare per state is the sum of both servers' entries of the
     payoff table for the selected (possibly mixed) profile, and
     regulations never change it, so the unregulated table is used.
-    stderr is sample std / sqrt(n).
+    stderr is sample std / sqrt(n).  ``n`` >= 1 and ``seed`` >= 0 are
+    integers, numpy integers included.
 
     The states are those of one generator on ``SeedSequence(seed).spawn(1)[0]``
     drawing all ``p1``, then all ``p2``.  If both distributions have a
     ``uniform_map``, ``p1`` comes from that generator and ``p2`` from a
-    second on the same seed advanced by n, a slice at a time into reused
-    buffers.  Other samplers draw the whole run, checked to lie in [0, 1].
-    An array strategy is called on slices of 2**12 states, so it must act
-    state by state, with activities in [0, 1]; welfare is reduced in chunks
-    of 2**14 states, which fix the bits.  A slice's temporaries are 32 KiB,
-    below glibc's 128 KiB mmap and trim thresholds, so the heap reuses them.
+    second on the same seed advanced by n, a block at a time into reused
+    rows.  Other samplers draw the whole run, checked to lie in [0, 1].
+    Each block of 2**14 states is drawn, handed to an array strategy once,
+    turned into welfare and reduced before the next is drawn, so the
+    strategy must act state by state, with activities in [0, 1]; the
+    blocks fix the bits.  The draws and payoff entries of a block live in
+    one workspace of six rows made once per call: with boolean activities
+    no block allocates in the kernel, so the heap is not trimmed and
+    refaulted block by block.
     """
     c = check_cost(c)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count(n, "n", 1)
+    seed = _count(seed, "seed", 0)
     activity = _resolve_strategy(strategy)
     dist1 = dist1 or uniform_distribution()
     dist2 = dist2 or uniform_distribution()
 
-    draws = _draws(dist1, dist2, n, seed)
+    work = np.empty((6, min(n, _BLOCK)))
+    both_active = np.empty(work.shape[1], dtype=bool)
     total = total_sq = 0.0
-    buffer = np.empty(min(n, _BLOCK))
-    for lo in range(0, n, _BLOCK):
-        w = buffer[: min(_BLOCK, n - lo)]
-        # range first: zip stops there without drawing the next slice
-        for at, (s1, s2) in zip(range(0, w.size, _SLICE), draws):
-            _slice_welfare(activity, s1, s2, c, w[at : at + _SLICE])
+    for p1, p2 in _draws(dist1, dist2, n, seed, work[0], work[1]):
+        m = p1.size
+        w = _block_welfare(activity, p1, p2, c, work[2:, :m], both_active[:m])
         total += float(np.sum(w))
         # squared in place and summed pairwise: a BLAS dot (w @ w) may
         # split the sum across threads, so its bits depend on their count
@@ -430,7 +460,7 @@ def _pure_deviation_gain(row, sigma_own, sigma_other):
 def _check_state_map(strategy, c, p1, p2, eps, variant):
     p1, p2 = check_states(p1, p2)
     activity = _resolve_strategy(strategy)
-    sigma1, sigma2 = (_activity_slice(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
+    sigma1, sigma2 = (_checked_activity(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
     gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
     gains = np.concatenate([gain1, gain2])
@@ -524,10 +554,14 @@ def epsilon_nash_check(
     otherwise, NaN included).  The own-type grid step ``p_step`` and the state
     grid step ``state_step`` must lie in (0, 0.5], and there must be a state
     to probe: ``sampled`` mode needs ``samples`` >= 2 for a cutoff pair.
+    A given ``eps`` must be finite and >= 0.
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    # NaN fails both comparisons
+    if eps is not None and not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     # at most 0.5 so that every probed grid has at least three points
     for name, step in (("p_step", p_step), ("state_step", state_step)):
         if not 0.0 < step <= 0.5:

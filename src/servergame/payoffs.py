@@ -169,7 +169,7 @@ def check_states(p1, p2) -> tuple[np.ndarray, np.ndarray]:
     return _check_unit_array(p1, "p1"), _check_unit_array(p2, "p2")
 
 
-def payoff_table(p1, p2, c, variant: str = "unregulated") -> tuple:
+def payoff_table(p1, p2, c, variant: str = "unregulated", *, out=None) -> tuple:
     """Server 1's expected payoffs in the profiles (AA, AI, IA, II).
 
     The one definition of the stage game (A active, I inactive, server 1's
@@ -177,28 +177,40 @@ def payoff_table(p1, p2, c, variant: str = "unregulated") -> tuple:
     with AI and IA swapped; this is bit-exact, because IEEE addition
     commutes.  With a numpy array among ``p1``/``p2`` the entries are
     arrays (``np.maximum``/``np.where``); scalars go through ``max``/``if``.
+    ``out``, two float rows of the arrays' shape, takes the array path and
+    receives AA and AI, which are computed in it and returned as its rows:
+    the unregulated table then allocates nothing (its IA is ``p2`` itself).
     The caller validates ``p1``, ``p2`` and ``c``.
     """
-    arrays = isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
-    best = np.maximum(p1, p2) if arrays else max(p1, p2)
+    arrays = out is not None or isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
+    if out is None:
+        best = np.maximum(p1, p2) if arrays else max(p1, p2)
+        ai = p1 - c
+    else:
+        best, ai = np.maximum(p1, p2, out=out[0]), np.subtract(p1, c, out=out[1])
     # the regulations only add transfers to a lone active server (AI, IA)
     if variant == "unregulated":
-        ai, ia = p1 - c, p2
+        ia = p2
     elif variant == "case2_reg":
-        ai, ia = p1 - c + c / 2.0, p2 - c / 2.0
+        ai += c / 2.0  # in place on an array; p1 - c is never p1 itself
+        ia = p2 - c / 2.0
     elif variant == "case3_reg":
-        ai, ia = p1 - c, p2
+        ia = p2
         paid = ((p1 - p2) / 2.0, (p1 + 3.0 * p2) / 2.0 - c)
         if arrays:
             gate = best >= c / 2.0
-            ai, ia = np.where(gate, paid[0], ai), np.where(gate, paid[1], ia)
+            if out is None:
+                ai = np.where(gate, paid[0], ai)
+            else:
+                np.putmask(ai, gate, paid[0])
+            ia = np.where(gate, paid[1], ia)
         elif best >= c / 2.0:
             ai, ia = paid
     else:
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {sorted(PAYOFF_VARIANTS)}"
         )
-    return best - c, ai, ia, 0.0
+    return (best - c if out is None else np.subtract(best, c, out=best)), ai, ia, 0.0
 
 
 def _pure_payoff(s: State, a1: Action, a2: Action, c: float, variant: str) -> PayoffPair:

@@ -1,14 +1,20 @@
 """The blocked Monte Carlo welfare kernel against the plain bilinear form.
 
-``mc_welfare`` draws its states one ``_SLICE`` at a time, evaluates
-strategies on those slices, takes a select-style shortcut for boolean
-activities and reduces each ``_BLOCK`` chunk as soon as it is computed.
-Every estimate must be bit-identical to the bilinear mix of both servers'
+``mc_welfare`` draws its states one ``_BLOCK`` at a time, calls the
+strategy once per block, writes both servers' payoff-table entries into
+one workspace made per call, takes a select-style shortcut for boolean
+activities there and reduces the block before drawing the next.  Every
+estimate must be bit-identical to the bilinear mix of both servers'
 payoff-table entries evaluated over whole-run draws at once and summed
-one ``_BLOCK`` chunk at a time, which is kept here as the reference.
+one ``_BLOCK`` chunk at a time, which is kept here as the reference; and
+the block kernel's welfare must be the reference's state by state.
+Sizes of 4095 to 4097 states and 2**14 + 2**12 + 3 keep short and ragged
+final blocks among the cases.
 """
 
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from servergame.bayesian import (
     Distribution,
@@ -31,7 +39,7 @@ from servergame.full_info import equilibrium_activity, regulated_activity
 from servergame.oracle import (
     Estimate,
     _BLOCK,
-    _SLICE,
+    _block_welfare,
     _resolve_strategy,
     mc_welfare,
     pointwise_strategy,
@@ -48,6 +56,39 @@ def reference_profile_welfare(p1, p2, sigma1, sigma2, c):
         + sigma1 * (1.0 - sigma2) * (ai + ia2)
         + (1.0 - sigma1) * sigma2 * (ia + ai2)
     )
+
+
+def near(x: float):
+    """Floats within 4 ulp of ``x``, clipped to [0, 1]."""
+
+    def step(k: int) -> float:
+        y = x
+        for _ in range(abs(k)):
+            y = math.nextafter(y, math.copysign(math.inf, k))
+        return min(1.0, max(0.0, y))
+
+    return st.integers(-4, 4).map(step)
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A cost, up to 40 states near its kinks and the activities played there.
+
+    Costs of 0 and 1 come up often; each type is uniform, 0 or 1, or within
+    a few ulp of c/2 (so max = c/2 is hit from both sides), and a state may
+    be a tie p1 == p2.  Each server's activities are boolean, as the pure
+    maps return, or numbers in [0, 1] with 0 and 1 among them.
+    """
+    c = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    p = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]) | near(c / 2.0)
+    state = p.flatmap(lambda p1: st.tuples(st.just(p1), p | st.just(p1)))
+    p1, p2 = (np.array(col) for col in zip(*draw(st.lists(state, min_size=1, max_size=40))))
+    numeric = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    sigmas = [
+        np.array(draw(st.lists(value, min_size=p1.size, max_size=p1.size)))
+        for value in (draw(st.sampled_from([st.booleans(), numeric])) for _ in range(2))
+    ]
+    return c, p1, p2, *sigmas
 
 
 def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None):
@@ -120,10 +161,10 @@ SIZES = {
     "one_block": _BLOCK,
     "several_blocks": 3 * _BLOCK,
     "not_a_block_multiple": 3 * _BLOCK + 17,
-    "below_one_slice": _SLICE - 1,
-    "one_slice": _SLICE,
-    "one_slice_and_one": _SLICE + 1,
-    "block_slice_and_three": _BLOCK + _SLICE + 3,
+    "below_one_slice": 4095,
+    "one_slice": 4096,
+    "one_slice_and_one": 4097,
+    "block_slice_and_three": 2**14 + 2**12 + 3,
 }
 
 
@@ -136,6 +177,26 @@ def test_blocked_kernel_is_bit_identical(name, n):
             mc_welfare(strategy, c, n=n, seed=seed),
             reference_mc_welfare(strategy, c, n=n, seed=seed),
         )
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_blocks())
+@example(
+    (0.0, np.array([0.0, 1.0, 0.0, 0.5]), np.array([0.0, 1.0, 1.0, 0.5]),
+     np.array([True, True, False, True]), np.array([True, False, True, True]))
+)
+@example(
+    (1.0, np.array([0.5, 0.0, 1.0]), np.array([0.5, 1.0, 0.0]),
+     np.array([0.0, 0.25, 1.0]), np.array([1.0, 0.5, 0.0]))
+)
+def test_block_kernel_matches_the_reference_state_by_state(case):
+    # the sums above could hide offsetting differences; each state's welfare,
+    # signed zeros included, must be the reference's
+    c, p1, p2, sigma1, sigma2 = case
+    work = np.full((4, p1.size), np.nan)
+    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, work, np.empty(p1.size, bool))
+    want = reference_profile_welfare(p1, p2, sigma1, sigma2, c)
+    assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
@@ -171,7 +232,7 @@ DISTRIBUTIONS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, _SLICE + 1, _BLOCK + _SLICE + 3, 2 * _BLOCK + 9])
+@pytest.mark.parametrize("n", [1, 4097, 2**14 + 2**12 + 3, 2 * _BLOCK + 9])
 @pytest.mark.parametrize(
     "name", ["cooperative", "case3_max", "case3_min", "cutoff_pair_both_active", "rare_mix"]
 )
@@ -206,7 +267,7 @@ def test_uniform_map_draws_never_call_the_sampler():
         raise AssertionError("the whole-run sampler was called")
 
     streamed = Distribution("streamed", cdf=lambda x: x, sample=sample, uniform_map=lambda u: u)
-    n = _BLOCK + _SLICE + 3
+    n = 2**14 + 2**12 + 3
     assert_identical(
         mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=streamed, dist2=streamed),
         reference_mc_welfare((0.3, 0.6), 0.2, n=n, seed=8),
@@ -237,9 +298,9 @@ def test_verify_stdout_is_pinned(capsys, samples, seed, digest):
 
 
 def test_peak_memory_is_the_draws_plus_one_slice():
-    # no run-sized array at all: the two slice buffers of uniforms, the
-    # chunk's 128 KiB welfare buffer and a slice's 32 KiB temporaries come
-    # to about 0.45 MiB; one 10**6-state array of draws would add 7.6 MiB
+    # no run-sized array at all: the six-row workspace of draws and table
+    # entries (0.75 MiB) and the strategy's temporaries for one block come
+    # to about 0.9 MiB; one 10**6-state array of draws would add 7.6 MiB
     mc_welfare(optimal_activity, 0.3, n=1_000)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -252,33 +313,51 @@ def test_peak_memory_is_the_draws_plus_one_slice():
 
 FAULT_SCRIPT = textwrap.dedent(
     """
+    import json
     import resource
+    from functools import partial
 
+    from servergame.bayesian import nash_threshold
     from servergame.cooperative import optimal_activity
+    from servergame.full_info import equilibrium_activity, regulated_activity
     from servergame.oracle import mc_welfare
 
-    mc_welfare(optimal_activity, 0.3, n=10**6)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    mc_welfare(optimal_activity, 0.3, n=10**6)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    # every kind of strategy that `servergame verify` runs
+    strategies = {
+        "optimal_activity": optimal_activity,
+        "max_welfare": partial(equilibrium_activity, policy="max_welfare"),
+        "min_welfare": partial(equilibrium_activity, policy="min_welfare"),
+        "regulated_activity": regulated_activity,
+        "cutoff_pair": nash_threshold(0.3),
+    }
+    faults = {}
+    for name, strategy in strategies.items():
+        mc_welfare(strategy, 0.3, n=10**6)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        mc_welfare(strategy, 0.3, n=10**6)
+        faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(json.dumps(faults))
     """
 )
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap and minor faults")
 def test_repeat_run_reuses_the_heap_without_page_faults():
-    # slice temporaries above glibc's trim threshold are handed back to the
-    # system and faulted in again on every slice, about 12k-16k minor faults
-    # per 10**6 states; at 32 KiB the heap keeps them.  A fresh interpreter,
+    # block temporaries above glibc's trim threshold would be handed back to
+    # the system and faulted in again on every block, about 12k-16k minor
+    # faults per 10**6 states; written into the per-call workspace, only
+    # that workspace is mapped anew, once per call.  A fresh interpreter,
     # because the faults depend on the heap's history, with the allocator's
     # default thresholds.
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", FAULT_SCRIPT], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 500
+    faults = json.loads(proc.stdout)
+    assert len(faults) == 5
+    assert all(count < 500 for count in faults.values()), faults
 
 
 class TestActivityContract:
@@ -301,7 +380,7 @@ class TestActivityContract:
 
         with pytest.raises(ValueError, match="sigma"):
             mc_welfare(activity, 0.3, n=4 * _BLOCK, seed=2)
-        assert calls == [_SLICE] * 4
+        assert calls == [_BLOCK] * 4
 
     def test_boundary_activities_are_accepted(self):
         est = mc_welfare(lambda p1, p2, c: (0.0, 1.0), 0.3, n=1_000, seed=2)

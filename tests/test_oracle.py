@@ -126,6 +126,32 @@ class TestMonteCarlo:
         with pytest.raises(TypeError):
             mc_welfare("not a strategy", 0.2)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integers_give_the_python_int_estimate(self, kind):
+        # np.int64 n used to overflow in PCG64.advance
+        want = mc_welfare((0.3, 0.6), 0.2, n=5, seed=7)
+        got = mc_welfare((0.3, 0.6), 0.2, n=kind(5), seed=kind(7))
+        assert got == want
+        assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+        assert type(got.n) is int and type(got.seed) is int
+
+    @pytest.mark.parametrize("n", [1.5, 5.0, True, np.float64(5.0), np.True_, "5", None])
+    def test_non_integer_n_is_rejected_by_name(self, n):
+        with pytest.raises(TypeError, match=r"^n must be an integer"):
+            mc_welfare((0.3, 0.6), 0.2, n=n)
+
+    @pytest.mark.parametrize("n", [0, -1, np.int64(-3)])
+    def test_n_below_one_is_rejected_by_name(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 1"):
+            mc_welfare((0.3, 0.6), 0.2, n=n)
+
+    def test_seed_is_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            mc_welfare((0.3, 0.6), 0.2, n=10, seed=-1)
+        for seed in (1.5, False, None):
+            with pytest.raises(TypeError, match=r"^seed must be an integer"):
+                mc_welfare((0.3, 0.6), 0.2, n=10, seed=seed)
+
 
 @pytest.mark.parametrize(
     "t_opp, c, regulated, expected",
@@ -251,6 +277,21 @@ class TestEpsilonNash:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             epsilon_nash_check(nash_threshold(0.2), 0.2, mode="psychic")
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9, -0.5])
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_eps_must_be_finite_and_non_negative(self, eps, mode):
+        # eps = nan used to give a report with eps = nan and passed = False
+        kwargs = {"eps": eps, "mode": mode, "samples": 100}
+        with pytest.raises(ValueError, match=r"^eps must be finite and >= 0"):
+            epsilon_nash_check(nash_threshold(0.2), 0.2, **kwargs)
+        with pytest.raises(ValueError, match=r"^eps must be finite and >= 0"):
+            epsilon_nash_check(pointwise_strategy(optimal_profile), 0.2, **kwargs)
+
+    def test_zero_eps_is_accepted(self):
+        assert epsilon_nash_check(constant_map(1.0, 0.0), 0.2, eps=0.0, states=[(0.9, 0.1)]).passed
+        report = epsilon_nash_check(nash_threshold(0.2), 0.2, eps=0.0)
+        assert report.eps == 0.0 and math.isfinite(report.max_gain)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, 0.51, 1.0, math.nan])
     @pytest.mark.parametrize("name", ["p_step", "state_step"])

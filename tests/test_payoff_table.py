@@ -140,9 +140,14 @@ def test_array_and_scalar_tables_agree_exactly(case, variant):
     p1 = np.array([r[0] for r in rows])
     p2 = np.array([r[1] for r in rows])
     table = [np.broadcast_to(entry, p1.shape) for entry in payoff_table(p1, p2, c, variant)]
+    # AA and AI computed in the caller's rows: the same bits, returned in them
+    rows = np.full((2, p1.size), np.nan)
+    into = payoff_table(p1, p2, c, variant, out=rows)
+    assert np.shares_memory(into[0], rows[0]) and np.shares_memory(into[1], rows[1])
     for i in range(p1.size):
         scalar = payoff_table(float(p1[i]), float(p2[i]), c, variant)
         assert bits(entry[i] for entry in table) == bits(scalar)
+        assert bits((rows[0, i], rows[1, i])) == bits(scalar[:2])
 
 
 @SETTINGS
