@@ -171,28 +171,26 @@ def optimal_thresholds(c: float | np.ndarray) -> ThresholdPair:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A CDF on [0, 1] paired with a consistent sampler.
+    """A law on [0, 1], given by its CDF and its inverse transform.
 
     ``cdf`` must be nondecreasing with cdf(1) == 1 and accept numpy arrays;
-    ``sample(rng, n)`` must draw n variates from the same law using the
-    supplied generator.  :func:`validate_distribution` checks the pairing.
-
-    An optional ``uniform_map`` takes standard uniforms into [0, 1], so that
-    ``sample(rng, n) == uniform_map(rng.random(n))``; mc_welfare uses it unchecked.
+    ``uniform_map`` takes an array of standard uniforms, state by state, to
+    variates of the same law: an array of the same shape with entries in
+    [0, 1].  :func:`validate_distribution` checks the pairing, and every
+    block of draws the oracle takes through the map is checked.
     """
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[np.random.Generator, int], np.ndarray]
-    uniform_map: Callable[[np.ndarray], np.ndarray] | None = None
+    uniform_map: Callable[[np.ndarray], np.ndarray]
 
-
-def _inverse_transform(name: str, cdf, uniform_map) -> Distribution:
-    return Distribution(name, cdf, lambda rng, n: uniform_map(rng.random(n)), uniform_map)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n variates: the map of ``rng.random(n)``."""
+        return self.uniform_map(rng.random(n))
 
 
 def uniform_distribution() -> Distribution:
-    return _inverse_transform("uniform", lambda x: np.asarray(x, dtype=float), lambda u: u)
+    return Distribution("uniform", lambda x: np.asarray(x, dtype=float), lambda u: u)
 
 
 def power_distribution(k: float) -> Distribution:
@@ -200,7 +198,7 @@ def power_distribution(k: float) -> Distribution:
     if not (k > 0 and math.isfinite(k)):
         raise ValueError(f"k must be finite and positive, got {k!r}")
     cdf = lambda x: np.asarray(x, dtype=float) ** k
-    return _inverse_transform(f"power-{k:g}", cdf, lambda u: u ** (1.0 / k))
+    return Distribution(f"power-{k:g}", cdf, lambda u: u ** (1.0 / k))
 
 
 def validate_distribution(
@@ -210,11 +208,11 @@ def validate_distribution(
     ks_tol: float = 0.01,
     grid_points: int = 1001,
 ) -> None:
-    """Raise ValueError unless ``dist`` satisfies the CDF/sampler contract.
+    """Raise ValueError unless ``dist``'s cdf and uniform map agree.
 
     Checks: cdf nondecreasing on a grid, 0 <= cdf <= 1, cdf(1) == 1 within
-    1e-12, and Kolmogorov-Smirnov distance between ``n`` samples and the
-    cdf below ``ks_tol``.
+    1e-12, ``n`` draws from ``dist.sample``, and Kolmogorov-Smirnov distance
+    between them and the cdf below ``ks_tol``.
     """
     grid = np.linspace(0.0, 1.0, grid_points)
     values = np.asarray(dist.cdf(grid), dtype=float)
@@ -227,14 +225,14 @@ def validate_distribution(
     rng = np.random.default_rng(seed)
     samples = np.sort(np.asarray(dist.sample(rng, n), dtype=float))
     if samples.size != n:
-        raise ValueError(f"{dist.name}: sampler returned {samples.size} != {n} draws")
+        raise ValueError(f"{dist.name}: uniform map returned {samples.size} != {n} draws")
     theory = np.asarray(dist.cdf(samples), dtype=float)
     steps = np.arange(1, n + 1) / n
     ks = max(
         float(np.max(steps - theory)),  # empirical above the cdf
         float(np.max(theory - (steps - 1.0 / n))),  # empirical below
     )
-    if ks > ks_tol:
+    if not ks <= ks_tol:  # NaN draws give a NaN distance, which fails
         raise ValueError(f"{dist.name}: KS distance {ks:.4f} exceeds {ks_tol}")
 
 

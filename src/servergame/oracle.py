@@ -15,7 +15,8 @@ routes kept independent:
   each state's welfare being the sum of both servers' payoff-table
   entries for the profile played; a block of 2**14 states at a time is
   drawn, played and reduced, its draws and table entries written into one
-  workspace made per call.
+  workspace made per call.  A law other than the default is given by
+  its ``Distribution.uniform_map``, and every block it maps is checked.
 
 Every integral goes through one Simpson routine over rows of intervals cut
 at the integrands' kinks: all own types of a grid are one call, and inner
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayesian import Distribution, ThresholdWelfare, uniform_distribution
+from .bayesian import Distribution, ThresholdWelfare
 from .payoffs import State, _check_unit_array, check_cost, check_sigma, check_states, payoff_table
 
 __all__ = [
@@ -296,10 +297,16 @@ def _checked_activity(sigma, shape):
     return _check_unit_array(sigma, "strategy activity sigma"), None
 
 
-def _checked_draws(draws, name: str):
-    """Sampled types as a float array; ValueError if any is NaN or outside [0, 1]."""
+def _checked_draws(dist, u, name: str):
+    """Uniforms ``u`` through ``dist``'s map: a float array of their shape in
+    [0, 1], else a ValueError naming ``name``.  The default law's are ``u``."""
+    if dist is None:
+        return u
+    draws = np.asarray(dist.uniform_map(u), dtype=float)
+    if draws.shape != u.shape:
+        raise ValueError(f"sampled {name} has shape {draws.shape}, expected {u.shape}")
     try:
-        return _check_unit_array(np.asarray(draws, dtype=float), name)
+        return _check_unit_array(draws, name)
     except ValueError as err:
         raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
 
@@ -341,27 +348,15 @@ def _block_welfare(activity, p1, p2, c, work, both_active):
 
 
 def _draws(dist1, dist2, n: int, seed: int, u1, u2):
-    """Yield mc_welfare's (p1, p2) in consecutive blocks of ``u1.size`` states.
-
-    Uniform maps read the uniforms into ``u1`` and ``u2``; other samplers
-    draw the whole run, checked a block at a time.
-    """
+    """Yield mc_welfare's (p1, p2), one block of ``u1.size`` uniforms at a time."""
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
-    rng = np.random.default_rng(seq)
-    block = u1.size
-    if dist1.uniform_map and dist2.uniform_map:
-        rng2 = np.random.Generator(np.random.PCG64(seq).advance(n))
-        for lo in range(0, n, block):
-            m = min(block, n - lo)
-            yield (
-                dist1.uniform_map(rng.random(out=u1[:m])),
-                dist2.uniform_map(rng2.random(out=u2[:m])),
-            )
-        return
-    p1 = np.asarray(dist1.sample(rng, n), dtype=float)
-    p2 = np.asarray(dist2.sample(rng, n), dtype=float)
-    for lo in range(0, n, block):
-        yield _checked_draws(p1[lo : lo + block], "p1"), _checked_draws(p2[lo : lo + block], "p2")
+    rng1 = np.random.default_rng(seq)
+    rng2 = np.random.Generator(np.random.PCG64(seq).advance(n))
+    for lo in range(0, n, u1.size):
+        yield (
+            _checked_draws(dist1, rng1.random(out=u1[: n - lo]), "p1"),
+            _checked_draws(dist2, rng2.random(out=u2[: n - lo]), "p2"),
+        )
 
 
 def _count(value, name: str, least: int) -> int:
@@ -396,10 +391,10 @@ def mc_welfare(
     integers, numpy integers included.
 
     The states are those of one generator on ``SeedSequence(seed).spawn(1)[0]``
-    drawing all ``p1``, then all ``p2``.  If both distributions have a
-    ``uniform_map``, ``p1`` comes from that generator and ``p2`` from a
-    second on the same seed advanced by n, a block at a time into reused
-    rows.  Other samplers draw the whole run, checked to lie in [0, 1].
+    drawing all ``p1``, then all ``p2``; ``p2`` comes from a second on the
+    same seed advanced by n, a block at a time into reused rows.  A given
+    distribution's map must keep each block's shape and [0, 1] (ValueError
+    naming ``p1`` or ``p2``).
     Each block of 2**14 states is drawn, handed to an array strategy once,
     turned into welfare and reduced before the next is drawn, so the
     strategy must act state by state, with activities in [0, 1]; the
@@ -412,8 +407,6 @@ def mc_welfare(
     n = _count(n, "n", 1)
     seed = _count(seed, "seed", 0)
     activity = _resolve_strategy(strategy)
-    dist1 = dist1 or uniform_distribution()
-    dist2 = dist2 or uniform_distribution()
 
     work = np.empty((6, min(n, _BLOCK)))
     both_active = np.empty(work.shape[1], dtype=bool)
@@ -503,7 +496,6 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
     p_grid = np.linspace(0.0, 1.0, int(round(1.0 / p_step)) + 1)
 
     rng = np.random.default_rng(seed)
-    dist = dist or uniform_distribution()
     gains = np.empty((2, p_grid.size))  # row k is server k + 1; positive = profitable switch
     ses = np.zeros((2, p_grid.size))
     for k in range(2):
@@ -511,7 +503,7 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
         if mode == "analytic_quadrature":
             means = _interim_gains(p_grid, t_opp, c, regulated)
         else:
-            draws = _checked_draws(dist.sample(rng, samples), f"p{2 - k}")
+            draws = _checked_draws(dist, rng.random(samples), f"p{2 - k}")
             means, ses[k] = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
         gains[k] = np.where(p_grid >= t_own, -means, means)
     k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
@@ -554,7 +546,9 @@ def epsilon_nash_check(
     otherwise, NaN included).  The own-type grid step ``p_step`` and the state
     grid step ``state_step`` must lie in (0, 0.5], and there must be a state
     to probe: ``sampled`` mode needs ``samples`` >= 2 for a cutoff pair.
-    A given ``eps`` must be finite and >= 0.
+    ``samples`` and ``seed`` are integers >= 0 and a given ``eps`` is finite
+    and >= 0.  A cutoff pair's table is set by ``regulated``, a map's by
+    ``variant``; the other argument is a ValueError, not ignored.
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
@@ -567,13 +561,17 @@ def epsilon_nash_check(
         if not 0.0 < step <= 0.5:
             raise ValueError(f"{name} must lie in (0, 0.5], got {step!r}")
 
+    seed = _count(seed, "seed", 0)
     pair = isinstance(strategy, (tuple, list)) and not callable(strategy)
     # a cutoff pair's standard errors need two draws, a map one sampled state
-    least = 2 if pair else 1
-    if mode == "sampled" and (pair or states is None) and samples < least:
-        raise ValueError(f"samples must be >= {least} for this sampled check, got {samples!r}")
+    sampled = mode == "sampled" and (pair or states is None)
+    samples = _count(samples, "samples", (2 if pair else 1) if sampled else 0)
     if pair:
+        if variant != "unregulated":
+            raise ValueError(f"a cutoff pair takes regulated=True, not variant={variant!r}")
         return _check_threshold_pair(strategy, c, mode, eps, seed, regulated, dist, samples, p_step)
+    if regulated:
+        raise ValueError("a strategy map takes its payoff table as variant=, not regulated=True")
 
     if states is not None:
         states = np.asarray(states, dtype=float)

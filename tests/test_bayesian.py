@@ -240,10 +240,22 @@ def test_builtin_distributions_validate():
     bad = Distribution(
         name="mismatched",
         cdf=lambda x: np.asarray(x, dtype=float),
-        sample=lambda rng, n: rng.random(n) ** 2.0,  # sampler from another law
+        uniform_map=lambda u: u**2.0,  # map from another law
     )
     with pytest.raises(ValueError):
         validate_distribution(bad, n=50_000, seed=3)
+
+
+@pytest.mark.parametrize(
+    "uniform_map",
+    [lambda u: np.where(u < 0.5, u, np.nan), lambda u: np.full_like(u, np.nan)],
+    ids=["half_nan", "all_nan"],
+)
+def test_validation_rejects_a_map_that_yields_nan(uniform_map):
+    # NaN draws made the KS distance NaN, which passed the "> ks_tol" test
+    dist = Distribution("nan", cdf=lambda x: np.asarray(x, dtype=float), uniform_map=uniform_map)
+    with pytest.raises(ValueError, match="KS distance nan"):
+        validate_distribution(dist, n=20_000, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -266,7 +278,7 @@ def test_general_fixed_point_with_an_atomless_gap():
     dist = Distribution(
         name="upper-half",
         cdf=lambda x: np.clip(2.0 * np.asarray(x, dtype=float) - 1.0, 0.0, 1.0),
-        sample=lambda rng, n: 0.5 + 0.5 * rng.random(n),
+        uniform_map=lambda u: 0.5 + 0.5 * u,
     )
     validate_distribution(dist, n=50_000, seed=4)
     assert nash_threshold_general(dist, 0.0) == 0.0
@@ -281,7 +293,7 @@ def test_general_fixed_point_rejects_a_skipping_cdf():
     atom = Distribution(
         name="atom-at-half",
         cdf=lambda x: (np.asarray(x, dtype=float) >= 0.5).astype(float),
-        sample=lambda rng, n: np.full(n, 0.5),
+        uniform_map=lambda u: np.full_like(u, 0.5),
     )
     with pytest.raises(ArithmeticError):
         nash_threshold_general(atom, 0.3)

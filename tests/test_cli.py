@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,46 @@ def test_verify_negative_control(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
+
+
+def moved_away(estimate, target, by):
+    """``estimate`` moved ``by`` further from ``target`` (upwards on a tie)."""
+    return estimate + math.copysign(by, estimate - target)
+
+
+def test_verify_quadrature_rows_have_a_negative_control(monkeypatch):
+    # each quadrature estimate moved from its target by twice the row's
+    # tolerance of 1e-10: exactly the three quadrature rows must fail
+    quadrature = cli.oracle.threshold_welfare_by_quadrature
+
+    def moved(t1, t2, c):
+        est = quadrature(t1, t2, c)
+        target = cli.bayesian.welfare_thresholds(t1, t2, c).server1
+        return est._replace(server1=moved_away(est.server1, target, 2e-10))
+
+    monkeypatch.setattr(cli.oracle, "threshold_welfare_by_quadrature", moved)
+    rows = verification_checks(20000, 42)
+    failed = [r["check"] for r in rows if not r["passed"]]
+    assert len(failed) == 3
+    assert all(name.startswith("cutoff welfare quadrature") for name in failed)
+
+
+def test_verify_grid_rows_have_a_negative_control(monkeypatch, capsys):
+    # each grid best response moved from its target by 2e-3, twice the
+    # row's tolerance: exactly the eight grid rows fail, and verify exits 2
+    grid = cli.oracle.grid_best_response
+
+    def moved(opp_threshold, c, regulated=False, step=1e-3):
+        target = cli.bayesian.best_response_threshold(opp_threshold, c, regulated=regulated)
+        return moved_away(grid(opp_threshold, c, regulated, step), target, 2e-3)
+
+    monkeypatch.setattr(cli.oracle, "grid_best_response", moved)
+    code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
+    assert code == 2
+    failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert len(failed) == 8
+    assert all(line.startswith("best response grid") for line in failed)
+    assert out.splitlines()[-1].startswith("31 checks, 8 failed")
 
 
 def test_verification_checks_are_well_formed_at_small_n():

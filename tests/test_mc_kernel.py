@@ -217,12 +217,8 @@ def test_scalar_map_wrapper_is_bit_identical():
     )
 
 
-def squared_uniforms(rng, n):
-    # the law of power_distribution(0.5), but with no uniform map
-    return rng.random(n) ** 2.0
-
-
-CUSTOM = Distribution("squared", cdf=lambda x: x**0.5, sample=squared_uniforms)
+# the law of power_distribution(0.5), through a map of its own
+CUSTOM = Distribution("squared", cdf=lambda x: x**0.5, uniform_map=lambda u: u**2.0)
 
 DISTRIBUTIONS = {
     "power_2": (power_distribution(2), power_distribution(2)),
@@ -246,32 +242,29 @@ def test_distributions_are_bit_identical(dists, name, n):
     )
 
 
-def test_sampler_without_uniform_map_draws_the_whole_run():
-    runs = []
-
-    def sample(rng, n):
-        runs.append(n)
-        return rng.random(n)
-
-    custom = Distribution("recorded", cdf=lambda x: x, sample=sample)
+def test_uniform_map_sees_each_block_once_and_never_the_whole_run(monkeypatch):
     n = 2 * _BLOCK + 7
+    # the reference draws the whole run through Distribution.sample: before the patch
+    want = reference_mc_welfare((0.3, 0.6), 0.2, n=n, seed=8)
+
+    def sample(self, rng, n):
+        raise AssertionError("a whole run was drawn")
+
+    monkeypatch.setattr(Distribution, "sample", sample)
+    blocks = {"p1": [], "p2": []}
+
+    def recorded(name):
+        def uniform_map(u):
+            blocks[name].append(u.size)
+            return u
+
+        return Distribution(name, cdf=lambda x: x, uniform_map=uniform_map)
+
     assert_identical(
-        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=custom, dist2=custom),
-        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8),
+        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=recorded("p1"), dist2=recorded("p2")),
+        want,
     )
-    assert runs == [n, n]
-
-
-def test_uniform_map_draws_never_call_the_sampler():
-    def sample(rng, n):
-        raise AssertionError("the whole-run sampler was called")
-
-    streamed = Distribution("streamed", cdf=lambda x: x, sample=sample, uniform_map=lambda u: u)
-    n = 2**14 + 2**12 + 3
-    assert_identical(
-        mc_welfare((0.3, 0.6), 0.2, n=n, seed=8, dist1=streamed, dist2=streamed),
-        reference_mc_welfare((0.3, 0.6), 0.2, n=n, seed=8),
-    )
+    assert blocks == {"p1": [_BLOCK, _BLOCK, 7], "p2": [_BLOCK, _BLOCK, 7]}
 
 
 @pytest.mark.parametrize(

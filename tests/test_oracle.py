@@ -13,7 +13,9 @@ from servergame.bayesian import (
     welfare_thresholds,
 )
 from servergame.cooperative import optimal_profile
+from servergame.full_info import regulated_activity
 from servergame.oracle import (
+    _BLOCK,
     DeviationReport,
     _interim_gains,
     epsilon_nash_check,
@@ -383,7 +385,22 @@ class TestStateMapInputs:
 
 
 def nan_sampler():
-    return Distribution("nan", cdf=lambda x: x, sample=lambda rng, n: np.full(n, np.nan))
+    return Distribution("nan", cdf=lambda x: x, uniform_map=lambda u: np.full_like(u, np.nan))
+
+
+def one_bad_draw(index, value):
+    """A uniform law whose map writes ``value`` over the ``index``-th state
+    of the run, counting states across the blocks it is handed."""
+    seen = 0
+
+    def uniform_map(u):
+        nonlocal seen
+        lo, seen = seen, seen + u.size
+        if lo <= index < seen:
+            u[index - lo] = value
+        return u
+
+    return Distribution(f"one-{value}", cdf=lambda x: x, uniform_map=uniform_map)
 
 
 class TestMonteCarloNaNDraws:
@@ -395,20 +412,16 @@ class TestMonteCarloNaNDraws:
             mc_welfare((0.3, 0.6), 0.2, n=1000, seed=1, dist2=nan_sampler())
 
     def test_one_nan_draw_among_many_raises(self):
-        def sample(rng, n):
-            draws = rng.random(n)
-            draws[n // 2] = np.nan
-            return draws
-
-        dist = Distribution("one-nan", cdf=lambda x: x, sample=sample)
+        dist = one_bad_draw(50_000 // 2, np.nan)
         with pytest.raises(ValueError, match="not finite"):
             mc_welfare(lambda p1, p2, c: (0.5, 0.5), 0.2, n=50_000, seed=4, dist2=dist)
         with pytest.raises(ValueError, match="not finite"):
-            mc_welfare((0.0, 0.0), 0.2, n=1, seed=4, dist1=dist)
+            mc_welfare((0.0, 0.0), 0.2, n=1, seed=4, dist1=one_bad_draw(0, np.nan))
 
 
 def constant_sampler(value):
-    return Distribution(f"constant-{value}", cdf=lambda x: x, sample=lambda rng, n: np.full(n, value))
+    constant = lambda u: np.full_like(u, value)  # noqa: E731
+    return Distribution(f"constant-{value}", cdf=lambda x: x, uniform_map=constant)
 
 
 class TestMonteCarloDrawRange:
@@ -427,12 +440,7 @@ class TestMonteCarloDrawRange:
             mc_welfare(constant_map(1.0, 1.0), 0.2, n=1000, seed=1, dist1=constant_sampler(1.5))
 
     def test_one_bad_draw_in_the_last_slice_raises(self):
-        def sample(rng, n):
-            draws = rng.random(n)
-            draws[-1] = math.nextafter(1.0, 2.0)
-            return draws
-
-        dist = Distribution("one-above", cdf=lambda x: x, sample=sample)
+        dist = one_bad_draw(50_000 - 1, math.nextafter(1.0, 2.0))
         with pytest.raises(ValueError, match="p2"):
             mc_welfare((0.3, 0.6), 0.2, n=50_000, seed=4, dist2=dist)
 
@@ -460,12 +468,12 @@ class TestSampledDeviationDraws:
 
 
 def unsampled():
-    """A distribution whose sampler fails the test if it is ever called."""
+    """A distribution whose map fails the test if it is ever called."""
 
-    def sample(rng, n):
-        raise AssertionError(f"drew {n} samples before the input check")
+    def uniform_map(u):
+        raise AssertionError(f"drew {u.size} samples before the input check")
 
-    return Distribution("unsampled", cdf=lambda x: x, sample=sample)
+    return Distribution("unsampled", cdf=lambda x: x, uniform_map=uniform_map)
 
 
 class TestDeviationCheckCounts:
@@ -476,17 +484,17 @@ class TestDeviationCheckCounts:
             epsilon_nash_check(constant_map(0.0, 0.0), 0.2, mode="sampled", samples=0)
 
     def test_negative_samples_are_rejected(self):
-        with pytest.raises(ValueError, match=r"samples must be >= 1 .*, got -1$"):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1, got -1$"):
             epsilon_nash_check(constant_map(0.0, 0.0), 0.2, mode="sampled", samples=-1)
-        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got -1$"):
+        with pytest.raises(ValueError, match=r"^samples must be >= 2, got -1$"):
             epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=-1, dist=unsampled())
 
     def test_sampled_cutoff_pair_without_draws_is_rejected(self):
-        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got 0$"):
+        with pytest.raises(ValueError, match=r"^samples must be >= 2, got 0$"):
             epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=0, dist=unsampled())
 
     def test_sampled_cutoff_pair_needs_two_draws_for_a_standard_error(self):
-        with pytest.raises(ValueError, match=r"samples must be >= 2 .*, got 1$"):
+        with pytest.raises(ValueError, match=r"^samples must be >= 2, got 1$"):
             epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=1, dist=unsampled())
         report = epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=2, seed=1)
         assert math.isfinite(report.eps)
@@ -497,6 +505,107 @@ class TestDeviationCheckCounts:
             constant_map(1.0, 0.0), 0.2, mode="sampled", samples=0, states=[(0.9, 0.1)]
         )
         assert report.passed
+
+
+BAD_DRAWS = [math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)]
+
+
+@st.composite
+def one_bad_draw_runs(draw):
+    """A run of up to four blocks, the last often ragged, and one state in a
+    random block of it, its last included, that a server's map spoils."""
+    n = draw(st.integers(1, 4 * _BLOCK))
+    block = draw(st.integers(0, (n - 1) // _BLOCK))
+    size = min(_BLOCK, n - block * _BLOCK)
+    index = block * _BLOCK + draw(st.integers(0, size - 1))
+    return n, index, draw(st.sampled_from(BAD_DRAWS)), draw(st.sampled_from([1, 2]))
+
+
+class TestEveryMappedBlockIsChecked:
+    @settings(deadline=None, max_examples=60)
+    @given(one_bad_draw_runs(), st.sampled_from(["pair", "callable"]), st.booleans())
+    @example((3 * _BLOCK + 17, 3 * _BLOCK + 16, math.nan, 2), "pair", False)
+    @example((3 * _BLOCK + 17, 3 * _BLOCK, math.nextafter(1.0, 2.0), 1), "callable", True)
+    def test_one_bad_state_anywhere_names_its_server(self, case, kind, other_uniform):
+        # a map used to be trusted: 2 * u gave a mean of 2.31, above the
+        # largest possible welfare of 2, and a NaN map mean=nan
+        n, index, value, server = case
+        strategy = (0.3, 0.6) if kind == "pair" else lambda p1, p2, c: (p1 >= p2, p2 > p1)
+        other = uniform_distribution() if other_uniform else None
+        dists = {"dist1": other, "dist2": other, f"dist{server}": one_bad_draw(index, value)}
+        with pytest.raises(ValueError, match=rf"^sampled state .*: p{server} must lie in \[0, 1\]"):
+            mc_welfare(strategy, 0.2, n=n, seed=5, **dists)
+
+    @pytest.mark.parametrize(
+        "uniform_map",
+        [lambda u: 0.5, lambda u: u[:-1], lambda u: np.append(u, 0.5), lambda u: u[:, np.newaxis]],
+        ids=["scalar", "one_short", "one_long", "column"],
+    )
+    @pytest.mark.parametrize("n", [1, _BLOCK + 3])
+    def test_a_map_of_the_wrong_shape_is_rejected(self, uniform_map, n):
+        dist = Distribution("misshapen", cdf=lambda x: x, uniform_map=uniform_map)
+        for server in (1, 2):
+            with pytest.raises(ValueError, match=rf"^sampled p{server} has shape"):
+                mc_welfare((0.3, 0.6), 0.2, n=n, **{f"dist{server}": dist})
+        with pytest.raises(ValueError, match=r"^sampled p2 has shape"):
+            epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", samples=100, dist=dist)
+
+
+CHECKED_CALLS = {
+    "pair_analytic": ((0.5, 0.5), "analytic_quadrature"),
+    "pair_sampled": ((0.5, 0.5), "sampled"),
+    "map_analytic": (regulated_activity, "analytic_quadrature"),
+    "map_sampled": (regulated_activity, "sampled"),
+}
+
+
+class TestDeviationCheckArguments:
+    @pytest.mark.parametrize("call", CHECKED_CALLS.values(), ids=CHECKED_CALLS.keys())
+    @pytest.mark.parametrize("samples", [2.5, True, np.float64(100.0), "100", None])
+    def test_non_integer_samples_are_rejected_by_name(self, call, samples):
+        # 2.5 used to raise numpy's unnamed TypeError, True was taken as 1
+        strategy, mode = call
+        with pytest.raises(TypeError, match=r"^samples must be an integer"):
+            epsilon_nash_check(strategy, 0.25, mode=mode, samples=samples)
+
+    @pytest.mark.parametrize("call", CHECKED_CALLS.values(), ids=CHECKED_CALLS.keys())
+    def test_seed_is_a_non_negative_integer(self, call):
+        # -1 used to end in numpy's unnamed "expected non-negative integer",
+        # 1.5 in a SeedSequence TypeError
+        strategy, mode = call
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            epsilon_nash_check(strategy, 0.25, mode=mode, seed=-1, samples=100)
+        for seed in (1.5, False, None):
+            with pytest.raises(TypeError, match=r"^seed must be an integer"):
+                epsilon_nash_check(strategy, 0.25, mode=mode, seed=seed, samples=100)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize("call", CHECKED_CALLS.values(), ids=CHECKED_CALLS.keys())
+    def test_numpy_integers_give_the_python_int_report(self, call, kind):
+        strategy, mode = call
+        want = epsilon_nash_check(strategy, 0.25, mode=mode, seed=7, samples=300)
+        got = epsilon_nash_check(strategy, 0.25, mode=mode, seed=kind(7), samples=kind(300))
+        assert got == want
+        assert (got.max_gain.hex(), float(got.eps).hex()) == (
+            want.max_gain.hex(),
+            float(want.eps).hex(),
+        )
+
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_regulated_on_a_map_points_to_variant(self, mode):
+        # regulated=True used to be ignored: a false failure with gain 0.2
+        with pytest.raises(ValueError, match="variant="):
+            epsilon_nash_check(regulated_activity, 0.4, mode=mode, regulated=True)
+        assert epsilon_nash_check(regulated_activity, 0.4, mode=mode, variant="case3_reg").passed
+
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    @pytest.mark.parametrize("variant", ["case2_reg", "case3_reg", "no such table"])
+    def test_variant_on_a_cutoff_pair_points_to_regulated(self, mode, variant):
+        # variant="case2_reg" used to be ignored: a false failure with gain 0.199
+        pair = nash_threshold(0.4, regulated=True)
+        with pytest.raises(ValueError, match="regulated=True"):
+            epsilon_nash_check(pair, 0.4, mode=mode, variant=variant, seed=5)
+        assert epsilon_nash_check(pair, 0.4, mode=mode, regulated=True, seed=5).passed
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_demo_output_is_unchanged(demo):
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[demo]
 
 
+def perfbench_env():
+    """The environment with ``perfbench`` and ``src`` first on ``PYTHONPATH``."""
+    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_benchmark_tracer_installs_against_the_package():
     # perfbench/tracing.py wraps functions by name and reads the arguments
     # n, mode, a, b and panels by name; renaming or dropping one in src/
@@ -73,11 +79,35 @@ def test_benchmark_tracer_installs_against_the_package():
             "assert oracle.mc_welfare is not original, 'mc_welfare was not wrapped'",
         ]
     )
-    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=perfbench_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_benchmark_workloads_pass_one_batch_each():
+    # one batch of each workload the benchmark times, run and checked as
+    # perfbench/run.py does: an API break or a changed output shows here
+    # rather than first as a failed benchmark run
+    script = "\n".join(
+        [
+            "from workloads import WORKLOADS",
+            "for name, workload in WORKLOADS.items():",
+            "    w = workload(11)",
+            "    batch = w.next_batch()",
+            "    failed = w.check(batch, [w.run(op) for op in batch])",
+            "    assert failed == 0, f'{name}: {failed} of {len(batch)} ops failed'",
+            "    print(name, len(batch))",
+        ]
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        timeout=120,
+        text=True,
+        env=perfbench_env(),
+        timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        "verify", "sweep", "state_queries", "oracle_probe"
+    ]  # fmt: skip

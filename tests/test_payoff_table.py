@@ -269,7 +269,7 @@ def test_activity_maps_accept_the_closed_unit_square(activity):
 
 
 def test_monte_carlo_rejects_a_sampler_that_yields_nan():
-    nan_draws = Distribution("nan", cdf=lambda x: x, sample=lambda rng, n: np.full(n, NAN))
+    nan_draws = Distribution("nan", cdf=lambda x: x, uniform_map=lambda u: np.full_like(u, NAN))
     for activity in ACTIVITY_MAPS:
         with pytest.raises(ValueError, match="p1 must lie"):
             mc_welfare(activity, 0.2, n=10, dist1=nan_draws)
