@@ -9,6 +9,11 @@ Subcommands
 Exit codes: 0 success, 1 usage error, 2 verification failure.  All output
 is deterministic for a given argument list (fixed seeds, 12-significant-
 digit formatting, LF line endings) so runs can be diffed byte for byte.
+
+``verify`` runs its twenty Monte Carlo checks, which are independent, on up
+to one forked worker process per usable CPU.  It runs them in process where
+the platform cannot fork, one CPU is usable or the caller has other threads
+running; the output is the same either way.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -293,6 +300,57 @@ def cmd_best_response(args) -> int:
 # verification suite
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# A pool worker's Monte Carlo jobs, set by _take_jobs as the worker starts.
+# They reach it through the fork and are never pickled: the strategies may
+# be closures, and a test's monkeypatch of oracle.mc_welfare holds there too.
+_worker_jobs: list[tuple] = []
+
+
+def _take_jobs(jobs: list[tuple]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _mc_job(k: int) -> oracle.Estimate:
+    strategy, c, samples, seed = _worker_jobs[k]
+    return oracle.mc_welfare(strategy, c, n=samples, seed=seed)
+
+
+def _mc_estimates(jobs: list[tuple]) -> list[oracle.Estimate]:
+    """``oracle.mc_welfare`` of each ``(strategy, c, samples, seed)`` job, in job order.
+
+    The jobs run on ``min(len(jobs), usable CPUs)`` forked workers; only a
+    job's index and its ``Estimate`` cross between processes, so each
+    estimate is bit for bit the in-process one.  A worker's exception is
+    raised here, and every worker has exited when this returns.  Where a
+    pool cannot help (one usable CPU) or fork is unsafe (no ``"fork"``
+    start method, or other threads running, which a forked child would
+    find holding their locks), the jobs run in process.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        # imported here, so that the CLI's start-up does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_take_jobs,
+                initargs=(jobs,),
+            ) as pool:
+                return list(pool.map(_mc_job, range(len(jobs))))
+    return [oracle.mc_welfare(s, c, n=n, seed=seed) for s, c, n, seed in jobs]
+
+
 def verification_checks(samples: int, seed: int) -> list[dict]:
     """Every oracle-vs-closed-form check, as rows of name/target/estimate.
 
@@ -330,8 +388,11 @@ def verification_checks(samples: int, seed: int) -> list[dict]:
             ("case3 min welfare", full_info.welfare_case3_min(c), worst, c),
             ("case3 regulated welfare", cooperative.welfare_case1(c), full_info.regulated_activity, c),
         ]
-    for offset, (check, target, strategy, c) in enumerate(mc_checks, start=1):
-        est = oracle.mc_welfare(strategy, c, n=samples, seed=seed + offset)
+    jobs = [
+        (strategy, c, samples, seed + k)
+        for k, (_, _, strategy, c) in enumerate(mc_checks, start=1)
+    ]
+    for (check, target, _, c), est in zip(mc_checks, _mc_estimates(jobs)):
         row(f"{check} mc c={c:g}", target, est.mean, est.stderr, 3.0 * est.stderr)
 
     for t1, t2, c in ((0.3, 0.7, 0.2), (0.1, 0.55, 0.6), (0.25, 0.8, 0.45)):

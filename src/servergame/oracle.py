@@ -515,6 +515,12 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
+# the default grid steps: a cutoff pair reads only p_step, a map only
+# state_step, and the other one given a value of its own is an error
+_P_STEP = 0.005
+_STATE_STEP = 0.02
+
+
 def epsilon_nash_check(
     strategy,
     c: float,
@@ -525,8 +531,8 @@ def epsilon_nash_check(
     dist: Distribution | None = None,
     variant: str = "unregulated",
     samples: int = 20_000,
-    p_step: float = 0.005,
-    state_step: float = 0.02,
+    p_step: float = _P_STEP,
+    state_step: float = _STATE_STEP,
     states=None,
 ) -> DeviationReport:
     """Probe a strategy for profitable unilateral deviations.
@@ -548,7 +554,10 @@ def epsilon_nash_check(
     to probe: ``sampled`` mode needs ``samples`` >= 2 for a cutoff pair.
     ``samples`` and ``seed`` are integers >= 0 and a given ``eps`` is finite
     and >= 0.  A cutoff pair's table is set by ``regulated``, a map's by
-    ``variant``; the other argument is a ValueError, not ignored.
+    ``variant``.  An argument the strategy's check does not read is a
+    ValueError, not ignored: ``variant``, ``states``, a non-default
+    ``state_step``, and ``dist`` outside ``sampled`` mode on a cutoff pair;
+    ``regulated``, ``dist`` and a non-default ``p_step`` on a map.
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
@@ -569,9 +578,19 @@ def epsilon_nash_check(
     if pair:
         if variant != "unregulated":
             raise ValueError(f"a cutoff pair takes regulated=True, not variant={variant!r}")
+        if dist is not None and mode != "sampled":
+            raise ValueError("dist= needs mode='sampled': the analytic gains assume a uniform opponent")
+        if states is not None:
+            raise ValueError("states= applies to a strategy map, not a cutoff pair")
+        if state_step != _STATE_STEP:
+            raise ValueError("state_step= applies to a strategy map, not a cutoff pair")
         return _check_threshold_pair(strategy, c, mode, eps, seed, regulated, dist, samples, p_step)
     if regulated:
         raise ValueError("a strategy map takes its payoff table as variant=, not regulated=True")
+    if dist is not None:
+        raise ValueError("dist= applies to a cutoff pair: a strategy map is probed at uniform states")
+    if p_step != _P_STEP:
+        raise ValueError("p_step= applies to a cutoff pair, not a strategy map")
 
     if states is not None:
         states = np.asarray(states, dtype=float)

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -196,6 +198,74 @@ def test_verify_negative_control(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
+
+
+def in_process_calls(monkeypatch):
+    """Patch ``oracle.mc_welfare`` to record each call made in this process;
+    a forked worker appends to its own copy of the list."""
+    calls = []
+    mc_welfare = cli.oracle.mc_welfare
+
+    def recorded(*args, **kwargs):
+        calls.append(os.getpid())
+        return mc_welfare(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oracle, "mc_welfare", recorded)
+    return calls
+
+
+def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
+    argv = ("verify", "--samples", "20000", "--seed", "42")
+    code, default, _ = run_cli(capsys, *argv)  # pooled or not, as this host allows
+    assert code == 0 and multiprocessing.active_children() == []
+    calls = in_process_calls(monkeypatch)
+    # two CPUs force the pool whatever this host has; one runs every job here
+    for cpus, want_calls in ((2, 0), (1, 20)):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out == default
+        assert len(calls) == want_calls
+        assert multiprocessing.active_children() == []
+
+
+def test_verify_runs_in_process_where_fork_is_unavailable(monkeypatch, capsys):
+    calls = in_process_calls(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+    assert code == 0 and len(calls) == 20
+
+
+def test_verify_does_not_fork_beside_another_thread(monkeypatch, capsys):
+    # a forked child would find the other thread's locks held forever
+    calls = in_process_calls(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert code == 0 and len(calls) == 20
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
+def test_verify_monte_carlo_value_error_is_a_usage_error(cpus, monkeypatch, capsys):
+    def bad_draw(*args, **kwargs):
+        raise ValueError(f"bad draw in process {os.getpid()}")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli.oracle, "mc_welfare", bad_draw)
+    code, out, err = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad draw in process ")
+    raised_in_a_worker = int(err.split()[-1]) != os.getpid()
+    assert raised_in_a_worker == (cpus > 1)
+    assert multiprocessing.active_children() == []
 
 
 def moved_away(estimate, target, by):

@@ -608,6 +608,44 @@ class TestDeviationCheckArguments:
         assert epsilon_nash_check(pair, 0.4, mode=mode, regulated=True, seed=5).passed
 
 
+class TestDeviationCheckArgumentsThatDoNotApply:
+    # each used to be ignored, so a check of a power-law opponent or of
+    # chosen states ran as a uniform or grid check and could read as a pass
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_dist_on_a_map_is_rejected(self, mode):
+        kwargs = {"mode": mode, "variant": "case3_reg", "seed": 3}
+        with pytest.raises(ValueError, match="^dist= applies to a cutoff pair"):
+            epsilon_nash_check(regulated_activity, 0.4, dist=power_distribution(2), **kwargs)
+        assert epsilon_nash_check(regulated_activity, 0.4, **kwargs).passed
+
+    def test_dist_on_an_analytic_cutoff_pair_is_rejected(self):
+        # the analytic gains assume a uniform opponent: this pair used to
+        # pass with gain 0.0, and the sampled mode finds it is no equilibrium
+        # against a power-law opponent
+        pair = nash_threshold(0.25)
+        with pytest.raises(ValueError, match="^dist= needs mode='sampled'"):
+            epsilon_nash_check(pair, 0.25, dist=power_distribution(2))
+        assert epsilon_nash_check(pair, 0.25).passed
+        sampled = epsilon_nash_check(pair, 0.25, mode="sampled", dist=power_distribution(2))
+        assert not sampled.passed and sampled.max_gain > 0.1
+
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_states_on_a_cutoff_pair_are_rejected(self, mode):
+        pair = nash_threshold(0.25)
+        with pytest.raises(ValueError, match="^states= applies to a strategy map"):
+            epsilon_nash_check(pair, 0.25, mode=mode, states=[(0.9, 0.1)])
+        with pytest.raises(ValueError, match="^state_step= applies to a strategy map"):
+            epsilon_nash_check(pair, 0.25, mode=mode, state_step=0.1)
+        assert epsilon_nash_check(pair, 0.25, mode=mode, state_step=0.02).passed
+
+    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+    def test_p_step_on_a_map_is_rejected(self, mode):
+        kwargs = {"mode": mode, "variant": "case3_reg", "seed": 3}
+        with pytest.raises(ValueError, match="^p_step= applies to a cutoff pair"):
+            epsilon_nash_check(regulated_activity, 0.4, p_step=0.1, **kwargs)
+        assert epsilon_nash_check(regulated_activity, 0.4, p_step=0.005, **kwargs).passed
+
+
 # --------------------------------------------------------------------------
 # the row-wise Simpson engine against the point-by-point routes it replaced
 

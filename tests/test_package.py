@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import servergame
+from servergame import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +84,56 @@ def test_benchmark_tracer_installs_against_the_package():
         [sys.executable, "-c", script], capture_output=True, env=perfbench_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_verify_under_the_benchmark_tracer_prints_the_untraced_output(capsys):
+    # the tracer's activity maps are closures, which cannot be pickled: the
+    # Monte Carlo jobs must reach verify's forked workers without pickling
+    argv = ["verify", "--samples", "20000", "--seed", "42"]
+    script = "\n".join(
+        [
+            "import sys",
+            "from servergame import cli",
+            "from tracing import Tracer",
+            "Tracer().install()",
+            "cli._usable_cpus = lambda: 2  # the pool, whatever this host has",
+            f"sys.exit(cli.main({argv!r}))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=perfbench_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_cli_start_up_imports_no_process_pool():
+    # the pool's modules are imported when verify runs, not when the CLI
+    # starts: the benchmark's set-up time is this fresh interpreter
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from servergame import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['--help']) == 0",
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+        ]
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_workloads_pass_one_batch_each():
