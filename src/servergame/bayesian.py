@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .payoffs import _check_unit_array, check_cost, check_sigma
+from .payoffs import _check_unit_array, _count, check_cost, check_sigma
 
 __all__ = [
     "Distribution",
@@ -48,6 +48,13 @@ __all__ = [
     "validate_distribution",
     "welfare_thresholds",
 ]
+
+# solver constants; README "Conventions and numerics" states them
+_FIXED_POINT_TOL = 1e-12
+_ROOT_TOL = 1e-10
+_ROOT_STEPS = 200
+_CDF_GRID_POINTS = 1001
+_KS_TOL = 0.01
 
 
 class ThresholdPair(NamedTuple):
@@ -96,7 +103,6 @@ def best_response_fixed_point(
     c: float,
     start: float = 0.5,
     regulated: bool = False,
-    tol: float = 1e-12,
     max_iter: int = 100,
     damping: float = 0.5,
 ) -> FixedPointResult:
@@ -105,10 +111,11 @@ def best_response_fixed_point(
     ``damping=1.0`` recovers the raw dynamics, which oscillate and close in
     on the fixed point only at rate ~1/n; the default 1/2 averaging is
     geometric (see module docstring).  Stops once successive iterates move
-    by at most ``tol``.
+    by at most 1e-12, or after ``max_iter`` >= 1 steps.
     """
     c = check_cost(c)
     t = check_sigma(start, "start")
+    max_iter = _count(max_iter, "max_iter", 1)
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     for iteration in range(1, max_iter + 1):
@@ -117,7 +124,7 @@ def best_response_fixed_point(
         )
         moved = abs(t_next - t)
         t = t_next
-        if moved <= tol:
+        if moved <= _FIXED_POINT_TOL:
             return FixedPointResult(t, iteration, True)
     return FixedPointResult(t, max_iter, False)
 
@@ -201,20 +208,17 @@ def power_distribution(k: float) -> Distribution:
     return Distribution(f"power-{k:g}", cdf, lambda u: u ** (1.0 / k))
 
 
-def validate_distribution(
-    dist: Distribution,
-    n: int = 100_000,
-    seed: int = 0,
-    ks_tol: float = 0.01,
-    grid_points: int = 1001,
-) -> None:
+def validate_distribution(dist: Distribution, n: int = 100_000, seed: int = 0) -> None:
     """Raise ValueError unless ``dist``'s cdf and uniform map agree.
 
-    Checks: cdf nondecreasing on a grid, 0 <= cdf <= 1, cdf(1) == 1 within
-    1e-12, ``n`` draws from ``dist.sample``, and Kolmogorov-Smirnov distance
-    between them and the cdf below ``ks_tol``.
+    Checks: cdf nondecreasing on a grid of 1001 points, 0 <= cdf <= 1,
+    cdf(1) == 1 within 1e-12, ``n`` >= 1 draws from ``dist.sample`` seeded
+    by ``seed`` >= 0, and Kolmogorov-Smirnov distance between them and the
+    cdf at most 0.01.
     """
-    grid = np.linspace(0.0, 1.0, grid_points)
+    n = _count(n, "n", 1)
+    seed = _count(seed, "seed", 0)
+    grid = np.linspace(0.0, 1.0, _CDF_GRID_POINTS)
     values = np.asarray(dist.cdf(grid), dtype=float)
     if np.any(np.diff(values) < -1e-12):
         raise ValueError(f"{dist.name}: cdf is not nondecreasing")
@@ -232,20 +236,19 @@ def validate_distribution(
         float(np.max(steps - theory)),  # empirical above the cdf
         float(np.max(theory - (steps - 1.0 / n))),  # empirical below
     )
-    if not ks <= ks_tol:  # NaN draws give a NaN distance, which fails
-        raise ValueError(f"{dist.name}: KS distance {ks:.4f} exceeds {ks_tol}")
+    if not ks <= _KS_TOL:  # NaN draws give a NaN distance, which fails
+        raise ValueError(f"{dist.name}: KS distance {ks:.4f} exceeds {_KS_TOL}")
 
 
-def nash_threshold_general(
-    dist: Distribution, c: float, tol: float = 1e-10, max_steps: int = 200
-) -> float:
+def nash_threshold_general(dist: Distribution, c: float) -> float:
     """Common equilibrium cutoff h solving ``h * F(h) = c`` for a shared CDF F.
 
     ``x * F(x)`` is nondecreasing on [0, 1] (strictly wherever F > 0) and
     reaches 1 at x = 1, so bisection brackets the crossing; the left
     endpoint is kept strictly below, which lands on the smallest solution.
     A flat stretch of ``x * F(x)`` can only sit at height 0, so the only
-    solution plateau is at c == 0, returned as 0 immediately.
+    solution plateau is at c == 0, returned as 0 immediately.  A root
+    needs ``|h * F(h) - c| <= 1e-10``; a cdf that jumps over c raises ArithmeticError.
     """
     c = check_cost(c)
     if c == 0.0:
@@ -255,19 +258,19 @@ def nash_threshold_general(
         return x * float(dist.cdf(np.float64(x))) - c
 
     lo, hi = 0.0, 1.0
-    if g(hi) < -tol:
+    if g(hi) < -_ROOT_TOL:
         raise ValueError(f"{dist.name}: x * cdf(x) never reaches c = {c}")
-    for _ in range(max_steps):
+    # doubles in [0, 1] lie at most 1.1e-16 apart, so the bracket is below
+    # 1e-15 wide after 50 halvings: every later step tests the current hi
+    for _ in range(_ROOT_STEPS):
         mid = 0.5 * (lo + hi)
         if g(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-15 and abs(g(hi)) <= tol:
+        if hi - lo <= 1e-15 and abs(g(hi)) <= _ROOT_TOL:
             return hi
-    if abs(g(hi)) <= tol:
-        return hi
     raise ArithmeticError(
-        f"bisection did not reach |h*F(h) - c| <= {tol} in {max_steps} steps "
+        f"bisection did not reach |h*F(h) - c| <= {_ROOT_TOL} in {_ROOT_STEPS} steps "
         f"(residual {g(hi):.3e}); is the cdf within its contract?"
     )

@@ -147,8 +147,7 @@ def _check_sweep_columns(columns: dict) -> None:
         & (columns["case3_max"] >= columns["case3_min"] - slack)
         & (columns["case2_opt"] >= columns["case2_ne"] - slack)
     )
-    exact = columns["reg_case3"] == columns["case1"]
-    ok = np.logical_and.reduce([*in_range.values(), ordered, exact])
+    ok = np.logical_and.reduce([*in_range.values(), ordered])
     if ok.all():
         return
     i = int(np.argmin(ok))
@@ -156,9 +155,7 @@ def _check_sweep_columns(columns: dict) -> None:
     for column, inside in in_range.items():
         if not inside[i]:
             raise AssertionError(f"{column}={float(columns[column][i])} outside [0, 4/3] at c={c}")
-    if not ordered[i]:
-        raise AssertionError(f"welfare ordering violated at c={c}")
-    raise AssertionError(f"reg_case3 must equal case1 exactly at c={c}")
+    raise AssertionError(f"welfare ordering violated at c={c}")
 
 
 _CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
@@ -206,17 +203,6 @@ def cmd_sweep(args) -> int:
 # equilibrium reports
 
 
-def _profile_words(profile) -> dict:
-    def word(sigma: float) -> str:
-        if sigma == 1.0:
-            return "active"
-        if sigma == 0.0:
-            return "inactive"
-        return f"active with probability {_fmt(sigma)}"
-
-    return {"server1": word(profile.sigma1), "server2": word(profile.sigma2)}
-
-
 def _equilibrium_payload(case: str, s: State | None, c: float, regulated: bool) -> dict:
     if case == "II":
         pair = bayesian.nash_threshold(c, regulated=regulated)
@@ -234,7 +220,8 @@ def _equilibrium_payload(case: str, s: State | None, c: float, regulated: bool) 
         solve = cooperative.optimal_profile if case == "I" else full_info.regulated_equilibrium
         variant = "unregulated" if case == "I" else "case3_reg"
         profile = solve(s, c)
-        payload["profile"] = _profile_words(profile)
+        word = {1.0: "active", 0.0: "inactive"}  # both solvers return pure profiles
+        payload["profile"] = {"server1": word[profile.sigma1], "server2": word[profile.sigma2]}
         payload["welfare"] = cooperative.pointwise_welfare(s, profile, c, variant=variant)
         return payload
     result = full_info.classify_state(s, c)

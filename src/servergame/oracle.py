@@ -32,13 +32,20 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayesian import Distribution, ThresholdWelfare
-from .payoffs import State, _check_unit_array, check_cost, check_sigma, check_states, payoff_table
+from .payoffs import (
+    State,
+    _check_unit_array,
+    _count,
+    check_cost,
+    check_sigma,
+    check_states,
+    payoff_table,
+)
 
 __all__ = [
     "DeviationReport",
@@ -357,20 +364,6 @@ def _draws(dist1, dist2, n: int, seed: int, u1, u2):
             _checked_draws(dist1, rng1.random(out=u1[: n - lo]), "p1"),
             _checked_draws(dist2, rng2.random(out=u2[: n - lo]), "p2"),
         )
-
-
-def _count(value, name: str, least: int) -> int:
-    """``value`` as a Python int >= ``least``: a numpy integer is one, a bool
-    or float is a TypeError and a smaller value a ValueError, naming ``name``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def mc_welfare(

@@ -28,6 +28,7 @@ All functions here are pure; safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -152,6 +153,20 @@ def check_sigma(sigma: float, name: str = "sigma") -> float:
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {sigma!r}")
     return sigma
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a Python int >= ``least``: a numpy integer is one, a bool
+    or float is a TypeError and a smaller value a ValueError, naming ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def check_states(p1, p2) -> tuple[np.ndarray, np.ndarray]:

@@ -63,7 +63,7 @@ def test_criterion_02_unique_cutoff_equilibrium():
     for c in np.round(np.arange(0.0, 1.0001, 0.05), 4):
         target = math.sqrt(c)
         for start in (0.0, 0.3, 0.7, 1.0):
-            result = best_response_fixed_point(c, start=start, tol=1e-12, max_iter=100)
+            result = best_response_fixed_point(c, start=start, max_iter=100)
             assert result.iterations <= 100
             assert abs(result.threshold - target) <= 1e-9, f"c={c} start={start}"
         report = epsilon_nash_check(nash_threshold(c), c, eps=1e-6)

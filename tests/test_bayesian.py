@@ -124,8 +124,35 @@ def test_damped_iteration_converges_fast():
 def test_raw_iteration_two_cycles():
     # the undamped dynamics bounce between the two branches and close in
     # only algebraically; this pins down why the iterator averages steps
-    result = best_response_fixed_point(0.25, start=0.0, damping=1.0, tol=1e-12)
+    result = best_response_fixed_point(0.25, start=0.0, damping=1.0)
     assert not result.converged or abs(result.threshold - 0.5) > 1e-6
+
+
+@pytest.mark.parametrize("c", [0.0, 0.04, 0.32, 0.5, 0.81, 1.0])
+def test_damped_iteration_converges_to_the_subsidised_equilibrium(c):
+    want = nash_threshold(c, regulated=True).t1
+    for start in (0.0, 0.3, 0.7, 1.0):
+        result = best_response_fixed_point(c, start=start, regulated=True)
+        assert result.converged
+        assert abs(result.threshold - want) <= 1e-9, f"start={start}"
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        ({"damping": 0.0}, ValueError, "damping"),
+        ({"damping": -0.5}, ValueError, "damping"),
+        ({"damping": 1.5}, ValueError, "damping"),
+        ({"damping": math.nan}, ValueError, "damping"),
+        ({"max_iter": 0}, ValueError, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -1}, ValueError, "max_iter must be >= 1, got -1"),
+        ({"max_iter": 2.0}, TypeError, "max_iter must be an integer"),
+        ({"max_iter": True}, TypeError, "max_iter must be an integer"),
+    ],
+)
+def test_fixed_point_rejects_bad_damping_and_step_counts(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        best_response_fixed_point(0.3, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +285,42 @@ def test_validation_rejects_a_map_that_yields_nan(uniform_map):
         validate_distribution(dist, n=20_000, seed=3)
 
 
+def _identity(x):
+    return np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "cdf, uniform_map, match",
+    [
+        (lambda x: np.where(x < 0.5, 0.6, _identity(x)), _identity, "not nondecreasing"),
+        (lambda x: 2.0 * _identity(x) - 1.0, _identity, r"leaves \[0, 1\]"),
+        (lambda x: 0.5 * _identity(x), _identity, r"cdf\(1\) != 1"),
+        (_identity, lambda u: u[:-1], "returned 999 != 1000 draws"),
+    ],
+    ids=["decreasing", "outside_unit", "short_of_one", "too_few_draws"],
+)
+def test_validation_rejects_a_broken_cdf_or_map(cdf, uniform_map, match):
+    dist = Distribution("broken", cdf=cdf, uniform_map=uniform_map)
+    with pytest.raises(ValueError, match=match):
+        validate_distribution(dist, n=1000)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        ({"n": 0}, ValueError, "n must be >= 1, got 0"),
+        ({"n": -1}, ValueError, "n must be >= 1, got -1"),
+        ({"n": 1000.0}, TypeError, "n must be an integer"),
+        ({"n": math.nan}, TypeError, "n must be an integer"),
+        ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+        ({"seed": 0.5}, TypeError, "seed must be an integer"),
+    ],
+)
+def test_validation_rejects_bad_counts_and_seeds(kwargs, error, match):
+    with pytest.raises(error, match=match):
+        validate_distribution(uniform_distribution(), **kwargs)
+
+
 @pytest.mark.parametrize(
     "dist, c, expected",
     [
@@ -297,6 +360,13 @@ def test_general_fixed_point_rejects_a_skipping_cdf():
     )
     with pytest.raises(ArithmeticError):
         nash_threshold_general(atom, 0.3)
+
+
+def test_general_fixed_point_rejects_a_cost_above_the_reach_of_the_cdf():
+    # x * F(x) tops out at 0.5 when cdf(1) = 0.5, outside the contract
+    short = Distribution("short", cdf=lambda x: 0.5 * _identity(x), uniform_map=_identity)
+    with pytest.raises(ValueError, match="never reaches c = 0.8"):
+        nash_threshold_general(short, 0.8)
 
 
 def test_threshold_pair_is_a_namedtuple():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -173,6 +174,36 @@ def test_best_response_with_check(capsys):
     assert payload["best_response"] == pytest.approx(0.3125)
     assert abs(payload["grid_oracle"] - 0.3125) <= 1e-3
     assert payload["agreement"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "equilibrium --case II --c 0.25",
+            "f884af07cf0b7f8d5e947d967e99a2b9d1a88399f28ee97bf9fe545f2886d9fe",
+        ),
+        (
+            "equilibrium --case III --p1 0.6 --p2 0.7 --c 0.3",
+            "ca9887546de2e234cd87ea60ea0f83abc78e76a6910d3485963aa81d7ccab611",
+        ),
+        (
+            "equilibrium --case III --p1 0.8 --p2 0.4 --c 0.6 --regulated",
+            "e17a36741fb560d8e26bcd6260dfb2dc535648ae66b5c9f99b16af6a51d5881f",
+        ),
+        (
+            "best-response --c 0.25 --t-opp 0.8 --check",
+            "e335c03368e9f629432913b8d9445542e45224f6a22548ca01a752653668ebf8",
+        ),
+    ],
+    ids=["case2", "case3", "case3_regulated", "best_response"],
+)
+def test_text_reports_are_pinned(capsys, argv, digest):
+    # SHA-256 of the README's text-format examples: the report's dict,
+    # list, float and plain lines, each in the order of its payload
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_passes_and_is_deterministic(capsys):

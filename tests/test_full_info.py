@@ -184,6 +184,14 @@ def test_select_equilibrium(state, c, policy, expected):
     assert select_equilibrium(State(*state), c, policy) == expected
 
 
+@pytest.mark.parametrize("policy", ["median", "MAX_WELFARE", ""])
+def test_unknown_selection_policy_is_rejected(policy):
+    with pytest.raises(ValueError, match="unknown policy"):
+        equilibrium_activity(0.6, 0.7, 0.3, policy=policy)
+    with pytest.raises(ValueError, match="unknown policy"):
+        select_equilibrium(State(0.6, 0.7), 0.3, policy)
+
+
 def test_selected_profiles_are_equilibria():
     rng = np.random.default_rng(17)
     for _ in range(400):

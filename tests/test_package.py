@@ -1,6 +1,9 @@
 """The package surface: the exported names and the demos' output."""
 
+import enum
 import hashlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import servergame
-from servergame import cli
+from servergame import bayesian, cli, cooperative, full_info, oracle, payoffs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +45,50 @@ def test_exported_names_are_pinned():
     assert set(servergame.__all__) == EXPORTED
     assert len(servergame.__all__) == len(EXPORTED)
     assert all(hasattr(servergame, name) for name in EXPORTED)
+
+
+def numeric_knobs():
+    """(callable, parameter name) for every parameter of a public callable
+    whose default is an int or a float (bools excluded)."""
+    seen, knobs = set(), []
+    for module in (servergame, payoffs, cooperative, bayesian, full_info, oracle):
+        for fn in map(module.__dict__.get, module.__all__):
+            # an Enum's call signature is the standard library's functional API
+            is_enum = isinstance(fn, type) and issubclass(fn, enum.Enum)
+            if not callable(fn) or fn in seen or is_enum:
+                continue
+            seen.add(fn)
+            params = inspect.signature(fn).parameters.values()
+            knobs += [(fn, p.name) for p in params if type(p.default) in (int, float)]
+    return knobs
+
+
+KNOBS = numeric_knobs()
+
+# valid leading arguments for each callable in KNOBS
+LEADING_ARGS = {
+    "best_response_fixed_point": (0.3,),
+    "epsilon_nash_check": ((0.5, 0.5), 0.25),
+    "grid_best_response": (0.5, 0.25),
+    "mc_welfare": ((0.5, 0.5), 0.25),
+    "quadrature": (math.sin, 0.0, 1.0),
+    "quadrature_piecewise": (math.sin, 0.0, 1.0),
+    "validate_distribution": (bayesian.uniform_distribution(),),
+}
+
+
+def test_every_numeric_knob_has_leading_arguments():
+    # also keeps the guard below from passing over an empty list
+    assert {fn.__name__ for fn, _ in KNOBS} == set(LEADING_ARGS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1])
+@pytest.mark.parametrize("fn, name", KNOBS, ids=[f"{fn.__name__}-{name}" for fn, name in KNOBS])
+def test_every_numeric_knob_rejects_nan_and_minus_one(fn, name, bad):
+    # a knob without validation returns a result or fails inside the
+    # solver (ArithmeticError, a numpy error) instead of naming itself
+    with pytest.raises((ValueError, TypeError)):
+        fn(*LEADING_ARGS[fn.__name__], **{name: bad})
 
 
 def test_every_demo_is_pinned():

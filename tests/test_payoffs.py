@@ -11,6 +11,7 @@ from servergame.payoffs import (
     PayoffPair,
     Profile,
     State,
+    as_state,
     payoff,
     payoff_case2_regulated,
     payoff_case3_regulated,
@@ -90,6 +91,14 @@ def test_state_errors_name_the_value_as_a_plain_float():
         State(0.5, math.nan)
     state = State(np.float64(0.25), np.float64(0.5))
     assert (type(state.p1), type(state.p2)) == (float, float) and state == State(0.25, 0.5)
+
+
+def test_a_pair_is_coerced_to_a_checked_state():
+    state = as_state((np.float64(0.7), 0.4))
+    assert state == State(0.7, 0.4) and type(state.p1) is float
+    assert payoff((0.7, 0.4), ACTIVE, INACTIVE, 0.2) == payoff(state, ACTIVE, INACTIVE, 0.2)
+    with pytest.raises(ValueError, match="p2 must lie in"):
+        as_state((0.5, math.nan))
 
 
 def test_transfer_neutrality_and_symmetry():
