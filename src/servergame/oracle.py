@@ -79,18 +79,21 @@ def _simpson(f, lo, hi, panels: int = 1):
 
     ``lo`` and ``hi`` broadcast to the rows' shape; ``f`` maps the nodes,
     that shape plus a last axis of 2*panels+1, to values.  lo == hi gives 0.
+    The nodes, k*h + lo with the last one hi and k first in memory, are the
+    bits of ``np.linspace(lo, hi, 2*panels+1, axis=-1)`` if h > 0 or panels == 1.
     """
-    nodes = np.linspace(lo, hi, 2 * panels + 1, axis=-1)
+    h = (hi - lo) / (2 * panels)
+    nodes = np.multiply.outer(np.arange(2 * panels + 1.0), h) + lo
+    nodes[-1] = hi
     weights = np.ones(2 * panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = (hi - lo) / (2 * panels)
-    return h / 3.0 * (f(nodes) @ weights)
+    return h / 3.0 * (f(np.moveaxis(nodes, 0, -1)) @ weights)
 
 
 def _split(lo, hi, at):
     """Rows [lo, k] and [k, hi] on a new last axis, k = ``at`` clipped to [lo, hi]."""
-    k = np.clip(at, lo, hi)
+    k = np.minimum(np.maximum(at, lo), hi)
     edges = np.empty(np.shape(k) + (3,))
     edges[..., 0], edges[..., 1], edges[..., 2] = lo, k, hi
     return edges[..., :2], edges[..., 1:]
@@ -107,8 +110,7 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
+    panels = _count(panels, "panels", 1)
     if a == b:
         return 0.0
 
@@ -120,9 +122,14 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
 
 
 def quadrature_piecewise(f, a: float, b: float, breakpoints=(), panels: int = 64) -> float:
-    """Simpson quadrature with panel edges aligned to known kinks of ``f``."""
+    """Simpson quadrature with panel edges aligned to known kinks of ``f``.
+
+    Breakpoints outside (a, b) are ignored; a non-finite one is a ValueError.
+    """
     cuts = [a]
     for x in sorted(float(x) for x in breakpoints):
+        if not math.isfinite(x):
+            raise ValueError(f"breakpoints must be finite, got {x}")
         if cuts[-1] + 1e-15 < x < b - 1e-15:
             cuts.append(x)
     cuts.append(b)
@@ -468,19 +475,19 @@ def _check_state_map(strategy, c, p1, p2, eps, variant):
 def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
     """Mean and standard error (numpy's ``mean`` and ``std(ddof=1)``, step by
     step) of each own type's whole row of gains against the opponent draws,
-    the row filled a slice of draws at a time into a reused buffer."""
-    opp_active = opp_draws >= t_opp
+    in one reused row: filled a slice of draws at a time, then set at the
+    (finite) draws below t_opp, through their index, to the idle gain."""
+    opp_idle = np.flatnonzero(opp_draws < t_opp)
     means, ses = np.empty((2, p_grid.size))
-    row, dev = np.empty((2, opp_draws.size))
+    row = np.empty(opp_draws.size)
     for k, p in enumerate(p_grid):
         for lo in range(0, row.size, _ROW_SLICE):
             part = slice(lo, lo + _ROW_SLICE)
-            if_active, if_idle = _activity_gains(p, opp_draws[part], c, regulated)
-            row[part] = np.where(opp_active[part], if_active, if_idle)
+            row[part], if_idle = _activity_gains(p, opp_draws[part], c, regulated)
+        row[opp_idle] = if_idle  # a scalar: the gain against any idle type
         means[k] = np.add.reduce(row) / row.size
-        np.subtract(row, means[k], out=dev)
-        np.multiply(dev, dev, out=dev)
-        ses[k] = np.sqrt(np.add.reduce(dev) / (row.size - 1)) / np.sqrt(row.size)
+        np.square(np.subtract(row, means[k], out=row), out=row)
+        ses[k] = np.sqrt(np.add.reduce(row) / (row.size - 1)) / np.sqrt(row.size)
     return means, ses
 
 

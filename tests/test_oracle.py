@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from servergame.bayesian import (
@@ -18,6 +19,8 @@ from servergame.oracle import (
     _BLOCK,
     DeviationReport,
     _interim_gains,
+    _simpson,
+    _split,
     epsilon_nash_check,
     grid_best_response,
     interim_activity_gain,
@@ -81,6 +84,26 @@ class TestQuadrature:
         assert quadrature_piecewise(f, 0.0, 1.0, (0.3,), panels=8) == pytest.approx(
             exact, abs=1e-14
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_piecewise_rejects_a_non_finite_breakpoint(self, bad):
+        # a NaN breakpoint used to be dropped, so the kink at 0.3 went uncut
+        f = lambda x: np.abs(x - 0.3)
+        with pytest.raises(ValueError, match=rf"^breakpoints must be finite, got {bad}$"):
+            quadrature_piecewise(f, 0.0, 1.0, (0.3, bad), panels=8)
+
+    @pytest.mark.parametrize("panels", [2.0, True, "2", None])
+    def test_panels_must_be_an_integer(self, panels):
+        with pytest.raises(TypeError, match="^panels must be an integer"):
+            quadrature(lambda x: x, 0.0, 1.0, panels=panels)
+        with pytest.raises(TypeError, match="^panels must be an integer"):
+            quadrature_piecewise(lambda x: x, 0.0, 1.0, (0.5,), panels=panels)
+
+    def test_numpy_integer_panels(self):
+        f = lambda x: x**3
+        assert quadrature(f, 0.0, 1.0, panels=np.int32(5)) == quadrature(f, 0.0, 1.0, panels=5)
+        with pytest.raises(ValueError, match="^panels must be >= 1, got -1$"):
+            quadrature(f, 0.0, 1.0, panels=-1)
 
 
 def test_region_sum_matches_cutoff_welfare_algebra():
@@ -258,6 +281,43 @@ class TestEpsilonNash:
             nash_threshold(0.32, regulated=True), 0.32, regulated=True
         )
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "c, seed, regulated, dist, max_gain, eps, passed",
+        [
+            # the two sampled cases of the oracle_probe benchmark workload
+            (0.25, 5, False, None, "0x0.0p+0", "0x1.0ecbd6304933ap-7", True),
+            (0.49, 3, False, None, "0x1.0ea9e6eeb6fecp-8", "0x1.c06e64c726932p-8", True),
+            (0.32, 7, True, None, "0x1.30164840e164ep-11", "0x1.1044dda8a7e16p-8", True),
+            (0.25, 5, False, 2, "0x1.fe5c91d14e3bdp-4", "0x1.2d523ab0a785fp-8", False),
+        ],
+    )
+    def test_sampled_reports_are_pinned(self, c, seed, regulated, dist, max_gain, eps, passed):
+        # bits of the equilibrium's sampled check, recorded from gain rows
+        # filled by np.where over the whole row
+        report = epsilon_nash_check(
+            nash_threshold(c, regulated=regulated),
+            c,
+            mode="sampled",
+            seed=seed,
+            regulated=regulated,
+            dist=None if dist is None else power_distribution(dist),
+        )
+        assert (report.max_gain.hex(), report.eps.hex(), report.passed) == (max_gain, eps, passed)
+
+    def test_sampled_check_peak_memory(self):
+        # 10**6 draws (7.6 MiB), one reused gain row (7.6 MiB) and the
+        # index of the draws below the cutoff 0.5 (3.8 MiB): 19.2 MiB; a
+        # second run-sized row, as the deviations once took, makes 24 MiB
+        pair = nash_threshold(0.25)
+        epsilon_nash_check(pair, 0.25, mode="sampled", samples=1_000)
+        tracemalloc.start()
+        try:
+            epsilon_nash_check(pair, 0.25, mode="sampled", samples=10**6, p_step=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20
 
     def test_cooperative_optimum_is_not_an_equilibrium(self):
         report = epsilon_nash_check(
@@ -683,6 +743,63 @@ def cutoff_cases(draw):
     if draw(st.booleans()):
         t1, t2 = t2, t1
     return t1, t2, draw(st.floats(0.0, 1.0))
+
+
+def linspace_simpson(f, lo, hi, panels):
+    """Composite Simpson rule on nodes from np.linspace: the reference
+    whose bits _simpson's hand-built nodes must give."""
+    nodes = np.linspace(lo, hi, 2 * panels + 1, axis=-1)
+    weights = np.ones(2 * panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (hi - lo) / (2 * panels) / 3.0 * (f(nodes) @ weights)
+
+
+def kinked(x):
+    """A degree-2 integrand that changes sign at 0 and 0.5."""
+    return x * x - 0.5 * x
+
+
+WIDTHS = st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def one_panel_rows(draw):
+    """Rows [lo, lo + width] and a cut inside or outside each, with empty,
+    subnormal and unit widths among them."""
+    n = draw(st.integers(1, 12))
+    lo = np.array(draw(st.lists(UNIT, min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(WIDTHS, min_size=n, max_size=n)))
+    return lo, lo + width, np.array(draw(st.lists(UNIT, min_size=n, max_size=n)))
+
+
+@ENGINE_SETTINGS
+@given(one_panel_rows())
+@example(
+    rows=(np.array([0.3, 0.0, 0.0]), np.array([0.3, 5e-324, 1.0]), np.array([0.3, 0.0, 0.5]))
+)
+def test_one_panel_simpson_rows_match_linspace_bit_for_bit(rows):
+    # a row with lo == hi makes linspace scale k/2 by hi - lo on every row
+    lo, hi, at = rows
+    for args in ((lo, hi), _split(lo, hi, at)):
+        got, want = _simpson(kinked, *args), linspace_simpson(kinked, *args, 1)
+        assert got.tobytes() == want.tobytes(), args
+
+
+@ENGINE_SETTINGS
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(1, 64))
+@example(a=0.0, b=5e-324, panels=64)
+@example(a=-5e-324, b=5e-324, panels=2)
+@example(a=0.0, b=1.0, panels=64)
+def test_simpson_rows_match_linspace_for_any_panel_count(a, b, panels):
+    assume(a < b)
+    got, want = _simpson(kinked, a, b, panels), linspace_simpson(kinked, a, b, panels)
+    if panels > 1 and (b - a) / (2 * panels) == 0.0:
+        # linspace then scales k/(2*panels) by b - a, which puts nodes
+        # elsewhere; with h = 0 both integrals are zero, up to sign
+        assert got == want == 0.0
+    else:
+        assert got.hex() == want.hex()
 
 
 def reference_interim_gain(p, t_opp, c, regulated, panels=32):

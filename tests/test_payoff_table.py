@@ -283,7 +283,9 @@ def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, ro
     p_grid = np.linspace(0.0, 1.0, 201)
     if row_slice is not None:  # several slices per row, the last one short
         monkeypatch.setattr(oracle, "_ROW_SLICE", row_slice)
-    for t_opp, c in ((0.5, 0.25), (0.7, 0.49)):
+    # no draw below the cutoff, none at or above it, and one on the >= boundary
+    cases = ((0.5, 0.25), (0.7, 0.49), (0.0, 0.25), (1.0, 0.49), (float(draws[17]), 0.25))
+    for t_opp, c in cases:
         # the gain matrix built whole, from server 1's row of the table
         p, q = p_grid[:, np.newaxis], draws[np.newaxis, :]
         idle = p - c + c / 2.0 if regulated else p - c
