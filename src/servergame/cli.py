@@ -97,8 +97,16 @@ class RunConfig:
                 f"c-step {self.c_step} gives more than {_MAX_GRID_ROWS} grid rows "
                 f"over [{self.c_start}, {self.c_stop}]"
             )
-        count = math.floor(span)
-        return [round(self.c_start + k * self.c_step, 10) for k in range(count + 1)]
+        x = np.arange(math.floor(span) + 1.0) * self.c_step + self.c_start
+        # round(x, 10) rounds x's exact value, which rint(x*1e10)/1e10 also does unless
+        # the product's own rounding may cross a half or it overflows: those go by round
+        with np.errstate(all="ignore"):
+            product = x * 1e10
+            grid = np.rint(product) / 1e10
+            near_half = np.abs(np.abs(np.modf(product)[0]) - 0.5) <= np.spacing(np.abs(product))
+        for k in np.flatnonzero(near_half | (np.abs(x) >= 1e5)):
+            grid[k] = round(float(x[k]), 10)
+        return grid.tolist()
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -108,8 +116,8 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where((values > 4.0 / 3.0) & (values <= 4.0 / 3.0 + 1e-12), 4.0 / 3.0, values)
 
 
-def _sweep_columns(config: RunConfig) -> list[list[float]]:
-    """Checked columns in SWEEP_COLUMNS order, as float lists; one closed-form call each."""
+def _sweep_columns(config: RunConfig) -> list[np.ndarray]:
+    """Checked columns in SWEEP_COLUMNS order; one closed-form call each."""
     c = np.array(config.cost_grid())
     ne = bayesian.nash_threshold(c)
     opt = bayesian.optimal_thresholds(c)
@@ -126,12 +134,13 @@ def _sweep_columns(config: RunConfig) -> list[list[float]]:
     # welfare neutral, so the regulated columns reuse those values)
     columns["reg_case2"], columns["reg_case3"] = columns["case2_opt"], columns["case1"]
     _check_sweep_columns(columns)
-    return [columns[column].tolist() for column in SWEEP_COLUMNS]
+    return [columns[column] for column in SWEEP_COLUMNS]
 
 
 def sweep_rows(config: RunConfig) -> list[dict]:
     """One row of closed-form welfare values (Python floats) per cost."""
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*_sweep_columns(config))]
+    columns = [column.tolist() for column in _sweep_columns(config)]
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]
 
 
 def _check_sweep_columns(columns: dict) -> None:
@@ -158,30 +167,36 @@ def _check_sweep_columns(columns: dict) -> None:
     raise AssertionError(f"welfare ordering violated at c={c}")
 
 
-_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{col}": %.12g' for col in SWEEP_COLUMNS) + "\n  }"
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{col}": %s' for col in SWEEP_COLUMNS) + "\n  }"
+_CHUNK = 2048  # rows formatted at a time, so that only one chunk's tokens are alive
 
 
-def _json_row(row: tuple) -> str:
-    # json.dumps(indent=2) of the floats _fmt's tokens parse to.  Having 12 < 15 digits, a token
-    # with a '.' and no exponent is its float's repr (no key holds '.', "e-" or "e+"); "1"
-    # (repr "1.0") and "4.94065645841e-324" (repr "5e-324") are not: such rows go the long way
-    text = _JSON_ROW % row
-    if text.count(".") == len(row) and "e-" not in text and "e+" not in text:
-        return text
-    return _JSON_ROW.replace("%.12g", "%r") % tuple(float("%.12g" % x) for x in row)
+def _render_columns(columns: list, output_format: str) -> str:
+    """The sweep's text from its columns, in SWEEP_COLUMNS order.
 
-
-def _render_columns(columns: list[list[float]], output_format: str) -> str:
+    Each distinct column object is formatted once per chunk, in 12 significant
+    digits; JSON writes the float those digits parse to as json.dumps does.
+    Having 12 < 15 digits, a token with a '.' and no exponent is that float's
+    repr; "1" (repr "1.0") and "4.94065645841e-324" (repr "5e-324") are not.
+    """
+    if output_format not in ("csv", "json"):
+        raise ValueError(f"unknown format {output_format!r}")
+    row, sep = (",".join, "\n") if output_format == "csv" else (_JSON_ROW.__mod__, ",\n")
+    chunks = []
+    for start in range(0, len(columns[0]), _CHUNK):
+        tokens = {}
+        for column in columns:
+            if id(column) not in tokens:
+                values = np.asarray(column[start : start + _CHUNK]).tolist()
+                text = ("%.12g\n" * len(values)) % tuple(values)
+                words = text.split()
+                if output_format == "json" and (text.count(".") != len(values) or "e" in text):
+                    words = [t if "." in t and "e" not in t else repr(float(t)) for t in words]
+                tokens[id(column)] = words
+        chunks.append(sep.join(map(row, zip(*(tokens[id(column)] for column in columns)))))
     if output_format == "csv":
-        return ",".join(SWEEP_COLUMNS) + "\n" + "".join(_CSV_ROW % row for row in zip(*columns))
-    if output_format == "json":
-        return "[\n" + ",\n".join(map(_json_row, zip(*columns))) + "\n]\n"
-    raise ValueError(f"unknown format {output_format!r}")
-
-
-def _render_sweep(rows: list[dict], output_format: str) -> str:
-    return _render_columns([[row[col] for row in rows] for col in SWEEP_COLUMNS], output_format)
+        return ",".join(SWEEP_COLUMNS) + "\n" + sep.join(chunks) + "\n"
+    return "[\n" + sep.join(chunks) + "\n]\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -193,8 +208,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_sweep(args) -> int:
-    start, stop = (args.c, args.c) if args.c is not None else (args.c_start, args.c_stop)
-    columns = _sweep_columns(RunConfig(start, stop, args.c_step))
+    grid = {"c_start": args.c_start, "c_stop": args.c_stop, "c_step": args.c_step}
+    grid = {name: value for name, value in grid.items() if value is not None}
+    if args.c is not None:
+        if grid:
+            raise ValueError(f"--c excludes --{next(iter(grid)).replace('_', '-')}")
+        if not math.isfinite(args.c):
+            raise ValueError(f"--c must be finite, got {args.c!r}")
+        grid = {"c_start": args.c, "c_stop": args.c}
+    columns = _sweep_columns(RunConfig(**grid))
     _emit(_render_columns(columns, args.format), args.out)
     return 0
 
@@ -260,6 +282,10 @@ def _render_report(payload: dict, output_format: str) -> str:
 def cmd_equilibrium(args) -> int:
     if args.case != "II" and (args.p1 is None or args.p2 is None):
         raise ValueError(f"case {args.case} needs --p1 and --p2")
+    if args.case == "II" and (args.p1 is not None or args.p2 is not None):
+        raise ValueError("case II takes no --p1 or --p2: its cutoffs do not depend on the state")
+    if args.case == "I" and args.regulated:
+        raise ValueError("case I takes no --regulated: the cooperative optimum needs no regulation")
     s = None if args.case == "II" else State(args.p1, args.p2)
     payload = _equilibrium_payload(args.case, s, args.c, args.regulated)
     _emit(_render_report(payload, args.format), args.out)
@@ -267,6 +293,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_best_response(args) -> int:
+    if args.step is not None and not args.check:
+        raise ValueError("--step sets the grid of --check, which is not given")
     value = bayesian.best_response_threshold(args.t_opp, args.c, regulated=args.regulated)
     payload = {
         "t_opp": args.t_opp,
@@ -275,10 +303,11 @@ def cmd_best_response(args) -> int:
         "best_response": value,
     }
     if args.check:
+        step = 1e-3 if args.step is None else args.step
         payload["grid_oracle"] = oracle.grid_best_response(
-            args.t_opp, args.c, regulated=args.regulated, step=args.step
+            args.t_opp, args.c, regulated=args.regulated, step=step
         )
-        payload["agreement"] = abs(payload["grid_oracle"] - value) <= args.step
+        payload["agreement"] = abs(payload["grid_oracle"] - value) <= step
     _emit(_render_report(payload, args.format), args.out)
     return 0
 
@@ -447,10 +476,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sweep = sub.add_parser("sweep", help="welfare of every regime over a cost grid")
-    sweep.add_argument("--c-start", type=float, default=0.0)
-    sweep.add_argument("--c-stop", type=float, default=1.0)
-    sweep.add_argument("--c-step", type=float, default=0.01)
-    sweep.add_argument("--c", type=float, default=None, help="single cost (overrides the grid)")
+    # grid defaults come from RunConfig, so that --c can tell a given bound
+    sweep.add_argument("--c-start", type=float, default=None, help="default 0")
+    sweep.add_argument("--c-stop", type=float, default=None, help="default 1")
+    sweep.add_argument("--c-step", type=float, default=None, help="default 0.01")
+    sweep.add_argument("--c", type=float, default=None, help="single cost (excludes the grid)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(run=cmd_sweep)
@@ -470,7 +500,7 @@ def _build_parser() -> _Parser:
     br.add_argument("--t-opp", type=float, required=True)
     br.add_argument("--regulated", action="store_true")
     br.add_argument("--check", action="store_true", help="also run the grid-search oracle")
-    br.add_argument("--step", type=float, default=1e-3)
+    br.add_argument("--step", type=float, default=None, help="grid step of --check (1e-3)")
     br.add_argument("--format", choices=("text", "json"), default="text")
     br.add_argument("--out", default=None)
     br.set_defaults(run=cmd_best_response)

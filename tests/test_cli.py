@@ -15,7 +15,7 @@ from servergame import cli
 from servergame.cli import (
     RunConfig,
     SWEEP_COLUMNS,
-    _render_sweep,
+    _render_columns,
     main,
     sweep_rows,
     verification_checks,
@@ -77,7 +77,8 @@ def test_sweep_csv_round_trips(capsys):
         {col: float(x) for col, x in zip(SWEEP_COLUMNS, line.split(","))}
         for line in lines[1:]
     ]
-    assert _render_sweep(parsed, "csv") == out
+    columns = [[row[col] for row in parsed] for col in SWEEP_COLUMNS]
+    assert _render_columns(columns, "csv") == out
 
 
 def test_sweep_json_matches_csv(capsys):
@@ -365,6 +366,34 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("c,case1")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("equilibrium", "--case", "II", "--c", "0.3", "--p1", "nan"), "--p1"),
+        (("equilibrium", "--case", "II", "--c", "0.3", "--p2", "0.5"), "--p2"),
+        (("equilibrium", "--case", "I", "--p1", "0.2", "--p2", "0.4", "--c", "0.3",
+          "--regulated"), "--regulated"),
+        (("sweep", "--c", "0.3", "--c-start", "0.9"), "--c-start"),
+        (("sweep", "--c", "0.3", "--c-stop", "0.9"), "--c-stop"),
+        (("sweep", "--c", "0.3", "--c-step", "0.5"), "--c-step"),
+        (("best-response", "--c", "0.25", "--t-opp", "0.8", "--step", "0.5"), "--step"),
+        (("sweep", "--c", "nan"), "--c must be finite"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "-".join(value[:3]),
+)
+def test_an_option_the_command_would_ignore_is_a_usage_error(argv, option, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and option in err
+
+
+def test_sweep_grid_options_default_one_by_one(capsys):
+    _, out, _ = run_cli(capsys, "sweep", "--c-stop", "0.02")
+    assert [line.split(",")[0] for line in out.split()[1:]] == ["0", "0.01", "0.02"]
+    _, out, _ = run_cli(capsys, "sweep", "--c-start", "0.99")
+    assert [line.split(",")[0] for line in out.split()[1:]] == ["0.99", "1"]
 
 
 def test_best_response_step_without_a_finite_grid_is_a_usage_error(capsys):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servergame import bayesian, cli, cooperative, full_info
@@ -172,6 +172,53 @@ def test_cli_non_finite_grid_is_a_usage_error(capsys):
     assert code == 1 and "c-step must be finite, got nan" in captured.err
 
 
+def reference_grid(config):
+    """The grid before it was built as an array: Python's round per cost."""
+    count = math.floor((config.c_stop - config.c_start) / config.c_step + 1e-9)
+    return [round(config.c_start + k * config.c_step, 10) for k in range(count + 1)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# steps and starts on and near the 1e-10 grid, where x*1e10 lands within an
+# ulp of a half and the array rounding must fall back to round(x, 10), and
+# starts beyond 1e5, where it falls back for every cost (x*1e10 overflows
+# beyond 1.8e298)
+grid_steps = st.sampled_from((1e-10, 0.5e-10, 1.5e-10, 2.5e-11, 1e-4, 0.01)) | st.floats(1e-12, 1e4)
+grid_starts = (
+    st.sampled_from((0.0, -0.0, 5e-11, 1.5e-10, -2.5e-10, 0.35, 1e5, -123456.789, -1e300))
+    | st.floats(-1e-8, 1e-8)
+    | st.floats(-3e5, 3e5)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(c_start=grid_starts, c_step=grid_steps, rows=st.integers(0, 300))
+@example(c_start=1.5e-10, c_step=1e-10, rows=0)  # near a half
+@example(c_start=-123456.789, c_step=0.001, rows=50)  # beyond 1e5
+@example(c_start=1e300, c_step=1e-4, rows=2)  # x*1e10 overflows
+def test_cost_grid_is_round_of_each_cost(c_start, c_step, rows):
+    config = RunConfig(c_start, c_start + rows * c_step, c_step)
+    grid = config.cost_grid()
+    assert all(type(value) is float for value in grid)
+    assert hexes(grid) == hexes(reference_grid(config))
+
+
+def test_cost_grid_takes_the_round_fallback_where_rint_would_differ():
+    # x*1e10 rounds to exactly 1.5, which rint takes to 2; 1.5e-10 itself lies below the half
+    assert RunConfig(1.5e-10, 1.5e-10).cost_grid() == [1e-10]
+    assert np.rint(1.5e-10 * 1e10) / 1e10 == 2e-10
+    config = RunConfig(0.5e-10, 1e-5, 1e-10)
+    grid = config.cost_grid()
+    assert len(grid) == 100_000 and hexes(grid) == hexes(reference_grid(config))
+
+
+def render(rows, output_format):
+    return cli._render_columns([[row[col] for row in rows] for col in SWEEP_COLUMNS], output_format)
+
+
 def reference_render(rows, output_format):
     """The renderer before sweeps were written from their columns: every
     value through ``_fmt``, and JSON through ``json.dumps(indent=2)`` of
@@ -211,7 +258,7 @@ value_rows = st.lists(st.lists(sweep_values, min_size=8, max_size=8), min_size=1
 @given(rows=value_rows, output_format=st.sampled_from(("csv", "json")))
 def test_renderer_matches_the_reference_on_random_rows(rows, output_format):
     rows = [dict(zip(SWEEP_COLUMNS, values)) for values in rows]
-    assert cli._render_sweep(rows, output_format) == reference_render(rows, output_format)
+    assert render(rows, output_format) == reference_render(rows, output_format)
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -219,7 +266,45 @@ def test_renderer_matches_the_reference_on_random_rows(rows, output_format):
 def test_renderer_matches_the_reference_on_awkward_values(value, output_format):
     mixed = (value, 0.5, -value, 4.0 / 3.0, value, 0.1, 0.25, value)
     rows = [dict.fromkeys(SWEEP_COLUMNS, value), dict(zip(SWEEP_COLUMNS, mixed))]
-    assert cli._render_sweep(rows, output_format) == reference_render(rows, output_format)
+    assert render(rows, output_format) == reference_render(rows, output_format)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("chunk", [1, 3, 10_000])
+def test_renderer_matches_the_reference_in_any_chunking(monkeypatch, chunk, output_format):
+    rows = sweep_rows(RunConfig(c_step=0.125))  # 9 rows, "0" and "1" among the costs
+    rows += [dict(zip(SWEEP_COLUMNS, AWKWARD_VALUES[k : k + 8])) for k in range(7)]
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert render(rows, output_format) == reference_render(rows, output_format)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("chunk", [3, 2048])
+def test_a_shared_column_renders_as_its_copies_do(monkeypatch, chunk, output_format):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    columns = cli._sweep_columns(RunConfig(c_step=0.05))
+    assert columns[SWEEP_COLUMNS.index("reg_case2")] is columns[SWEEP_COLUMNS.index("case2_opt")]
+    assert columns[SWEEP_COLUMNS.index("reg_case3")] is columns[SWEEP_COLUMNS.index("case1")]
+    copies = [column.copy() for column in columns]
+    rendered = cli._render_columns(columns, output_format)
+    assert rendered == cli._render_columns(copies, output_format)
+
+
+# SHA-256 of `servergame sweep --c-start 5e-11 --c-stop 1e-6 --c-step 1e-10`,
+# recorded while the grid was still rounded one cost at a time: every one of
+# its 10,000 costs takes the cost grid's round fallback
+FALLBACK_SWEEP = ("--c-start", "5e-11", "--c-stop", "1e-6", "--c-step", "1e-10")
+FALLBACK_DIGESTS = {
+    "csv": "b8bba9eee7d0ab52bbfb618ec08a73d1875aa60ceb1d148a1e65e219cdf8dbf2",
+    "json": "d78efca30b7e6383ab55103710332413572297b2da3069ebc471353c840c971d",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_on_the_round_fallback_is_pinned(capsys, fmt):
+    assert main(["sweep", *FALLBACK_SWEEP, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FALLBACK_DIGESTS[fmt]
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
