@@ -15,8 +15,8 @@ welfare over cutoff pairs is maximised.
 
 Raw best-response dynamics two-cycle around the fixed point (the composed
 map has unit derivative there), so :func:`best_response_fixed_point`
-averages each step with the current iterate; that damped iteration
-contracts with ratio <= 1/2 and converges in a handful of steps.
+takes the plain mean of the best response and the current iterate; that
+damped iteration contracts with ratio <= 1/2 and converges in a few steps.
 
 Everything here is a pure function except :class:`Distribution` sampling,
 which uses a caller-supplied ``numpy.random.Generator``; don't share one
@@ -104,24 +104,19 @@ def best_response_fixed_point(
     start: float = 0.5,
     regulated: bool = False,
     max_iter: int = 100,
-    damping: float = 0.5,
 ) -> FixedPointResult:
-    """Damped best-response iteration ``t <- (1-a) t + a BR(t)``.
+    """Damped best-response iteration ``t <- t/2 + BR(t)/2``.
 
-    ``damping=1.0`` recovers the raw dynamics, which oscillate and close in
-    on the fixed point only at rate ~1/n; the default 1/2 averaging is
-    geometric (see module docstring).  Stops once successive iterates move
-    by at most 1e-12, or after ``max_iter`` >= 1 steps.
+    The raw dynamics oscillate and close in on the fixed point only at
+    rate ~1/n; averaging each step with the current iterate is geometric
+    (see module docstring).  Stops once successive iterates move by at
+    most 1e-12, or after ``max_iter`` >= 1 steps.
     """
     c = check_cost(c)
     t = check_sigma(start, "start")
     max_iter = _count(max_iter, "max_iter", 1)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
     for iteration in range(1, max_iter + 1):
-        t_next = (1.0 - damping) * t + damping * best_response_threshold(
-            t, c, regulated=regulated
-        )
+        t_next = 0.5 * t + 0.5 * best_response_threshold(t, c, regulated=regulated)
         moved = abs(t_next - t)
         t = t_next
         if moved <= _FIXED_POINT_TOL:

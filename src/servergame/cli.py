@@ -77,13 +77,13 @@ class RunConfig:
     c_step: float = 0.01
 
     def cost_grid(self) -> list[float]:
-        for name, value in (
-            ("c-start", self.c_start),
-            ("c-stop", self.c_stop),
-            ("c-step", self.c_step),
-        ):
+        bounds = {"c-start": self.c_start, "c-stop": self.c_stop}
+        for name, value in {**bounds, "c-step": self.c_step}.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in bounds.items():
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.c_step <= 0:
             raise ValueError(f"c-step must be positive, got {self.c_step}")
         if self.c_start > self.c_stop:
@@ -98,13 +98,12 @@ class RunConfig:
                 f"over [{self.c_start}, {self.c_stop}]"
             )
         x = np.arange(math.floor(span) + 1.0) * self.c_step + self.c_start
-        # round(x, 10) rounds x's exact value, which rint(x*1e10)/1e10 also does unless
-        # the product's own rounding may cross a half or it overflows: those go by round
-        with np.errstate(all="ignore"):
-            product = x * 1e10
-            grid = np.rint(product) / 1e10
-            near_half = np.abs(np.abs(np.modf(product)[0]) - 0.5) <= np.spacing(np.abs(product))
-        for k in np.flatnonzero(near_half | (np.abs(x) >= 1e5)):
+        # round(x, 10) rounds x's exact value, which rint(x*1e10)/1e10 also does
+        # unless the product's own rounding may cross a half: those go by round
+        product = x * 1e10
+        grid = np.rint(product) / 1e10
+        near_half = np.abs(np.abs(np.modf(product)[0]) - 0.5) <= np.spacing(np.abs(product))
+        for k in np.flatnonzero(near_half):
             grid[k] = round(float(x[k]), 10)
         return grid.tolist()
 
@@ -215,6 +214,8 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--c excludes --{next(iter(grid)).replace('_', '-')}")
         if not math.isfinite(args.c):
             raise ValueError(f"--c must be finite, got {args.c!r}")
+        if not 0.0 <= args.c <= 1.0:
+            raise ValueError(f"--c must lie in [0, 1], got {args.c!r}")
         grid = {"c_start": args.c, "c_stop": args.c}
     columns = _sweep_columns(RunConfig(**grid))
     _emit(_render_columns(columns, args.format), args.out)

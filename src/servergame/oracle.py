@@ -56,7 +56,6 @@ __all__ = [
     "mc_welfare",
     "pointwise_strategy",
     "quadrature",
-    "quadrature_piecewise",
     "threshold_activity",
     "threshold_welfare_by_quadrature",
 ]
@@ -119,21 +118,6 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
         return v if v.shape == nodes.shape else np.array([float(f(x)) for x in nodes])
 
     return float(_simpson(values, a, b, panels))
-
-
-def quadrature_piecewise(f, a: float, b: float, breakpoints=(), panels: int = 64) -> float:
-    """Simpson quadrature with panel edges aligned to known kinks of ``f``.
-
-    Breakpoints outside (a, b) are ignored; a non-finite one is a ValueError.
-    """
-    cuts = [a]
-    for x in sorted(float(x) for x in breakpoints):
-        if not math.isfinite(x):
-            raise ValueError(f"breakpoints must be finite, got {x}")
-        if cuts[-1] + 1e-15 < x < b - 1e-15:
-            cuts.append(x)
-    cuts.append(b)
-    return sum(quadrature(f, lo, hi, panels) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -257,10 +241,22 @@ class Estimate:
     algorithm: str = RNG_ALGORITHM
 
 
+def _cutoff_pair(strategy):
+    """None for a strategy map (a callable), the checked cutoffs (t1, t2) for
+    a tuple or list of two, and a TypeError for anything else."""
+    if callable(strategy):
+        return None
+    if isinstance(strategy, (tuple, list)) and len(strategy) == 2:
+        return check_sigma(strategy[0], "cutoff t1"), check_sigma(strategy[1], "cutoff t2")
+    raise TypeError(
+        "strategy must be an array callable (p1, p2, c) -> (sigma1, sigma2), "
+        "a (t1, t2) cutoff pair, or a scalar map wrapped by pointwise_strategy"
+    )
+
+
 def threshold_activity(pair):
     """Array strategy 'active iff own p >= cutoff' for a (t1, t2) pair: boolean masks."""
-    t1 = check_sigma(pair[0], "cutoff t1")
-    t2 = check_sigma(pair[1], "cutoff t2")
+    t1, t2 = _cutoff_pair(pair)
 
     def activity(p1, p2, c):
         return p1 >= t1, p2 >= t2
@@ -290,14 +286,8 @@ def pointwise_strategy(fn):
 
 
 def _resolve_strategy(strategy):
-    if callable(strategy):
-        return strategy
-    if isinstance(strategy, (tuple, list)) and len(strategy) == 2:
-        return threshold_activity(strategy)
-    raise TypeError(
-        "strategy must be an array callable (p1, p2, c) -> (sigma1, sigma2), "
-        "a (t1, t2) cutoff pair, or a scalar map wrapped by pointwise_strategy"
-    )
+    pair = _cutoff_pair(strategy)
+    return strategy if pair is None else threshold_activity(pair)
 
 
 def _checked_activity(sigma, shape):
@@ -450,9 +440,8 @@ def _pure_deviation_gain(row, sigma_own, sigma_other):
     return np.maximum(active, idle) - have, active >= idle
 
 
-def _check_state_map(strategy, c, p1, p2, eps, variant):
+def _check_state_map(activity, c, p1, p2, eps, variant):
     p1, p2 = check_states(p1, p2)
-    activity = _resolve_strategy(strategy)
     sigma1, sigma2 = (_checked_activity(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
     gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
@@ -491,9 +480,8 @@ def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
     return means, ses
 
 
-def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_step):
-    t = (check_sigma(pair[0], "cutoff t1"), check_sigma(pair[1], "cutoff t2"))
-    p_grid = np.linspace(0.0, 1.0, int(round(1.0 / p_step)) + 1)
+def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
+    p_grid = np.linspace(0.0, 1.0, int(round(1.0 / _P_STEP)) + 1)
 
     rng = np.random.default_rng(seed)
     gains = np.empty((2, p_grid.size))  # row k is server k + 1; positive = profitable switch
@@ -515,8 +503,7 @@ def _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples, p_
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
-# the default grid steps: a cutoff pair reads only p_step, a map only
-# state_step, and the other one given a value of its own is an error
+# the deviation grids' steps: 201 own types for a pair, 51 x 51 states for a map
 _P_STEP = 0.005
 _STATE_STEP = 0.02
 
@@ -531,8 +518,6 @@ def epsilon_nash_check(
     dist: Distribution | None = None,
     variant: str = "unregulated",
     samples: int = 20_000,
-    p_step: float = _P_STEP,
-    state_step: float = _STATE_STEP,
     states=None,
 ) -> DeviationReport:
     """Probe a strategy for profitable unilateral deviations.
@@ -547,17 +532,17 @@ def epsilon_nash_check(
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states`` (``(p1, p2)`` pairs,
     shape ``(n, 2)``), at a state grid (analytic mode), or at sampled states;
-    those gains are exact, so eps defaults to 1e-6.  Cutoffs, states, sampled
-    opponent types and the map's activities must lie in [0, 1] (ValueError
-    otherwise, NaN included).  The own-type grid step ``p_step`` and the state
-    grid step ``state_step`` must lie in (0, 0.5], and there must be a state
-    to probe: ``sampled`` mode needs ``samples`` >= 2 for a cutoff pair.
-    ``samples`` and ``seed`` are integers >= 0 and a given ``eps`` is finite
-    and >= 0.  A cutoff pair's table is set by ``regulated``, a map's by
-    ``variant``.  An argument the strategy's check does not read is a
-    ValueError, not ignored: ``variant``, ``states``, a non-default
-    ``state_step``, and ``dist`` outside ``sampled`` mode on a cutoff pair;
-    ``regulated``, ``dist`` and a non-default ``p_step`` on a map.
+    those gains are exact, so eps defaults to 1e-6.  The grids are fixed:
+    own types 0, 0.005, ..., 1, and the 51 x 51 states of step 0.02.  A
+    cutoff pair is a tuple or list of two, and any other one a TypeError.
+    Cutoffs, states, sampled opponent types and the map's activities must
+    lie in [0, 1] (ValueError otherwise, NaN included); ``sampled`` mode
+    needs ``samples`` >= 2 for a cutoff pair.  ``samples`` and ``seed`` are
+    integers >= 0 and a given ``eps`` is finite and >= 0.  A cutoff pair's
+    table is set by ``regulated``, a map's by ``variant``.  An argument the
+    strategy's check does not read is a ValueError, not ignored: ``variant``,
+    ``states``, and ``dist`` outside ``sampled`` mode on a cutoff pair;
+    ``regulated`` and ``dist`` on a map.
     """
     c = check_cost(c)
     if mode not in ("analytic_quadrature", "sampled"):
@@ -565,32 +550,24 @@ def epsilon_nash_check(
     # NaN fails both comparisons
     if eps is not None and not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
-    # at most 0.5 so that every probed grid has at least three points
-    for name, step in (("p_step", p_step), ("state_step", state_step)):
-        if not 0.0 < step <= 0.5:
-            raise ValueError(f"{name} must lie in (0, 0.5], got {step!r}")
 
     seed = _count(seed, "seed", 0)
-    pair = isinstance(strategy, (tuple, list)) and not callable(strategy)
+    pair = _cutoff_pair(strategy)
     # a cutoff pair's standard errors need two draws, a map one sampled state
-    sampled = mode == "sampled" and (pair or states is None)
-    samples = _count(samples, "samples", (2 if pair else 1) if sampled else 0)
-    if pair:
+    sampled = mode == "sampled" and (pair is not None or states is None)
+    samples = _count(samples, "samples", (1 if pair is None else 2) if sampled else 0)
+    if pair is not None:
         if variant != "unregulated":
             raise ValueError(f"a cutoff pair takes regulated=True, not variant={variant!r}")
         if dist is not None and mode != "sampled":
             raise ValueError("dist= needs mode='sampled': the analytic gains assume a uniform opponent")
         if states is not None:
             raise ValueError("states= applies to a strategy map, not a cutoff pair")
-        if state_step != _STATE_STEP:
-            raise ValueError("state_step= applies to a strategy map, not a cutoff pair")
-        return _check_threshold_pair(strategy, c, mode, eps, seed, regulated, dist, samples, p_step)
+        return _check_threshold_pair(pair, c, mode, eps, seed, regulated, dist, samples)
     if regulated:
         raise ValueError("a strategy map takes its payoff table as variant=, not regulated=True")
     if dist is not None:
         raise ValueError("dist= applies to a cutoff pair: a strategy map is probed at uniform states")
-    if p_step != _P_STEP:
-        raise ValueError("p_step= applies to a cutoff pair, not a strategy map")
 
     if states is not None:
         states = np.asarray(states, dtype=float)
@@ -599,7 +576,7 @@ def epsilon_nash_check(
                 f"states must be (p1, p2) pairs of shape (n, 2), n >= 1, got {states.shape}"
             )
     elif mode == "analytic_quadrature":
-        side = np.linspace(0.0, 1.0, int(round(1.0 / state_step)) + 1)
+        side = np.linspace(0.0, 1.0, int(round(1.0 / _STATE_STEP)) + 1)
         states = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
         states = np.random.default_rng(seed).random((samples, 2))

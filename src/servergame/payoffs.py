@@ -192,15 +192,18 @@ def payoff_table(p1, p2, c, variant: str = "unregulated", *, out=None) -> tuple:
     with AI and IA swapped; this is bit-exact, because IEEE addition
     commutes.  With a numpy array among ``p1``/``p2`` the entries are
     arrays (``np.maximum``/``np.where``); scalars go through ``max``/``if``.
-    ``out``, two float rows of the arrays' shape, takes the array path and
-    receives AA and AI, which are computed in it and returned as its rows:
-    the unregulated table then allocates nothing (its IA is ``p2`` itself).
+    ``out``, two float rows of the arrays' shape, takes the array path of
+    the unregulated table only (ValueError for another variant) and receives
+    AA and AI, which are computed in it and returned as its rows: the table
+    then allocates nothing (its IA is ``p2`` itself).
     The caller validates ``p1``, ``p2`` and ``c``.
     """
-    arrays = out is not None or isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
+    arrays = isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
     if out is None:
         best = np.maximum(p1, p2) if arrays else max(p1, p2)
         ai = p1 - c
+    elif variant != "unregulated":
+        raise ValueError(f"out= takes the unregulated table, not variant={variant!r}")
     else:
         best, ai = np.maximum(p1, p2, out=out[0]), np.subtract(p1, c, out=out[1])
     # the regulations only add transfers to a lone active server (AI, IA)
@@ -214,10 +217,7 @@ def payoff_table(p1, p2, c, variant: str = "unregulated", *, out=None) -> tuple:
         paid = ((p1 - p2) / 2.0, (p1 + 3.0 * p2) / 2.0 - c)
         if arrays:
             gate = best >= c / 2.0
-            if out is None:
-                ai = np.where(gate, paid[0], ai)
-            else:
-                np.putmask(ai, gate, paid[0])
+            ai = np.where(gate, paid[0], ai)
             ia = np.where(gate, paid[1], ia)
         elif best >= c / 2.0:
             ai, ia = paid

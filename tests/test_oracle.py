@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from servergame import oracle
 from servergame.bayesian import (
     Distribution,
     nash_threshold,
@@ -27,7 +28,6 @@ from servergame.oracle import (
     mc_welfare,
     pointwise_strategy,
     quadrature,
-    quadrature_piecewise,
     threshold_activity,
     threshold_welfare_by_quadrature,
 )
@@ -38,6 +38,22 @@ from servergame.payoffs import (
     State,
     payoff_table,
 )
+
+
+def quadrature_piecewise(f, a: float, b: float, breakpoints=(), panels: int = 64) -> float:
+    """Simpson quadrature with panel edges aligned to known kinks of ``f``:
+    the reference routes below integrate piece by piece through ``quadrature``.
+
+    Breakpoints outside (a, b) are ignored; a non-finite one is a ValueError.
+    """
+    cuts = [a]
+    for x in sorted(float(x) for x in breakpoints):
+        if not math.isfinite(x):
+            raise ValueError(f"breakpoints must be finite, got {x}")
+        if cuts[-1] + 1e-15 < x < b - 1e-15:
+            cuts.append(x)
+    cuts.append(b)
+    return sum(quadrature(f, lo, hi, panels) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 class TestQuadrature:
@@ -305,15 +321,18 @@ class TestEpsilonNash:
         )
         assert (report.max_gain.hex(), report.eps.hex(), report.passed) == (max_gain, eps, passed)
 
-    def test_sampled_check_peak_memory(self):
+    def test_sampled_check_peak_memory(self, monkeypatch):
         # 10**6 draws (7.6 MiB), one reused gain row (7.6 MiB) and the
         # index of the draws below the cutoff 0.5 (3.8 MiB): 19.2 MiB; a
-        # second run-sized row, as the deviations once took, makes 24 MiB
+        # second run-sized row, as the deviations once took, makes 24 MiB.
+        # The row is reused across own types, so 21 of them show the same
+        # peak as the fixed 201, in a tenth of the time
+        monkeypatch.setattr(oracle, "_P_STEP", 0.05)
         pair = nash_threshold(0.25)
         epsilon_nash_check(pair, 0.25, mode="sampled", samples=1_000)
         tracemalloc.start()
         try:
-            epsilon_nash_check(pair, 0.25, mode="sampled", samples=10**6, p_step=0.05)
+            epsilon_nash_check(pair, 0.25, mode="sampled", samples=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,25 +374,10 @@ class TestEpsilonNash:
         report = epsilon_nash_check(nash_threshold(0.2), 0.2, eps=0.0)
         assert report.eps == 0.0 and math.isfinite(report.max_gain)
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, 0.51, 1.0, math.nan])
-    @pytest.mark.parametrize("name", ["p_step", "state_step"])
-    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
-    def test_grid_steps_must_lie_in_half_open_unit_half(self, name, step, mode):
-        kwargs = {name: step, "mode": mode, "samples": 100}
-        with pytest.raises(ValueError, match=name):
-            epsilon_nash_check(nash_threshold(0.2), 0.2, **kwargs)
-        strategy = pointwise_strategy(optimal_profile)
-        with pytest.raises(ValueError, match=name):
-            epsilon_nash_check(strategy, 0.2, **kwargs)
-
-    def test_coarsest_grids_probe_three_points(self):
-        report = epsilon_nash_check(nash_threshold(0.25), 0.25, p_step=0.5)
-        assert report.passed
-        # the 3 x 3 state grid holds (0.5, 0.0), where the optimum's server 1
+    def test_the_state_grid_finds_a_lone_server_paying_more_than_it_earns(self):
+        # the 0.02 state grid holds (0.5, 0.0), where the optimum's server 1
         # would rather sit out at c = 0.9 than pay it alone
-        report = epsilon_nash_check(
-            pointwise_strategy(optimal_profile), 0.9, state_step=0.5
-        )
+        report = epsilon_nash_check(pointwise_strategy(optimal_profile), 0.9)
         assert not report.passed
 
 
@@ -382,6 +386,33 @@ def test_threshold_activity_contract():
     s1, s2 = strat(np.array([0.2, 0.3, 0.9]), np.array([0.59, 0.6, 0.61]), 0.1)
     assert s1.tolist() == [0.0, 1.0, 1.0]  # active at exactly the cutoff
     assert s2.tolist() == [0.0, 1.0, 1.0]
+
+
+PAIR_CALLS = {
+    "mc_welfare": lambda strategy: mc_welfare(strategy, 0.25, n=100),
+    "check_analytic": lambda strategy: epsilon_nash_check(strategy, 0.25),
+    "check_sampled": lambda strategy: epsilon_nash_check(
+        strategy, 0.25, mode="sampled", samples=100
+    ),
+    "threshold_activity": lambda strategy: tuple(
+        mask.tolist()
+        for mask in threshold_activity(strategy)(np.array([0.2, 0.7]), np.array([0.5, 0.3]), 0.25)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
+@pytest.mark.parametrize("strategy", [(0.5, 0.5, 0.9), (0.5,)], ids=["triple", "single"])
+def test_a_tuple_of_other_than_two_is_no_cutoff_pair(call, strategy):
+    # the deviation check used to pass a triple, ignoring its 0.9, and fail
+    # on a single with an IndexError; threshold_activity took the triple
+    with pytest.raises(TypeError, match=r"a \(t1, t2\) cutoff pair"):
+        call(strategy)
+
+
+@pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
+def test_a_list_of_two_is_a_cutoff_pair(call):
+    assert call([0.5, 0.5]) == call((0.5, 0.5))
 
 
 def constant_map(sigma1, sigma2):
@@ -400,7 +431,7 @@ class TestStateMapInputs:
         with pytest.raises(ValueError, match="sigma"):
             epsilon_nash_check(constant_map(0.0, sigma), 0.2, states=[(0.4, 0.5)])
         with pytest.raises(ValueError, match="sigma"):
-            epsilon_nash_check(constant_map(sigma, 1.0), 0.2, state_step=0.5)
+            epsilon_nash_check(constant_map(sigma, 1.0), 0.2)
 
     def test_nan_state_is_rejected(self):
         # used to give max_gain=nan
@@ -694,16 +725,7 @@ class TestDeviationCheckArgumentsThatDoNotApply:
         pair = nash_threshold(0.25)
         with pytest.raises(ValueError, match="^states= applies to a strategy map"):
             epsilon_nash_check(pair, 0.25, mode=mode, states=[(0.9, 0.1)])
-        with pytest.raises(ValueError, match="^state_step= applies to a strategy map"):
-            epsilon_nash_check(pair, 0.25, mode=mode, state_step=0.1)
-        assert epsilon_nash_check(pair, 0.25, mode=mode, state_step=0.02).passed
-
-    @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
-    def test_p_step_on_a_map_is_rejected(self, mode):
-        kwargs = {"mode": mode, "variant": "case3_reg", "seed": 3}
-        with pytest.raises(ValueError, match="^p_step= applies to a cutoff pair"):
-            epsilon_nash_check(regulated_activity, 0.4, p_step=0.1, **kwargs)
-        assert epsilon_nash_check(regulated_activity, 0.4, p_step=0.005, **kwargs).passed
+        assert epsilon_nash_check(pair, 0.25, mode=mode).passed
 
 
 # --------------------------------------------------------------------------

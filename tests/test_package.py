@@ -47,19 +47,28 @@ def test_exported_names_are_pinned():
     assert all(hasattr(servergame, name) for name in EXPORTED)
 
 
-def numeric_knobs():
-    """(callable, parameter name) for every parameter of a public callable
-    whose default is an int or a float (bools excluded)."""
-    seen, knobs = set(), []
-    for module in (servergame, payoffs, cooperative, bayesian, full_info, oracle):
+MODULES = (servergame, payoffs, cooperative, bayesian, full_info, oracle)
+
+
+def public_callables(modules):
+    """Each public callable of ``modules`` once, in ``__all__`` order."""
+    found = {}
+    for module in modules:
         for fn in map(module.__dict__.get, module.__all__):
             # an Enum's call signature is the standard library's functional API
             is_enum = isinstance(fn, type) and issubclass(fn, enum.Enum)
-            if not callable(fn) or fn in seen or is_enum:
-                continue
-            seen.add(fn)
-            params = inspect.signature(fn).parameters.values()
-            knobs += [(fn, p.name) for p in params if type(p.default) in (int, float)]
+            if callable(fn) and not is_enum:
+                found.setdefault(id(fn), fn)
+    return list(found.values())
+
+
+def numeric_knobs():
+    """(callable, parameter name) for every parameter of a public callable
+    whose default is an int or a float (bools excluded)."""
+    knobs = []
+    for fn in public_callables(MODULES):
+        params = inspect.signature(fn).parameters.values()
+        knobs += [(fn, p.name) for p in params if type(p.default) in (int, float)]
     return knobs
 
 
@@ -72,9 +81,82 @@ LEADING_ARGS = {
     "grid_best_response": (0.5, 0.25),
     "mc_welfare": ((0.5, 0.5), 0.25),
     "quadrature": (math.sin, 0.0, 1.0),
-    "quadrature_piecewise": (math.sin, 0.0, 1.0),
     "validate_distribution": (bayesian.uniform_distribution(),),
 }
+
+
+# every public callable's parameters, in order: a new parameter (a knob
+# above all) or a dropped one is a deliberate edit here
+PARAMETERS = {
+    "DeviationReport": ("max_gain", "witness", "passed", "eps"),
+    "Distribution": ("name", "cdf", "uniform_map"),
+    "EquilibriumSet": ("kind", "pure_equilibria", "mixed"),
+    "Estimate": ("mean", "stderr", "n", "seed", "algorithm"),
+    "FixedPointResult": ("threshold", "iterations", "converged"),
+    "PayoffPair": ("u1", "u2"),
+    "Profile": ("sigma1", "sigma2"),
+    "RunConfig": ("c_start", "c_stop", "c_step"),
+    "State": ("p1", "p2"),
+    "ThresholdPair": ("t1", "t2"),
+    "ThresholdWelfare": ("server1", "server2", "total"),
+    "as_state": ("value",),
+    "best_response_fixed_point": ("c", "start", "regulated", "max_iter"),
+    "best_response_threshold": ("t_opp", "c", "regulated"),
+    "check_cost": ("c",),
+    "check_sigma": ("sigma", "name"),
+    "check_states": ("p1", "p2"),
+    "classify_state": ("s", "c"),
+    "cmd_best_response": ("args",),
+    "cmd_equilibrium": ("args",),
+    "cmd_sweep": ("args",),
+    "cmd_verify": ("args",),
+    "epsilon_nash_check": (
+        "strategy", "c", "mode", "eps", "seed", "regulated", "dist", "variant", "samples",
+        "states",
+    ),
+    "equilibrium_activity": ("p1", "p2", "c", "policy"),
+    "grid_best_response": ("opp_threshold", "c", "regulated", "step"),
+    "interim_activity_gain": ("p", "t_opp", "c", "regulated"),
+    "main": ("argv",),
+    "mc_welfare": ("strategy", "c", "n", "seed", "dist1", "dist2"),
+    "mixed_equilibrium": ("s", "c"),
+    "nash_threshold": ("c", "regulated"),
+    "nash_threshold_general": ("dist", "c"),
+    "optimal_activity": ("p1", "p2", "c"),
+    "optimal_profile": ("s", "c"),
+    "optimal_thresholds": ("c",),
+    "payoff": ("s", "a1", "a2", "c"),
+    "payoff_case2_regulated": ("s", "a1", "a2", "c"),
+    "payoff_case3_regulated": ("s", "a1", "a2", "c"),
+    "payoff_mixed": ("s", "sigma1", "sigma2", "c", "variant"),
+    "payoff_table": ("p1", "p2", "c", "variant", "out"),
+    "pointwise_strategy": ("fn",),
+    "pointwise_welfare": ("s", "prof", "c", "variant"),
+    "power_distribution": ("k",),
+    "quadrature": ("f", "a", "b", "panels"),
+    "regulated_activity": ("p1", "p2", "c"),
+    "regulated_equilibrium": ("s", "c"),
+    "select_equilibrium": ("s", "c", "policy"),
+    "sweep_rows": ("config",),
+    "threshold_activity": ("pair",),
+    "threshold_welfare_by_quadrature": ("t1", "t2", "c"),
+    "uniform_distribution": (),
+    "validate_distribution": ("dist", "n", "seed"),
+    "verification_checks": ("samples", "seed"),
+    "welfare_case1": ("c",),
+    "welfare_case3_max": ("c",),
+    "welfare_case3_min": ("c",),
+    "welfare_thresholds": ("t1", "t2", "c"),
+}  # fmt: skip
+
+
+def test_public_parameter_names_are_pinned():
+    found = [
+        (fn.__name__, tuple(inspect.signature(fn).parameters))
+        for fn in public_callables(MODULES + (cli,))
+    ]
+    assert len({name for name, _ in found}) == len(found)  # one entry per name
+    assert dict(found) == PARAMETERS
 
 
 def test_every_numeric_knob_has_leading_arguments():
