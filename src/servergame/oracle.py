@@ -256,7 +256,10 @@ def _cutoff_pair(strategy):
 
 def threshold_activity(pair):
     """Array strategy 'active iff own p >= cutoff' for a (t1, t2) pair: boolean masks."""
-    t1, t2 = _cutoff_pair(pair)
+    cutoffs = _cutoff_pair(pair)
+    if cutoffs is None:
+        raise TypeError("threshold_activity takes a (t1, t2) cutoff pair, not a strategy map")
+    t1, t2 = cutoffs
 
     def activity(p1, p2, c):
         return p1 >= t1, p2 >= t2

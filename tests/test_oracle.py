@@ -402,7 +402,9 @@ PAIR_CALLS = {
 
 
 @pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
-@pytest.mark.parametrize("strategy", [(0.5, 0.5, 0.9), (0.5,)], ids=["triple", "single"])
+@pytest.mark.parametrize(
+    "strategy", [(0.5, 0.5, 0.9), (0.5,), ()], ids=["triple", "single", "empty"]
+)
 def test_a_tuple_of_other_than_two_is_no_cutoff_pair(call, strategy):
     # the deviation check used to pass a triple, ignoring its 0.9, and fail
     # on a single with an IndexError; threshold_activity took the triple
@@ -411,8 +413,44 @@ def test_a_tuple_of_other_than_two_is_no_cutoff_pair(call, strategy):
 
 
 @pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
+@pytest.mark.parametrize("strategy", [None, "ab"], ids=["none", "string_of_two"])
+def test_neither_a_callable_nor_a_tuple_or_list_is_a_strategy(call, strategy):
+    # a string of two indexes like a pair, but is not one
+    with pytest.raises(TypeError, match=r"a \(t1, t2\) cutoff pair"):
+        call(strategy)
+
+
+@pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
+@pytest.mark.parametrize(
+    "strategy, match",
+    [((math.nan, 0.5), r"cutoff t1 .* got nan"), ((0.5, 1.5), r"cutoff t2 .* got 1\.5")],
+    ids=["nan_t1", "t2_above_one"],
+)
+def test_every_entry_point_checks_the_cutoffs_alike(call, strategy, match):
+    with pytest.raises(ValueError, match=match):
+        call(strategy)
+
+
+@pytest.mark.parametrize("call", PAIR_CALLS.values(), ids=PAIR_CALLS.keys())
 def test_a_list_of_two_is_a_cutoff_pair(call):
     assert call([0.5, 0.5]) == call((0.5, 0.5))
+
+
+def test_threshold_activity_refuses_a_strategy_map():
+    # the map is already a strategy; it used to fail on unpacking
+    with pytest.raises(TypeError, match=r"threshold_activity takes a \(t1, t2\) cutoff pair"):
+        threshold_activity(lambda p1, p2, c: (p1 >= 0.5, p2 >= 0.5))
+
+
+@pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
+def test_the_own_type_grid_runs_from_zero_to_one_in_steps_of_0_005(mode):
+    # cutoff 1 leaves only type 1 active, so the best deviation is one step
+    # below it; cutoff 0 at c = 0.9 is worst for the lowest type, 0 itself.
+    # An opponent that never or always works makes the sampled gains exact
+    never = epsilon_nash_check((1.0, 1.0), 0.25, mode=mode, samples=100)
+    assert never.witness[:2] == (1, 0.995) and never.max_gain == pytest.approx(0.745)
+    always = epsilon_nash_check((0.0, 0.0), 0.9, mode=mode, samples=100)
+    assert always.witness[:2] == (1, 0.0) and always.max_gain == pytest.approx(0.9)
 
 
 def constant_map(sigma1, sigma2):
