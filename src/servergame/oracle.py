@@ -1,36 +1,32 @@
 """Independent verification engines: Monte Carlo, quadrature, grid search.
 
-Every closed-form result in this package is cross-checked against the
-machinery here, so this module deliberately recomputes everything from the
-payoff *table* (``payoffs.payoff_table``), the ground truth it shares with
-the closed forms -- it never calls a closed form in ``cooperative``,
-``bayesian`` or ``full_info`` (only their plain data containers).  The
-routes kept independent:
+Every closed form in this package is checked against the machinery here,
+which recomputes everything from the payoff *table*
+(``payoffs.payoff_table``), the ground truth it shares with the closed
+forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
+``full_info`` (only their plain data containers).  The routes:
 
 * interim activity gains against a cutoff opponent are integrated
-  numerically, not taken from the best-response algebra;
+  numerically, not taken from the best-response algebra, and a grid best
+  response reads them in rows of at most 31 own types;
 * cutoff-pair welfare is rebuilt by nested quadrature of the payoff table
-  over the activity regions of the state square;
-* expected welfare of any strategy map is estimated by seeded Monte Carlo,
-  each state's welfare being the sum of both servers' payoff-table
-  entries for the profile played; a block of 2**14 states at a time is
-  drawn, played and reduced, its draws and table entries written into one
-  workspace made per call.  A law other than the default is given by
-  its ``Distribution.uniform_map``, and every block it maps is checked.
+  over the activity regions of the state square, all six in one call;
+* expected welfare of any strategy map is estimated by seeded Monte Carlo
+  from both servers' payoff-table entries for the profile played, in
+  blocks of 2**14 states drawn into one workspace per call.  A law other
+  than the default is given by its ``Distribution.uniform_map``, and
+  every block it maps is checked.
 
-Every integral goes through one Simpson routine over rows of intervals cut
-at the integrands' kinks: all own types of a grid are one call, and inner
-integrals are rows over the outer nodes.  The integrands are polynomials
-of degree <= 2 on every row, so one Simpson panel per row is exact up to
-rounding.
-
-Monte Carlo uses ``numpy.random.default_rng`` (PCG64); estimates carry the
-seed and algorithm name and are bitwise reproducible for a given (seed, n).
+The oracles integrate one Simpson panel per row of intervals cut at the
+integrands' kinks, exact up to rounding for these polynomials of degree
+<= 2, summed as h/3*(v0 + 4*v1 + v2), so a row's bits do not depend on the
+rows beside it.  Monte Carlo uses ``numpy.random.default_rng`` (PCG64);
+estimates carry the seed and algorithm name and are bitwise reproducible
+for a given (seed, n).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -78,16 +74,18 @@ def _simpson(f, lo, hi, panels: int = 1):
 
     ``lo`` and ``hi`` broadcast to the rows' shape; ``f`` maps the nodes,
     that shape plus a last axis of 2*panels+1, to values.  lo == hi gives 0.
-    The nodes, k*h + lo with the last one hi and k first in memory, are the
-    bits of ``np.linspace(lo, hi, 2*panels+1, axis=-1)`` if h > 0 or panels == 1.
+    The nodes lo + h*k, the last one hi, are the bits of ``np.linspace(lo,
+    hi, 2*panels+1, axis=-1)`` if h > 0 or panels == 1.  One panel sums
+    h/3*(v0 + 4*v1 + v2), whose bits IEEE fixes whatever the other rows or
+    the BLAS build; more panels take a dot product with the weights.
     """
     h = (hi - lo) / (2 * panels)
-    nodes = np.multiply.outer(np.arange(2 * panels + 1.0), h) + lo
-    nodes[-1] = hi
-    weights = np.ones(2 * panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return h / 3.0 * (f(np.moveaxis(nodes, 0, -1)) @ weights)
+    nodes = np.multiply.outer(h, np.arange(2 * panels + 1.0)) + np.asarray(lo)[..., np.newaxis]
+    nodes[..., -1] = hi
+    v = f(nodes)
+    if panels == 1:
+        return h / 3.0 * (v[..., 0] + 4.0 * v[..., 1] + v[..., 2])
+    return h / 3.0 * (v @ np.r_[1.0, np.tile([4.0, 2.0], panels)[:-1], 1.0])
 
 
 def _split(lo, hi, at):
@@ -128,10 +126,9 @@ def interim_activity_gain(p: float, t_opp: float, c: float, regulated: bool = Fa
     """Expected payoff gain of being active rather than inactive at own type ``p``,
     against a uniform opponent playing the cutoff ``t_opp``.
 
-    Integrates the pointwise active-minus-inactive payoff difference over
-    the opponent's type by Simpson quadrature (kinks at ``t_opp`` and at
-    ``p`` where the better-server max switches).  ``regulated`` switches to
-    the c/2-subsidy payoffs.
+    Integrates the pointwise active-minus-inactive payoff difference over the
+    opponent's type by Simpson quadrature (kinks at ``t_opp`` and at ``p``,
+    where the better-server max switches); ``regulated`` takes the c/2 subsidy.
     """
     c = check_cost(c)
     t_opp = check_sigma(t_opp, "t_opp")
@@ -165,64 +162,67 @@ def grid_best_response(
 ) -> float:
     """Smallest grid point of own type where being active weakly dominates.
 
-    The activity gain is nondecreasing in own type (single crossing), so
-    the leftmost nonnegative grid point is found by bisection over the
-    grid; a linear scan returns the same point.  Returns 1.0, the last
-    grid point, when no point below it dominates; 1.0 is never probed.
+    The gain is nondecreasing in own type (single crossing), so bisection
+    finds the leftmost nonnegative point of the grid k/n, n = round(1/step),
+    as a linear scan would; 1.0, never probed, if no point below dominates.
+    Each ``_interim_gains`` call takes the (at most 31) midpoints of the
+    bisection's next five steps: 2 calls at step 1e-3, about 6 at 1e-9.
     """
     if not (0.0 < step <= 0.01 and math.isfinite(1.0 / step)):
         raise ValueError(f"step must lie in (0, 0.01] with 1/step finite, got {step!r}")
     c = check_cost(c)
+    t_opp = check_sigma(opp_threshold, "t_opp")
     n = int(round(1.0 / step))
     spacing = 1.0 / n
-
-    def point(idx: int) -> float:
-        # np.linspace(0, 1, n + 1)[idx], computed on demand
-        return idx * spacing if idx < n else 1.0
-
-    def dominates(idx: int) -> bool:
+    lo, hi = 0, n
+    while lo < hi:
+        probes = _bisection_probes(lo, hi, 5)
         # weak dominance up to quadrature rounding, so a crossing that lands
         # exactly on a grid point is not pushed one step right by -1e-17 dust
-        return interim_activity_gain(point(idx), opp_threshold, c, regulated) >= -1e-12
+        gains = _interim_gains(np.array(probes) * spacing, t_opp, c, regulated)
+        dominates = dict(zip(probes, (gains >= -1e-12).tolist()))
+        while lo < hi and (mid := (lo + hi) // 2) in dominates:
+            lo, hi = (lo, mid) if dominates[mid] else (mid + 1, hi)
+    return lo * spacing if lo < n else 1.0
 
-    return point(bisect.bisect_left(range(n), True, key=dominates))
+
+def _bisection_probes(lo: int, hi: int, levels: int) -> list:
+    """The indices, at most 2**levels - 1, that a bisection for the leftmost
+    True on [lo, hi) may read in its next ``levels`` steps."""
+    if lo >= hi:
+        return []
+    mid = (lo + hi) // 2
+    if levels == 1:
+        return [mid]
+    return [mid, *_bisection_probes(lo, mid, levels - 1), *_bisection_probes(mid + 1, hi, levels - 1)]
 
 
 # --------------------------------------------------------------------------
 # cutoff-pair welfare by region quadrature
 
 
-def _server1_share_by_regions(t1: float, t2: float, c: float) -> float:
-    """Server 1's expected payoff under cutoffs (t1, t2), by nested Simpson.
-
-    Each region of who is active (nobody pays 0) integrates server 1's
-    payoff-table entry.  Integrals over p1 are cut at the kink p1 = p2 of
-    max(p1, p2), and those over p2 at t1, where the inner integral kinks.
-    """
-    def region(entry: int, p2_range, p1_range) -> float:
-        def over_p1(p2):
-            q = p2[..., np.newaxis, np.newaxis]
-            own = lambda p1: payoff_table(p1, np.broadcast_to(q, p1.shape), c)[entry]
-            return _simpson(own, *_split(*p1_range, p2)).sum(axis=-1)
-
-        return float(_simpson(over_p1, *_split(*p2_range, t1)).sum())
-
-    self_alone = region(1, (0.0, t2), (t1, 1.0))
-    opp_alone = region(2, (t2, 1.0), (0.0, t1))
-    both_active = region(0, (t2, 1.0), (t1, 1.0))
-    return self_alone + opp_alone + both_active
-
-
 def threshold_welfare_by_quadrature(t1: float, t2: float, c: float) -> ThresholdWelfare:
-    """Quadrature counterpart of ``bayesian.welfare_thresholds``.
+    """Quadrature counterpart of ``bayesian.welfare_thresholds``, by nested Simpson.
 
-    Server 2's share is server 1's share with the roles swapped (the game
-    is symmetric).
+    One call integrates six rows: each server's payoff-table entry over the
+    regions self alone, opponent alone and both active (nobody pays 0),
+    which its share adds in that order.  Integrals over the opponent's type
+    are cut at the own cutoff, those over the own type at the other's type.
     """
     c = check_cost(c)
     t1, t2 = check_sigma(t1, "t1"), check_sigma(t2, "t2")
-    s1 = _server1_share_by_regions(t1, t2, c)
-    s2 = _server1_share_by_regions(t2, t1, c)
+    own = np.array([[(t, 1.0), (0.0, t), (t, 1.0)] for t in (t1, t2)])[:, :, None, None]
+    opp = np.array([[(0.0, t), (t, 1.0), (t, 1.0)] for t in (t2, t1)])
+
+    def over_own(q):
+        def entries(p):
+            aa, ai, ia, _ = payoff_table(p, np.broadcast_to(q[..., None, None], p.shape), c)
+            return np.stack([ai[:, 0], ia[:, 1], aa[:, 2]], axis=1)
+
+        return _simpson(entries, *_split(own[..., 0], own[..., 1], q)).sum(axis=-1)
+
+    regions = _simpson(over_own, *_split(opp[..., 0], opp[..., 1], [[t1], [t2]])).sum(axis=-1)
+    s1, s2 = (regions[:, 0] + regions[:, 1] + regions[:, 2]).tolist()
     return ThresholdWelfare(s1, s2, s1 + s2)
 
 

@@ -942,3 +942,89 @@ def test_quadrature_routes_reject_cutoffs_outside_the_unit_interval(pair):
     for mode in ("analytic_quadrature", "sampled"):
         with pytest.raises(ValueError, match="cutoff"):
             epsilon_nash_check(pair, 0.2, mode=mode, samples=100)
+
+
+# --------------------------------------------------------------------------
+# one row call per oracle question: each row keeps the bits of a call of its own
+
+
+@st.composite
+def own_type_rows(draw):
+    """1 to 1,000 own types against a cutoff: uniform ones from a seed, and up
+    to 9 at 0, at 1 or within 4 ulp of the cutoff, put at random places."""
+    t_opp = draw(UNIT)
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.random(n)
+    picked = draw(st.lists(st.sampled_from([0.0, 1.0]) | near(t_opp), max_size=min(n, 9)))
+    p[rng.choice(n, len(picked), replace=False)] = picked
+    return p, t_opp, draw(UNIT), draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=30)
+@given(own_type_rows())
+@example(case=(np.array([0.0, 1.0, 0.5]), 0.0, 0.0, False))
+@example(case=(np.array([0.0, 1.0, 0.5]), 1.0, 1.0, True))
+@example(case=(np.array([ulp_steps(0.3, k) for k in range(-4, 5)]), 0.3, 0.2, False))
+def test_each_gain_of_a_row_call_is_its_one_point_call(case):
+    p, t_opp, c, regulated = case
+    gains = _interim_gains(p, t_opp, c, regulated)
+    for x, gain in zip(p.tolist(), gains.tolist()):
+        assert gain.hex() == interim_activity_gain(x, t_opp, c, regulated).hex(), x
+
+
+def per_region_share(t1, t2, c):
+    """Server 1's share with each region a nested ``_simpson`` call of its own,
+    as the oracle took it before the six regions were rows of one call."""
+
+    def region(entry, p2_range, p1_range):
+        def over_p1(p2):
+            q = p2[..., np.newaxis, np.newaxis]
+            own = lambda p1: payoff_table(p1, np.broadcast_to(q, p1.shape), c)[entry]
+            return _simpson(own, *_split(*p1_range, p2)).sum(axis=-1)
+
+        return float(_simpson(over_p1, *_split(*p2_range, t1)).sum())
+
+    self_alone = region(1, (0.0, t2), (t1, 1.0))
+    opp_alone = region(2, (t2, 1.0), (0.0, t1))
+    both_active = region(0, (t2, 1.0), (t1, 1.0))
+    return self_alone + opp_alone + both_active
+
+
+@ENGINE_SETTINGS
+@given(cutoff_cases())
+@example(case=(0.4, 0.4, 0.3))
+@example(case=(0.0, 0.0, 0.0))
+@example(case=(1.0, 1.0, 1.0))
+@example(case=(0.0, 1.0, 1.0))
+@example(case=(1.0, 0.0, 0.0))
+def test_region_rows_of_one_call_match_a_call_per_region(case):
+    t1, t2, c = case
+    s1, s2 = per_region_share(t1, t2, c), per_region_share(t2, t1, c)
+    got = threshold_welfare_by_quadrature(t1, t2, c)
+    assert [x.hex() for x in got] == [s1.hex(), s2.hex(), (s1 + s2).hex()]
+
+
+# the eight grid rows of `servergame verify`, all at step 1e-3
+VERIFY_GRID_CASES = [
+    (t_opp, c, regulated)
+    for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4))
+    for regulated in (False, True)
+]
+
+
+@pytest.mark.parametrize("step, most_calls", [(1e-3, 2), (1e-9, 7)])
+def test_grid_best_response_reads_its_gains_in_a_few_short_rows(monkeypatch, step, most_calls):
+    rows = []
+
+    def counted(p, *args):
+        rows.append(p.size)
+        return _interim_gains(p, *args)
+
+    monkeypatch.setattr(oracle, "_interim_gains", counted)
+    rng = np.random.default_rng(19)
+    drawn = zip(rng.random(20).tolist(), rng.random(20).tolist(), (rng.random(20) < 0.5).tolist())
+    for t_opp, c, regulated in VERIFY_GRID_CASES + list(drawn):
+        rows.clear()
+        grid_best_response(t_opp, c, regulated=regulated, step=step)
+        assert 1 <= len(rows) <= most_calls and max(rows) <= 32, (t_opp, c, regulated, rows)

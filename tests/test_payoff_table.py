@@ -346,6 +346,33 @@ def test_grid_points_on_demand_match_the_linspace_grid(step):
         assert grid_best_response(*args[:2], regulated=args[2], step=step) == linspace_bisection(*args, step)
 
 
+# the eight grid rows of `servergame verify`
+VERIFY_GRID_CASES = [
+    (t_opp, c, regulated)
+    for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4))
+    for regulated in (False, True)
+]
+
+
+@SETTINGS
+@given(
+    t_opp=st.floats(0.0, 1.0),
+    c=st.floats(0.0, 1.0),
+    regulated=st.booleans(),
+    step=st.sampled_from([0.01, 1e-3, 1e-4, 1e-5]) | st.floats(1e-5, 0.01),
+)
+def test_grid_search_in_rows_matches_the_one_point_bisection(t_opp, c, regulated, step):
+    got = grid_best_response(t_opp, c, regulated=regulated, step=step)
+    assert got.hex() == linspace_bisection(t_opp, c, regulated, step).hex()
+
+
+@pytest.mark.parametrize("step", [0.01, 1e-3, 1e-5])
+@pytest.mark.parametrize("t_opp, c, regulated", VERIFY_GRID_CASES)
+def test_verify_grid_cases_match_the_one_point_bisection(t_opp, c, regulated, step):
+    got = grid_best_response(t_opp, c, regulated=regulated, step=step)
+    assert got.hex() == linspace_bisection(t_opp, c, regulated, step).hex()
+
+
 def test_grid_best_response_fine_step_allocates_no_grid():
     # 10^9 + 1 grid points would take 8 GB; bisection reads about 30
     assert abs(grid_best_response(0.8, 0.25, step=1e-9) - 0.3125) <= 1e-6

@@ -352,3 +352,25 @@ def test_cli_sweep_matches_the_reference(capsys, args, config, output_format):
     assert main(["sweep", *args, "--format", output_format]) == 0
     out = capsys.readouterr().out
     assert out == reference_render(sweep_rows(config), output_format)
+
+
+def test_sweep_takes_a_last_cost_the_row_slack_puts_above_1_as_1(capsys):
+    # 2 steps of 0.5000000002 reach 1.0000000004, within the row count's
+    # 1e-9 slack, so the grid keeps that point; the sweep costs it at 1
+    assert RunConfig(c_step=0.5000000002).cost_grid()[-1] == 1.0000000004
+    assert main(["sweep", "--c-step", "0.5000000002"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["c", "0", "0.5000000002", "1"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(c_start=grid_starts.filter(lambda x: x < 1.0), rows=st.integers(1, 300), frac=st.floats(0.0, 0.99))
+@example(c_start=0.0, rows=2, frac=0.8)  # --c-step 0.5000000002
+@example(c_start=5e-11, rows=1, frac=0.0)
+def test_no_sweep_cost_leaves_the_unit_interval(c_start, rows, frac):
+    # rows - frac*1e-9 steps span [c_start, 1], so the slack counts `rows`
+    # steps and the last point lands up to about 1e-9 above 1
+    config = RunConfig(c_start, 1.0, (1.0 - c_start) / (rows - frac * 1e-9))
+    c = cli._sweep_columns(config)[0]
+    assert np.all((0.0 <= c) & (c <= 1.0))
+    assert hexes(c) == hexes(min(x, 1.0) for x in reference_grid(config))
