@@ -1003,28 +1003,3 @@ def test_region_rows_of_one_call_match_a_call_per_region(case):
     s1, s2 = per_region_share(t1, t2, c), per_region_share(t2, t1, c)
     got = threshold_welfare_by_quadrature(t1, t2, c)
     assert [x.hex() for x in got] == [s1.hex(), s2.hex(), (s1 + s2).hex()]
-
-
-# the eight grid rows of `servergame verify`, all at step 1e-3
-VERIFY_GRID_CASES = [
-    (t_opp, c, regulated)
-    for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4))
-    for regulated in (False, True)
-]
-
-
-@pytest.mark.parametrize("step, most_calls", [(1e-3, 2), (1e-9, 7)])
-def test_grid_best_response_reads_its_gains_in_a_few_short_rows(monkeypatch, step, most_calls):
-    rows = []
-
-    def counted(p, *args):
-        rows.append(p.size)
-        return _interim_gains(p, *args)
-
-    monkeypatch.setattr(oracle, "_interim_gains", counted)
-    rng = np.random.default_rng(19)
-    drawn = zip(rng.random(20).tolist(), rng.random(20).tolist(), (rng.random(20) < 0.5).tolist())
-    for t_opp, c, regulated in VERIFY_GRID_CASES + list(drawn):
-        rows.clear()
-        grid_best_response(t_opp, c, regulated=regulated, step=step)
-        assert 1 <= len(rows) <= most_calls and max(rows) <= 32, (t_opp, c, regulated, rows)

@@ -373,6 +373,23 @@ def test_verify_grid_cases_match_the_one_point_bisection(t_opp, c, regulated, st
     assert got.hex() == linspace_bisection(t_opp, c, regulated, step).hex()
 
 
+@pytest.mark.parametrize("step, most_calls", [(1e-3, 2), (1e-9, 7)])
+def test_grid_best_response_reads_its_gains_in_a_few_short_rows(monkeypatch, step, most_calls):
+    rows, interim_gains = [], oracle._interim_gains
+
+    def counted(p, *args):
+        rows.append(p.size)
+        return interim_gains(p, *args)
+
+    monkeypatch.setattr(oracle, "_interim_gains", counted)
+    rng = np.random.default_rng(19)
+    drawn = zip(rng.random(20).tolist(), rng.random(20).tolist(), (rng.random(20) < 0.5).tolist())
+    for t_opp, c, regulated in VERIFY_GRID_CASES + list(drawn):
+        rows.clear()
+        grid_best_response(t_opp, c, regulated=regulated, step=step)
+        assert 1 <= len(rows) <= most_calls and max(rows) <= 32, (t_opp, c, regulated, rows)
+
+
 def test_grid_best_response_fine_step_allocates_no_grid():
     # 10^9 + 1 grid points would take 8 GB; bisection reads about 30
     assert abs(grid_best_response(0.8, 0.25, step=1e-9) - 0.3125) <= 1e-6
