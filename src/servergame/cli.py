@@ -117,7 +117,7 @@ def _snap(values: np.ndarray) -> np.ndarray:
 
 def _sweep_columns(config: RunConfig) -> list[np.ndarray]:
     """Checked columns in SWEEP_COLUMNS order; one closed-form call each."""
-    c = np.minimum(config.cost_grid(), 1.0)  # the 1e-9 row slack may lift the last past 1
+    c = np.minimum(config.cost_grid(), config.c_stop)  # the row slack may lift the last past it
     ne = bayesian.nash_threshold(c)
     opt = bayesian.optimal_thresholds(c)
     columns = {

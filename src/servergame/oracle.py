@@ -15,7 +15,9 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   from both servers' payoff-table entries for the profile played, in
   blocks of 2**14 states drawn into one workspace per call.  A law other
   than the default is given by its ``Distribution.uniform_map``, and
-  every block it maps is checked.
+  every block it maps is checked;
+* a cutoff pair's sampled deviation check scores draws below the cutoff as
+  active opponents of type 0 (the same bits), a block of own types a call.
 
 The oracles integrate one Simpson panel per row of intervals cut at the
 integrands' kinks, exact up to rounding for these polynomials of degree
@@ -58,11 +60,10 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per block in mc_welfare, and draws per slice of a sampled gain row,
-# whose 64 KiB temporaries stay below glibc's trim threshold, so the heap is
-# reused, not refaulted.
+# States per block in mc_welfare, whose rows stay below glibc's trim threshold
+# (the heap is reused, not refaulted); gain elements per sampled block of rows.
 _BLOCK = 1 << 14
-_ROW_SLICE = 1 << 13
+_ROWS = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -467,26 +468,28 @@ def _check_state_map(activity, c, p1, p2, eps, variant):
 def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
     """Mean and standard error (numpy's ``mean`` and ``std(ddof=1)``, step by
     step) of each own type's whole row of gains against the opponent draws,
-    in one reused row: filled a slice of draws at a time, then set at the
-    (finite) draws below t_opp, through their index, to the idle gain."""
-    opp_idle = np.flatnonzero(opp_draws < t_opp)
+    those below t_opp set to 0 in place (AA - IA at type 0 is AI - II in both
+    tables: x - 0.0 is x, x - (0.0 - c/2) is x + c/2), the rows of
+    ``_ROWS // n`` own types (at least one) a table call in a reused block."""
+    opp_draws[opp_draws < t_opp] = 0.0
+    n, variant = opp_draws.size, "case2_reg" if regulated else "unregulated"
+    k = min(max(1, _ROWS // n), p_grid.size)
+    block, column = np.empty((k, n)), np.empty((k, 1))
     means, ses = np.empty((2, p_grid.size))
-    row = np.empty(opp_draws.size)
-    for k, p in enumerate(p_grid):
-        for lo in range(0, row.size, _ROW_SLICE):
-            part = slice(lo, lo + _ROW_SLICE)
-            row[part], if_idle = _activity_gains(p, opp_draws[part], c, regulated)
-        row[opp_idle] = if_idle  # a scalar: the gain against any idle type
-        means[k] = np.add.reduce(row) / row.size
-        np.square(np.subtract(row, means[k], out=row), out=row)
-        ses[k] = np.sqrt(np.add.reduce(row) / (row.size - 1)) / np.sqrt(row.size)
+    for lo in range(0, p_grid.size, k):
+        own = p_grid[lo : lo + k, np.newaxis]
+        rows = block[: len(own)]
+        aa, _, ia, _ = payoff_table(own, opp_draws, c, variant, out=(rows, column[: len(own)]))
+        means[lo : lo + k] = mean = np.add.reduce(np.subtract(aa, ia, out=rows), axis=1) / n
+        np.square(np.subtract(rows, mean[:, np.newaxis], out=rows), out=rows)
+        ses[lo : lo + k] = np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / np.sqrt(n)
     return means, ses
 
 
 def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
     p_grid = np.linspace(0.0, 1.0, int(round(1.0 / _P_STEP)) + 1)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if mode == "sampled" else None
     gains = np.empty((2, p_grid.size))  # row k is server k + 1; positive = profitable switch
     ses = np.zeros((2, p_grid.size))
     for k in range(2):
@@ -494,8 +497,10 @@ def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
         if mode == "analytic_quadrature":
             means = _interim_gains(p_grid, t_opp, c, regulated)
         else:
-            draws = _checked_draws(dist, rng.random(samples), f"p{2 - k}")
-            means, ses[k] = _sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
+            # the moments zero draws in u, never in the map's array: it may be the caller's
+            u = rng.random(samples)
+            np.copyto(u, _checked_draws(dist, u, f"p{2 - k}"))
+            means, ses[k] = _sampled_gain_moments(p_grid, u, t_opp, c, regulated)
         gains[k] = np.where(p_grid >= t_own, -means, means)
     k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
     max_gain = max(0.0, float(gains[k, j]))

@@ -192,18 +192,18 @@ def payoff_table(p1, p2, c, variant: str = "unregulated", *, out=None) -> tuple:
     with AI and IA swapped; this is bit-exact, because IEEE addition
     commutes.  With a numpy array among ``p1``/``p2`` the entries are
     arrays (``np.maximum``/``np.where``); scalars go through ``max``/``if``.
-    ``out``, two float rows of the arrays' shape, takes the array path of
-    the unregulated table only (ValueError for another variant) and receives
-    AA and AI, which are computed in it and returned as its rows: the table
-    then allocates nothing (its IA is ``p2`` itself).
+    ``out``, AA's float array of the broadcast shape and AI's of ``p1``'s,
+    takes the array path of the unregulated and ``case2_reg`` tables
+    (ValueError for ``case3_reg``), which compute AA and AI in it and return
+    its arrays: the unregulated table then allocates nothing (IA is ``p2``).
     The caller validates ``p1``, ``p2`` and ``c``.
     """
     arrays = isinstance(p1, np.ndarray) or isinstance(p2, np.ndarray)
     if out is None:
         best = np.maximum(p1, p2) if arrays else max(p1, p2)
         ai = p1 - c
-    elif variant != "unregulated":
-        raise ValueError(f"out= takes the unregulated table, not variant={variant!r}")
+    elif variant not in ("unregulated", "case2_reg"):
+        raise ValueError(f"out= takes the unregulated or case2_reg table, not variant={variant!r}")
     else:
         best, ai = np.maximum(p1, p2, out=out[0]), np.subtract(p1, c, out=out[1])
     # the regulations only add transfers to a lone active server (AI, IA)

@@ -321,22 +321,22 @@ class TestEpsilonNash:
         )
         assert (report.max_gain.hex(), report.eps.hex(), report.passed) == (max_gain, eps, passed)
 
-    def test_sampled_check_peak_memory(self, monkeypatch):
-        # 10**6 draws (7.6 MiB), one reused gain row (7.6 MiB) and the
-        # index of the draws below the cutoff 0.5 (3.8 MiB): 19.2 MiB; a
-        # second run-sized row, as the deviations once took, makes 24 MiB.
-        # The row is reused across own types, so 21 of them show the same
-        # peak as the fixed 201, in a tenth of the time
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.999])
+    def test_sampled_check_peak_memory(self, monkeypatch, t):
+        # 10**6 draws (7.6 MiB) and one reused block of gain rows, here one
+        # row (7.6 MiB): 15.3 MiB at any cutoff.  An index of the draws
+        # below the cutoff, as the idle gains once took, grew it with t to
+        # 23 MiB near 1.  The block is reused across own types, so 21 of
+        # them show the same peak as the fixed 201, in a tenth of the time
         monkeypatch.setattr(oracle, "_P_STEP", 0.05)
-        pair = nash_threshold(0.25)
-        epsilon_nash_check(pair, 0.25, mode="sampled", samples=1_000)
+        epsilon_nash_check((t, t), 0.25, mode="sampled", samples=1_000)
         tracemalloc.start()
         try:
-            epsilon_nash_check(pair, 0.25, mode="sampled", samples=10**6)
+            epsilon_nash_check((t, t), 0.25, mode="sampled", samples=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 22 * 2**20
+        assert peak < 17 * 2**20
 
     def test_cooperative_optimum_is_not_an_equilibrium(self):
         report = epsilon_nash_check(
@@ -594,6 +594,24 @@ class TestSampledDeviationDraws:
             nash_threshold(0.25), 0.25, mode="sampled", dist=constant_sampler(1.0), samples=100
         )
         assert report.eps == 0.0 and report.witness is not None
+
+    def test_a_map_returning_a_held_array_leaves_it_untouched(self):
+        # the check zeroes the draws below the cutoff in its own buffer
+        held = np.random.default_rng(8).random(1_000)
+        kept = held.copy()
+        maps = {"held": lambda u: held, "copied": lambda u: kept.copy()}
+        reports = [
+            epsilon_nash_check(
+                nash_threshold(0.25),
+                0.25,
+                mode="sampled",
+                samples=held.size,
+                dist=Distribution(name, cdf=lambda x: x, uniform_map=uniform_map),
+            )
+            for name, uniform_map in maps.items()
+        ]
+        assert np.array_equal(held, kept)
+        assert reports[0] == reports[1]
 
 
 def unsampled():

@@ -140,20 +140,39 @@ def test_array_and_scalar_tables_agree_exactly(case, variant):
     p1 = np.array([r[0] for r in rows])
     p2 = np.array([r[1] for r in rows])
     table = [np.broadcast_to(entry, p1.shape) for entry in payoff_table(p1, p2, c, variant)]
-    # AA and AI computed in the caller's rows, which only the unregulated
-    # table takes: the same bits, returned in them
+    # AA and AI computed in the caller's rows, which the unregulated and
+    # subsidy tables take: the same bits, returned in them
     rows = np.full((2, p1.size), np.nan)
-    if variant == "unregulated":
-        into = payoff_table(p1, p2, c, variant, out=rows)
-        assert np.shares_memory(into[0], rows[0]) and np.shares_memory(into[1], rows[1])
+    into = variant != "case3_reg"
+    if into:
+        got = payoff_table(p1, p2, c, variant, out=rows)
+        assert np.shares_memory(got[0], rows[0]) and np.shares_memory(got[1], rows[1])
     else:
-        with pytest.raises(ValueError, match="^out= takes the unregulated table, not variant='"):
+        match = "^out= takes the unregulated or case2_reg table, not variant='case3_reg'"
+        with pytest.raises(ValueError, match=match):
             payoff_table(p1, p2, c, variant, out=rows)
     for i in range(p1.size):
         scalar = payoff_table(float(p1[i]), float(p2[i]), c, variant)
         assert bits(entry[i] for entry in table) == bits(scalar)
-        if variant == "unregulated":
+        if into:
             assert bits((rows[0, i], rows[1, i])) == bits(scalar[:2])
+
+
+unit_floats = st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 2.2250738585072e-308, 1.0])
+
+
+@SETTINGS
+@given(p=unit_floats, c=unit_floats, variant=st.sampled_from(["unregulated", "case2_reg"]))
+@example(p=5e-324, c=0.0, variant="case2_reg")
+@example(p=1.0, c=1.0, variant="case2_reg")
+def test_an_idle_opponent_scores_as_an_active_one_of_type_0(p, c, variant):
+    # the sampled deviation check scores draws below the cutoff at type 0,
+    # through the array table computed into its block of rows
+    aa, ai, ia, ii = payoff_table(p, 0.0, c, variant)
+    idle_gain = (ai - ii).hex()
+    assert (aa - ia).hex() == idle_gain
+    block = payoff_table(np.array([[p]]), np.zeros(1), c, variant, out=np.empty((2, 1, 1)))
+    assert float(block[0][0, 0] - block[2][0]).hex() == idle_gain
 
 
 @SETTINGS
@@ -282,13 +301,15 @@ def test_monte_carlo_rejects_a_sampler_that_yields_nan():
 
 
 @pytest.mark.parametrize("regulated", [False, True])
-@pytest.mark.parametrize("row_slice", [None, 700, 1_999])
-def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, row_slice):
+# own types a block: 32 (201 = 6*32 + 9, the last block short), one (a
+# budget short of a row) and 7 (201 = 28*7 + 5)
+@pytest.mark.parametrize("rows", [None, 1_999, 14_000])
+def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, rows):
     rng = np.random.default_rng(3)
     draws = rng.random(2_000)
     p_grid = np.linspace(0.0, 1.0, 201)
-    if row_slice is not None:  # several slices per row, the last one short
-        monkeypatch.setattr(oracle, "_ROW_SLICE", row_slice)
+    if rows is not None:
+        monkeypatch.setattr(oracle, "_ROWS", rows)
     # no draw below the cutoff, none at or above it, and one on the >= boundary
     cases = ((0.5, 0.25), (0.7, 0.49), (0.0, 0.25), (1.0, 0.49), (float(draws[17]), 0.25))
     for t_opp, c in cases:
@@ -297,9 +318,12 @@ def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, ro
         idle = p - c + c / 2.0 if regulated else p - c
         opp_payoff = q - c / 2.0 if regulated else q
         gain = np.where(q >= t_opp, np.maximum(p, q) - c - opp_payoff, idle)
-        means, ses = oracle._sampled_gain_moments(p_grid, draws, t_opp, c, regulated)
-        assert np.array_equal(means, gain.mean(axis=1))
-        assert np.array_equal(ses, gain.std(axis=1, ddof=1) / np.sqrt(draws.size))
+        opp = draws.copy()  # below t_opp set to 0 in place
+        means, ses = oracle._sampled_gain_moments(p_grid, opp, t_opp, c, regulated)
+        assert np.array_equal(opp, np.where(draws < t_opp, 0.0, draws))
+        # each row reduced alone, as numpy's mean and std of that row
+        assert np.array_equal(means, [row.mean() for row in gain])
+        assert np.array_equal(ses, [row.std(ddof=1) / np.sqrt(draws.size) for row in gain])
 
 
 def linear_scan_best_response(t_opp, c, regulated, step):

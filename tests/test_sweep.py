@@ -363,6 +363,15 @@ def test_sweep_takes_a_last_cost_the_row_slack_puts_above_1_as_1(capsys):
     assert [line.split(",")[0] for line in lines] == ["c", "0", "0.5000000002", "1"]
 
 
+def test_sweep_takes_a_last_cost_the_row_slack_puts_above_c_stop_as_c_stop(capsys):
+    # 0.2 + 0.5000000002 is 0.7000000002, within the slack of --c-stop 0.7
+    args = ["--c-start", "0.2", "--c-stop", "0.7", "--c-step", "0.5000000002"]
+    assert RunConfig(0.2, 0.7, 0.5000000002).cost_grid() == [0.2, 0.7000000002]
+    assert main(["sweep", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["c", "0.2", "0.7"]
+
+
 @settings(deadline=None, max_examples=200)
 @given(c_start=grid_starts.filter(lambda x: x < 1.0), rows=st.integers(1, 300), frac=st.floats(0.0, 0.99))
 @example(c_start=0.0, rows=2, frac=0.8)  # --c-step 0.5000000002
