@@ -16,8 +16,7 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   blocks of 2**14 states drawn into one workspace per call.  A law other
   than the default is given by its ``Distribution.uniform_map``, and
   every block it maps is checked;
-* a cutoff pair's sampled deviation check scores draws below the cutoff as
-  active opponents of type 0 (the same bits), a block of own types a call.
+* the sampled deviation check scores idle opponents as active ones of type 0.
 
 The oracles integrate one Simpson panel per row of intervals cut at the
 integrands' kinks, exact up to rounding for these polynomials of degree
@@ -481,6 +480,7 @@ def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
         rows = block[: len(own)]
         aa, _, ia, _ = payoff_table(own, opp_draws, c, variant, out=(rows, column[: len(own)]))
         means[lo : lo + k] = mean = np.add.reduce(np.subtract(aa, ia, out=rows), axis=1) / n
+        del aa, ia  # the subsidy table's IA is made anew each call: hold one at a time
         np.square(np.subtract(rows, mean[:, np.newaxis], out=rows), out=rows)
         ses[lo : lo + k] = np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / np.sqrt(n)
     return means, ses

@@ -321,22 +321,27 @@ class TestEpsilonNash:
         )
         assert (report.max_gain.hex(), report.eps.hex(), report.passed) == (max_gain, eps, passed)
 
-    @pytest.mark.parametrize("t", [0.25, 0.5, 0.999])
-    def test_sampled_check_peak_memory(self, monkeypatch, t):
+    @pytest.mark.parametrize(
+        "t, regulated", [(0.25, False), (0.5, False), (0.999, False), (0.5, True)]
+    )
+    def test_sampled_check_peak_memory(self, monkeypatch, t, regulated):
         # 10**6 draws (7.6 MiB) and one reused block of gain rows, here one
         # row (7.6 MiB): 15.3 MiB at any cutoff.  An index of the draws
         # below the cutoff, as the idle gains once took, grew it with t to
-        # 23 MiB near 1.  The block is reused across own types, so 21 of
-        # them show the same peak as the fixed 201, in a tenth of the time
+        # 23 MiB near 1.  The subsidy table adds its IA row (7.6 MiB), one
+        # at a time: holding the last block's while the next is made gave
+        # 30.5 MiB.  The block is reused across own types, so 21 of them
+        # show the same peak as the fixed 201, in a tenth of the time
         monkeypatch.setattr(oracle, "_P_STEP", 0.05)
-        epsilon_nash_check((t, t), 0.25, mode="sampled", samples=1_000)
+        check = dict(mode="sampled", regulated=regulated)
+        epsilon_nash_check((t, t), 0.25, samples=1_000, **check)
         tracemalloc.start()
         try:
-            epsilon_nash_check((t, t), 0.25, mode="sampled", samples=10**6)
+            epsilon_nash_check((t, t), 0.25, samples=10**6, **check)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 17 * 2**20
+        assert peak < (25 if regulated else 17) * 2**20
 
     def test_cooperative_optimum_is_not_an_equilibrium(self):
         report = epsilon_nash_check(
