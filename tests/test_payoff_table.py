@@ -171,8 +171,8 @@ def test_an_idle_opponent_scores_as_an_active_one_of_type_0(p, c, variant):
     aa, ai, ia, ii = payoff_table(p, 0.0, c, variant)
     idle_gain = (ai - ii).hex()
     assert (aa - ia).hex() == idle_gain
-    block = payoff_table(np.array([[p]]), np.zeros(1), c, variant, out=np.empty((2, 1, 1)))
-    assert float(block[0][0, 0] - block[2][0]).hex() == idle_gain
+    table = payoff_table(np.array([[p]]), np.zeros(1), c, variant, out=np.empty((2, 1, 1)))
+    assert float(table[0][0, 0] - table[2][0]).hex() == idle_gain
 
 
 @SETTINGS
