@@ -17,10 +17,6 @@ Raw best-response dynamics two-cycle around the fixed point (the composed
 map has unit derivative there), so :func:`best_response_fixed_point`
 takes the plain mean of the best response and the current iterate; that
 damped iteration contracts with ratio <= 1/2 and converges in a few steps.
-
-Everything here is a pure function except :class:`Distribution` sampling,
-which uses a caller-supplied ``numpy.random.Generator``; don't share one
-generator across threads without coordination.
 """
 
 from __future__ import annotations
@@ -186,10 +182,6 @@ class Distribution:
     cdf: Callable[[np.ndarray], np.ndarray]
     uniform_map: Callable[[np.ndarray], np.ndarray]
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n variates: the map of ``rng.random(n)``."""
-        return self.uniform_map(rng.random(n))
-
 
 def uniform_distribution() -> Distribution:
     return Distribution("uniform", lambda x: np.asarray(x, dtype=float), lambda u: u)
@@ -207,9 +199,9 @@ def validate_distribution(dist: Distribution, n: int = 100_000, seed: int = 0) -
     """Raise ValueError unless ``dist``'s cdf and uniform map agree.
 
     Checks: cdf nondecreasing on a grid of 1001 points, 0 <= cdf <= 1,
-    cdf(1) == 1 within 1e-12, ``n`` >= 1 draws from ``dist.sample`` seeded
-    by ``seed`` >= 0, and Kolmogorov-Smirnov distance between them and the
-    cdf at most 0.01.
+    cdf(1) == 1 within 1e-12, and Kolmogorov-Smirnov distance at most 0.01
+    between the cdf and ``dist.uniform_map`` of ``n`` >= 1 uniforms drawn by
+    ``numpy.random.default_rng(seed)``, ``seed`` >= 0.
     """
     n = _count(n, "n", 1)
     seed = _count(seed, "seed", 0)
@@ -221,8 +213,8 @@ def validate_distribution(dist: Distribution, n: int = 100_000, seed: int = 0) -
         raise ValueError(f"{dist.name}: cdf leaves [0, 1]")
     if abs(float(dist.cdf(np.float64(1.0))) - 1.0) > 1e-12:
         raise ValueError(f"{dist.name}: cdf(1) != 1")
-    rng = np.random.default_rng(seed)
-    samples = np.sort(np.asarray(dist.sample(rng, n), dtype=float))
+    uniforms = np.random.default_rng(seed).random(n)
+    samples = np.sort(np.asarray(dist.uniform_map(uniforms), dtype=float))
     if samples.size != n:
         raise ValueError(f"{dist.name}: uniform map returned {samples.size} != {n} draws")
     theory = np.asarray(dist.cdf(samples), dtype=float)

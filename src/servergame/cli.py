@@ -105,7 +105,7 @@ class RunConfig:
         near_half = np.abs(np.abs(np.modf(product)[0]) - 0.5) <= np.spacing(np.abs(product))
         for k in np.flatnonzero(near_half):
             grid[k] = round(float(x[k]), 10)
-        return grid.tolist()
+        return np.minimum(grid, self.c_stop).tolist()  # the row slack may lift the last past it
 
 
 def _snap(values: np.ndarray) -> np.ndarray:
@@ -117,7 +117,7 @@ def _snap(values: np.ndarray) -> np.ndarray:
 
 def _sweep_columns(config: RunConfig) -> list[np.ndarray]:
     """Checked columns in SWEEP_COLUMNS order; one closed-form call each."""
-    c = np.minimum(config.cost_grid(), config.c_stop)  # the row slack may lift the last past it
+    c = np.array(config.cost_grid())
     ne = bayesian.nash_threshold(c)
     opt = bayesian.optimal_thresholds(c)
     columns = {

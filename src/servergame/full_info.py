@@ -29,10 +29,11 @@ label is read off the same masks.  The closed edges of contention
 (``min == c`` or ``|p1 - p2| == c``) are thus contention too, where the
 mixed formula degenerates to a 0/1 component.
 
-Selecting the best (worst) equilibrium per state means handing the task to
-the higher (lower) probability server inside contention; the resulting
-expected welfares have the closed forms in :func:`welfare_case3_max` and
-:func:`welfare_case3_min`.  The side-payment regulation of
+Selecting the best (worst) pure equilibrium per state means handing the
+task to the higher (lower) probability server inside contention, with the
+expected welfares :func:`welfare_case3_max` and :func:`welfare_case3_min`.
+Playing contention's mixed equilibrium instead gives less welfare still, so
+the worst pure selection is not the worst one.  The side-payment regulation of
 ``payoffs.payoff_case3_regulated`` collapses the whole structure to a
 unique equilibrium matching the cooperative optimum.
 """
@@ -202,7 +203,8 @@ def welfare_case3_max(c: float | np.ndarray) -> float | np.ndarray:
 
 
 def welfare_case3_min(c: float | np.ndarray) -> float | np.ndarray:
-    """Expected welfare of the worst equilibrium selection.
+    """Expected welfare of the worst *pure* equilibrium selection (the mixed
+    equilibrium in contention gives less; see the module docstring).
 
     ``3c**3 - 2c**2 - c + 4/3`` for c < 1/2 and
     ``c**3/3 - 2c**2 + c + 2/3`` above; the branches agree at c = 1/2.

@@ -18,12 +18,12 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   every block it maps is checked;
 * the sampled deviation check scores idle opponents as active ones of type 0.
 
-The oracles integrate one Simpson panel per row of intervals cut at the
-integrands' kinks, exact up to rounding for these polynomials of degree
-<= 2, summed as h/3*(v0 + 4*v1 + v2), so a row's bits do not depend on the
-rows beside it.  Monte Carlo uses ``numpy.random.default_rng`` (PCG64);
-estimates carry the seed and algorithm name and are bitwise reproducible
-for a given (seed, n).
+Every integral, ``quadrature``'s too, sums one Simpson panel per row as
+h/3*(v0 + 4*v1 + v2), so a row's bits depend neither on the rows beside it
+nor on the BLAS build; rows cut at the integrands' kinks make the oracles
+exact up to rounding for these polynomials of degree <= 2.  Monte Carlo
+uses ``numpy.random.default_rng`` (PCG64); estimates carry the seed and
+algorithm name and are bitwise reproducible for a given (seed, n).
 """
 
 from __future__ import annotations
@@ -69,23 +69,20 @@ _ROWS = 1 << 16
 # quadrature
 
 
-def _simpson(f, lo, hi, panels: int = 1):
-    """Composite Simpson rule with ``panels`` panels on every row [lo, hi].
+def _simpson(f, lo, hi):
+    """Simpson's rule with one panel on every row [lo, hi].
 
     ``lo`` and ``hi`` broadcast to the rows' shape; ``f`` maps the nodes,
-    that shape plus a last axis of 2*panels+1, to values.  lo == hi gives 0.
-    The nodes lo + h*k, the last one hi, are the bits of ``np.linspace(lo,
-    hi, 2*panels+1, axis=-1)`` if h > 0 or panels == 1.  One panel sums
-    h/3*(v0 + 4*v1 + v2), whose bits IEEE fixes whatever the other rows or
-    the BLAS build; more panels take a dot product with the weights.
+    that shape plus a last axis of 3, to values.  lo == hi gives 0.  The
+    nodes lo, lo + h and hi are the bits of ``np.linspace(lo, hi, 3,
+    axis=-1)``, and the sum h/3*(v0 + 4*v1 + v2) has bits that IEEE fixes
+    whatever the other rows or the BLAS build.
     """
-    h = (hi - lo) / (2 * panels)
-    nodes = np.multiply.outer(h, np.arange(2 * panels + 1.0)) + np.asarray(lo)[..., np.newaxis]
+    h = (hi - lo) / 2
+    nodes = np.multiply.outer(h, np.arange(3.0)) + np.asarray(lo)[..., np.newaxis]
     nodes[..., -1] = hi
     v = f(nodes)
-    if panels == 1:
-        return h / 3.0 * (v[..., 0] + 4.0 * v[..., 1] + v[..., 2])
-    return h / 3.0 * (v @ np.r_[1.0, np.tile([4.0, 2.0], panels)[:-1], 1.0])
+    return h / 3.0 * (v[..., 0] + 4.0 * v[..., 1] + v[..., 2])
 
 
 def _split(lo, hi, at):
@@ -97,11 +94,12 @@ def _split(lo, hi, at):
 
 
 def quadrature(f, a: float, b: float, panels: int = 64) -> float:
-    """Composite Simpson rule with ``panels`` panels (2*panels+1 nodes).
+    """Composite Simpson rule: ``panels`` one-panel rows over the edges
+    ``np.linspace(a, b, panels + 1)``, summed by ``np.sum``.
 
     Exact (to rounding) for polynomials of degree <= 3 on each panel.  The
-    integrand is evaluated on the whole node array at once; scalar-only
-    callables are looped over as a fallback.
+    integrand is evaluated on the flat array of all 3*panels nodes at once;
+    one that does not return a value per node is looped over node by node.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -112,10 +110,13 @@ def quadrature(f, a: float, b: float, panels: int = 64) -> float:
         return 0.0
 
     def values(nodes):
-        v = np.asarray(f(nodes), dtype=float)
-        return v if v.shape == nodes.shape else np.array([float(f(x)) for x in nodes])
+        flat = nodes.ravel()
+        v = np.asarray(f(flat), dtype=float)
+        v = v if v.shape == flat.shape else np.array([float(f(x)) for x in flat])
+        return v.reshape(nodes.shape)
 
-    return float(_simpson(values, a, b, panels))
+    edges = np.linspace(a, b, panels + 1)
+    return float(np.sum(_simpson(values, edges[:-1], edges[1:])))
 
 
 # --------------------------------------------------------------------------

@@ -83,9 +83,6 @@ class State:
         object.__setattr__(self, "p1", check_sigma(self.p1, "p1"))
         object.__setattr__(self, "p2", check_sigma(self.p2, "p2"))
 
-    def swapped(self) -> "State":
-        return State(self.p2, self.p1)
-
 
 def as_state(value) -> State:
     """Coerce a ``State`` or a ``(p1, p2)`` pair into a ``State``."""
@@ -111,14 +108,6 @@ class Profile(NamedTuple):
 
     sigma1: float
     sigma2: float
-
-    @classmethod
-    def pure(cls, a1: Action, a2: Action) -> "Profile":
-        return cls(a1.sigma, a2.sigma)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.sigma1 in (0.0, 1.0) and self.sigma2 in (0.0, 1.0)
 
 
 def check_cost(c: float | np.ndarray) -> float | np.ndarray:

@@ -127,7 +127,8 @@ def mc_welfare():
         out.append(oracle.mc_welfare(strategy, c, n=1000, seed=7))
     square = bayesian.power_distribution(2)
     out.append(oracle.mc_welfare((0.5, 0.5), 0.25, n=oracle._BLOCK + 5, seed=3, dist1=square))
-    out.append(oracle.mc_welfare(oracle.pointwise_strategy(cooperative.optimal_profile), 0.3, n=200))
+    scalar = oracle.pointwise_strategy(cooperative.optimal_profile)
+    out.append(oracle.mc_welfare(scalar, 0.3, n=200))
     return out
 
 

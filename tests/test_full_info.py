@@ -251,6 +251,38 @@ def test_equilibrium_welfare_matches_monte_carlo():
         assert abs(est.mean - closed) <= 3 * est.stderr
 
 
+def mixed_selection(p1, p2, c):
+    """The mixed profile in contention, the unique equilibrium elsewhere."""
+    sigma1, sigma2 = (np.asarray(s, dtype=float) for s in equilibrium_activity(p1, p2, c))
+    low = np.minimum(p1, p2)
+    contention = (low > c) & (np.abs(p1 - p2) < c)
+    low = np.where(contention, low, 1.0)
+    return (
+        np.where(contention, (p2 - c) / low, sigma1),
+        np.where(contention, (p1 - c) / low, sigma2),
+    )
+
+
+def mixed_selection_welfare(c):
+    """Expected welfare of ``mixed_selection`` under uniform states, integrated
+    from the payoff expressions outside the package."""
+    if c <= 0.5:
+        return (
+            c**3 * math.log(c) - c**3 * math.log(1 - c) + 19 * c**3 / 6 - c**2
+            + c * math.log(1 - c) - c + 4 / 3
+        )
+    return -5 * c**3 / 6 + c * math.log(c) - c / 2 + 4 / 3
+
+
+@pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.8])
+def test_the_mixed_selection_lies_below_the_worst_pure_one(c):
+    # welfare_case3_min is the worst *pure* selection: playing the contention
+    # band's mixed equilibrium instead gives less welfare still
+    est = mc_welfare(mixed_selection, c, n=1_000_000, seed=1)
+    assert abs(est.mean - mixed_selection_welfare(c)) <= 3 * est.stderr
+    assert est.mean + 3 * est.stderr < welfare_case3_min(c)
+
+
 @pytest.mark.parametrize(
     "state, c, expected",
     [

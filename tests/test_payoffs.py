@@ -9,7 +9,6 @@ from servergame.payoffs import (
     INACTIVE,
     PAYOFF_VARIANTS,
     PayoffPair,
-    Profile,
     State,
     as_state,
     payoff,
@@ -112,7 +111,7 @@ def test_transfer_neutrality_and_symmetry():
                 pair = table(s, a1, a2, c)
                 assert pair.total == pytest.approx(base.total, abs=1e-12)
                 # swapping state and actions swaps the payoffs
-                mirror = table(s.swapped(), a2, a1, c)
+                mirror = table(State(s.p2, s.p1), a2, a1, c)
                 assert mirror.u1 == pytest.approx(pair.u2, abs=1e-12)
                 assert mirror.u2 == pytest.approx(pair.u1, abs=1e-12)
                 # payoffs stay inside the loose bound covering all tables
@@ -161,9 +160,5 @@ def test_mixed_is_affine_in_each_component():
 
 
 def test_profile_helpers():
-    prof = Profile.pure(ACTIVE, INACTIVE)
-    assert prof == Profile(1.0, 0.0)
-    assert prof.is_pure
-    assert not Profile(0.4, 1.0).is_pure
     with pytest.raises(ValueError):
         payoff_mixed(State(0.5, 0.5), 0.5, 0.5, 0.2, variant="bogus")

@@ -174,9 +174,11 @@ def test_cli_non_finite_grid_is_a_usage_error(capsys):
 
 
 def reference_grid(config):
-    """The grid before it was built as an array: Python's round per cost."""
+    """The grid before it was built as an array: Python's round per cost,
+    clamped at c_stop, which the row count's 1e-9 slack may lift it past."""
     count = math.floor((config.c_stop - config.c_start) / config.c_step + 1e-9)
-    return [round(config.c_start + k * config.c_step, 10) for k in range(count + 1)]
+    costs = (round(config.c_start + k * config.c_step, 10) for k in range(count + 1))
+    return [min(config.c_stop, x) for x in costs]
 
 
 def hexes(values):
@@ -356,8 +358,8 @@ def test_cli_sweep_matches_the_reference(capsys, args, config, output_format):
 
 def test_sweep_takes_a_last_cost_the_row_slack_puts_above_1_as_1(capsys):
     # 2 steps of 0.5000000002 reach 1.0000000004, within the row count's
-    # 1e-9 slack, so the grid keeps that point; the sweep costs it at 1
-    assert RunConfig(c_step=0.5000000002).cost_grid()[-1] == 1.0000000004
+    # 1e-9 slack, so the grid keeps that point and costs it at 1
+    assert RunConfig(c_step=0.5000000002).cost_grid()[-1] == 1.0
     assert main(["sweep", "--c-step", "0.5000000002"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[0] for line in lines] == ["c", "0", "0.5000000002", "1"]
@@ -366,10 +368,16 @@ def test_sweep_takes_a_last_cost_the_row_slack_puts_above_1_as_1(capsys):
 def test_sweep_takes_a_last_cost_the_row_slack_puts_above_c_stop_as_c_stop(capsys):
     # 0.2 + 0.5000000002 is 0.7000000002, within the slack of --c-stop 0.7
     args = ["--c-start", "0.2", "--c-stop", "0.7", "--c-step", "0.5000000002"]
-    assert RunConfig(0.2, 0.7, 0.5000000002).cost_grid() == [0.2, 0.7000000002]
+    assert RunConfig(0.2, 0.7, 0.5000000002).cost_grid() == [0.2, 0.7]
     assert main(["sweep", *args]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[0] for line in lines] == ["c", "0.2", "0.7"]
+
+
+def test_cost_grid_ends_at_c_stop():
+    # 5e-11 + 1.0 rounds to 1.0000000001, which the grid used to return;
+    # the test above pins RunConfig(0.2, 0.7, 0.5000000002) the same way
+    assert RunConfig(5e-11, 1.0, 1.0).cost_grid() == [1e-10, 1.0]
 
 
 @settings(deadline=None, max_examples=200)
@@ -382,4 +390,4 @@ def test_no_sweep_cost_leaves_the_unit_interval(c_start, rows, frac):
     config = RunConfig(c_start, 1.0, (1.0 - c_start) / (rows - frac * 1e-9))
     c = cli._sweep_columns(config)[0]
     assert np.all((0.0 <= c) & (c <= 1.0))
-    assert hexes(c) == hexes(min(x, 1.0) for x in reference_grid(config))
+    assert hexes(c) == hexes(reference_grid(config))
