@@ -17,6 +17,10 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   than the default is given by its ``Distribution.uniform_map``, and
   every block it maps is checked;
 * the sampled deviation check scores idle opponents as active ones of type 0.
+  Both servers' draws are made on the calling thread; where more than one
+  CPU is usable and a server's draws number at most ``_ROWS``, server 2's
+  gains run on a second thread, joined before the check returns, with the
+  bits of the serial run.
 
 Every integral, ``quadrature``'s too, sums one Simpson panel per row as
 h/3*(v0 + 4*v1 + v2), so a row's bits depend neither on the rows beside it
@@ -28,7 +32,10 @@ algorithm name and are bitwise reproducible for a given (seed, n).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,15 +194,17 @@ def grid_best_response(
     return lo * spacing if lo < n else 1.0
 
 
-def _bisection_probes(lo: int, hi: int, levels: int) -> list:
+@functools.lru_cache(maxsize=1024)
+def _bisection_probes(lo: int, hi: int, levels: int) -> tuple:
     """The indices, at most 2**levels - 1, that a bisection for the leftmost
-    True on [lo, hi) may read in its next ``levels`` steps."""
+    True on [lo, hi) may read in its next ``levels`` steps (memoised: a grid
+    search at a given step meets the same intervals again and again)."""
     if lo >= hi:
-        return []
+        return ()
     mid = (lo + hi) // 2
     if levels == 1:
-        return [mid]
-    return [mid, *_bisection_probes(lo, mid, levels - 1), *_bisection_probes(mid + 1, hi, levels - 1)]
+        return (mid,)
+    return (mid, *_bisection_probes(lo, mid, levels - 1), *_bisection_probes(mid + 1, hi, levels - 1))
 
 
 # --------------------------------------------------------------------------
@@ -470,39 +479,88 @@ def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
     step) of each own type's whole row of gains against the opponent draws,
     those below t_opp set to 0 in place (AA - IA at type 0 is AI - II in both
     tables: x - 0.0 is x, x - (0.0 - c/2) is x + c/2), the rows of
-    ``_ROWS // n`` own types (at least one) a table call in a reused block."""
+    ``_ROWS // n`` own types (at least one) a table call in a reused block.
+    IA does not depend on the own type, so the table's row is taken once;
+    AA is the same in both tables (the subsidy moves only AI and IA), so the
+    unregulated table, which allocates nothing, gives it block by block."""
     opp_draws[opp_draws < t_opp] = 0.0
     n, variant = opp_draws.size, "case2_reg" if regulated else "unregulated"
     k = min(max(1, _ROWS // n), p_grid.size)
     block, column = np.empty((k, n)), np.empty((k, 1))
+    any_own = p_grid[:1, np.newaxis]
+    ia = payoff_table(any_own, opp_draws, c, variant, out=(block[:1], column[:1]))[2]
     means, ses = np.empty((2, p_grid.size))
     for lo in range(0, p_grid.size, k):
         own = p_grid[lo : lo + k, np.newaxis]
         rows = block[: len(own)]
-        aa, _, ia, _ = payoff_table(own, opp_draws, c, variant, out=(rows, column[: len(own)]))
+        aa = payoff_table(own, opp_draws, c, out=(rows, column[: len(own)]))[0]
         means[lo : lo + k] = mean = np.add.reduce(np.subtract(aa, ia, out=rows), axis=1) / n
-        del aa, ia  # the subsidy table's IA is made anew each call: hold one at a time
         np.square(np.subtract(rows, mean[:, np.newaxis], out=rows), out=rows)
         ses[lo : lo + k] = np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / np.sqrt(n)
     return means, ses
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: ``os.sched_getaffinity``, else ``os.cpu_count``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sampled_gains(p_grid, t, c, seed, regulated, dist, samples):
+    """Both servers' sampled gain moments, server 1's first: each server's
+    ``samples`` opponent draws come from one generator on ``seed``, server
+    1's first.  Where more than one CPU is usable and a server's rows fit in
+    one block (``samples <= _ROWS``), both servers' draws are made here and
+    server 2's moments run on a second thread, joined before this returns;
+    larger checks run one server after the other, so that only one server's
+    draws and block are held at a time.  The bits are the same either way."""
+    rng = np.random.default_rng(seed)
+
+    def opponent_draws(k):
+        # the moments zero draws in u, never in the map's array: it may be the caller's
+        u = rng.random(samples)
+        np.copyto(u, _checked_draws(dist, u, f"p{2 - k}"))
+        return u
+
+    def moments(k, u):
+        return _sampled_gain_moments(p_grid, u, t[1 - k], c, regulated)
+
+    if samples > _ROWS or _usable_cpus() < 2:
+        return [moments(k, opponent_draws(k)) for k in range(2)]
+    u1, u2 = opponent_draws(0), opponent_draws(1)
+    second = []  # server 2's moments, or what stopped them
+
+    def run_server_2():
+        try:
+            second.append(moments(1, u2))
+        except BaseException as err:  # raised again in the caller
+            second.append(err)
+
+    # a bare thread: concurrent.futures would add ~13 ms of import and 0.6 MiB
+    thread = threading.Thread(target=run_server_2)
+    thread.start()
+    try:
+        first = moments(0, u1)
+    finally:
+        thread.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return [first, second[0]]
+
+
 def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
     p_grid = np.linspace(0.0, 1.0, int(round(1.0 / _P_STEP)) + 1)
-
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
-    gains = np.empty((2, p_grid.size))  # row k is server k + 1; positive = profitable switch
-    ses = np.zeros((2, p_grid.size))
-    for k in range(2):
-        t_own, t_opp = t[k], t[1 - k]
-        if mode == "analytic_quadrature":
-            means = _interim_gains(p_grid, t_opp, c, regulated)
-        else:
-            # the moments zero draws in u, never in the map's array: it may be the caller's
-            u = rng.random(samples)
-            np.copyto(u, _checked_draws(dist, u, f"p{2 - k}"))
-            means, ses[k] = _sampled_gain_moments(p_grid, u, t_opp, c, regulated)
-        gains[k] = np.where(p_grid >= t_own, -means, means)
+    # row k is server k + 1, against the other's cutoff; positive = profitable switch
+    cutoffs = np.array([[t[0]], [t[1]]])
+    if mode == "analytic_quadrature":
+        both = np.broadcast_to(p_grid, (2, p_grid.size))
+        means = _interim_gains(both, cutoffs[::-1], c, regulated)
+        ses = np.zeros((2, p_grid.size))
+    else:
+        means, ses = np.stack(_sampled_gains(p_grid, t, c, seed, regulated, dist, samples), axis=1)
+    gains = np.where(p_grid >= cutoffs, -means, means)
     k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
     max_gain = max(0.0, float(gains[k, j]))
     witness = (k + 1, float(p_grid[j]), max_gain) if max_gain > 0.0 else None
@@ -544,6 +602,10 @@ def epsilon_nash_check(
     those gains are exact, so eps defaults to 1e-6.  The grids are fixed:
     own types 0, 0.005, ..., 1, and the 51 x 51 states of step 0.02.  A
     cutoff pair is a tuple or list of two, and any other one a TypeError.
+    A sampled cutoff-pair check of at most ``_ROWS`` (2**16) samples runs
+    server 2 on a second thread where more than one CPU is usable; the
+    thread has ended when this returns, its error is raised here, and the
+    report is bit for bit the one-thread report.
     Cutoffs, states, sampled opponent types and the map's activities must
     lie in [0, 1] (ValueError otherwise, NaN included); ``sampled`` mode
     needs ``samples`` >= 2 for a cutoff pair.  ``samples`` and ``seed`` are

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from servergame.cooperative import optimal_profile
 from servergame.full_info import regulated_activity
 from servergame.oracle import (
     _BLOCK,
+    _ROWS,
     DeviationReport,
     _interim_gains,
     _simpson,
@@ -328,10 +330,12 @@ class TestEpsilonNash:
         # 10**6 draws (7.6 MiB) and one reused block of gain rows, here one
         # row (7.6 MiB): 15.3 MiB at any cutoff.  An index of the draws
         # below the cutoff, as the idle gains once took, grew it with t to
-        # 23 MiB near 1.  The subsidy table adds its IA row (7.6 MiB), one
-        # at a time: holding the last block's while the next is made gave
-        # 30.5 MiB.  The block is reused across own types, so 21 of them
-        # show the same peak as the fixed 201, in a tenth of the time
+        # 23 MiB near 1.  The subsidy table adds its IA row (7.6 MiB), made
+        # once per server: holding the last block's while the next was made
+        # gave 30.5 MiB.  Above _ROWS draws the servers run one after the
+        # other, never on two threads, so one server's draws and block are
+        # held at a time.  The block is reused across own types, so 21 of
+        # them show the same peak as the fixed 201, in a tenth of the time
         monkeypatch.setattr(oracle, "_P_STEP", 0.05)
         check = dict(mode="sampled", regulated=regulated)
         epsilon_nash_check((t, t), 0.25, samples=1_000, **check)
@@ -1018,3 +1022,128 @@ def test_region_rows_of_one_call_match_a_call_per_region(case):
     s1, s2 = per_region_share(t1, t2, c), per_region_share(t2, t1, c)
     got = threshold_welfare_by_quadrature(t1, t2, c)
     assert [x.hex() for x in got] == [s1.hex(), s2.hex(), (s1 + s2).hex()]
+
+
+# --------------------------------------------------------------------------
+# the sampled check's second thread and the batched analytic check
+
+
+def sampled_report(t, c, regulated, dist, samples, cpus):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        return epsilon_nash_check(
+            t, c, mode="sampled", seed=9, regulated=regulated, dist=dist, samples=samples
+        )
+
+
+def report_bits(report):
+    return report.max_gain.hex(), report.eps.hex(), report.passed, report.witness
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    cutoff_cases(),
+    st.booleans(),
+    st.sampled_from([None, 2]),
+    st.sampled_from([2, 20_000, _ROWS, _ROWS + 1]),
+)
+@example(case=(0.0, 1.0, 0.25), regulated=False, power=None, samples=2)
+@example(case=(1.0, 0.0, 1.0), regulated=True, power=2, samples=20_000)
+@example(case=(0.5, 0.5, 0.25), regulated=True, power=None, samples=_ROWS)
+@example(case=(0.3, 0.6, 0.36), regulated=False, power=2, samples=_ROWS + 1)
+def test_threaded_and_serial_sampled_reports_are_equal(case, regulated, power, samples):
+    # two CPUs take the thread where samples <= _ROWS, whatever this host has
+    t1, t2, c = case
+    dist = None if power is None else power_distribution(power)
+    threaded, serial = (
+        sampled_report((t1, t2), c, regulated, dist, samples, cpus) for cpus in (2, 1)
+    )
+    assert report_bits(threaded) == report_bits(serial)
+
+
+class CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        CountedThread.started += 1
+        super().start()
+
+
+@pytest.mark.parametrize(
+    "cpus, samples, threads", [(2, 20_000, 1), (2, _ROWS, 1), (2, _ROWS + 1, 0), (1, 20_000, 0)]
+)
+def test_the_sampled_check_takes_a_thread_only_where_it_may(monkeypatch, cpus, samples, threads):
+    # the opponent draws, and the caller's uniform_map with them, stay on the
+    # calling thread; no thread the check started outlives it
+    mapped_on = []
+
+    def uniform_map(u):
+        mapped_on.append(threading.current_thread())
+        return u
+
+    monkeypatch.setattr(oracle.threading, "Thread", CountedThread)
+    CountedThread.started = 0
+    before = threading.active_count()
+    sampled_report(
+        (0.3, 0.6), 0.36, False, Distribution("u", cdf=lambda x: x, uniform_map=uniform_map),
+        samples, cpus,
+    )
+    assert CountedThread.started == threads
+    assert threading.active_count() == before
+    assert mapped_on == [threading.current_thread()] * 2
+
+
+def test_an_error_on_server_2s_thread_is_raised_in_the_caller(monkeypatch):
+    sampled_gain_moments = oracle._sampled_gain_moments
+    raised_on = []
+
+    def fails_for_server_2(p_grid, opp_draws, t_opp, c, regulated):
+        if t_opp == 0.3:  # server 2 plays against server 1's cutoff
+            raised_on.append(threading.current_thread())
+            raise ArithmeticError("server 2 failed")
+        return sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated)
+
+    monkeypatch.setattr(oracle, "_sampled_gain_moments", fails_for_server_2)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="server 2 failed"):
+        sampled_report((0.3, 0.6), 0.36, False, None, 20_000, 2)
+    assert raised_on and raised_on[0] is not threading.current_thread()
+    assert threading.active_count() == before
+
+
+@ENGINE_SETTINGS
+@given(cutoff_cases(), st.booleans())
+@example(case=(0.0, 1.0, 0.0), regulated=False)
+@example(case=(1.0, 0.0, 1.0), regulated=True)
+def test_both_servers_gains_of_one_call_are_their_own_calls(case, regulated):
+    t1, t2, c = case
+    p_grid = np.linspace(0.0, 1.0, 201)
+    both = _interim_gains(np.broadcast_to(p_grid, (2, 201)), np.array([[t2], [t1]]), c, regulated)
+    alone = [_interim_gains(p_grid, t_opp, c, regulated) for t_opp in (t2, t1)]
+    assert [x.hex() for x in both.ravel().tolist()] == [
+        x.hex() for x in np.concatenate(alone).tolist()
+    ]
+
+
+def recursive_bisection_probes(lo, hi, levels):
+    """The probes as a list built anew on every call, before they were memoised."""
+    if lo >= hi:
+        return []
+    mid = (lo + hi) // 2
+    if levels == 1:
+        return [mid]
+    return [
+        mid,
+        *recursive_bisection_probes(lo, mid, levels - 1),
+        *recursive_bisection_probes(mid + 1, hi, levels - 1),
+    ]
+
+
+@ENGINE_SETTINGS
+@given(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(1, 6))
+@example(lo=0, hi=1000, levels=5)
+@example(lo=7, hi=7, levels=5)
+def test_memoised_bisection_probes_match_the_recursion(lo, hi, levels):
+    got = oracle._bisection_probes(lo, hi, levels)
+    assert isinstance(got, tuple) and list(got) == recursive_bisection_probes(lo, hi, levels)
+    assert oracle._bisection_probes.cache_info().maxsize is not None  # bounded

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import servergame
@@ -80,7 +81,7 @@ LEADING_ARGS = {
     "epsilon_nash_check": ((0.5, 0.5), 0.25),
     "grid_best_response": (0.5, 0.25),
     "mc_welfare": ((0.5, 0.5), 0.25),
-    "quadrature": (math.sin, 0.0, 1.0),
+    "quadrature": (np.sin, 0.0, 1.0),  # math.sin raises TypeError on any node array
     "validate_distribution": (bayesian.uniform_distribution(),),
 }
 
