@@ -9,8 +9,8 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
 * interim activity gains against a cutoff opponent are integrated
   numerically, not taken from the best-response algebra, and a grid best
   response reads them in rows of at most 31 own types;
-* cutoff-pair welfare is rebuilt by nested quadrature of the payoff table
-  over the activity regions of the state square, all six in one call;
+* cutoff-pair welfare is rebuilt as each server's idle payoff plus its
+  interim gains integrated over its active types, both servers in one call;
 * expected welfare of any strategy map is estimated by seeded Monte Carlo
   from both servers' payoff-table entries for the profile played, in
   blocks of 2**14 states drawn into one workspace per call.  A law other
@@ -144,10 +144,12 @@ def interim_activity_gain(p: float, t_opp: float, c: float, regulated: bool = Fa
     return float(_interim_gains(np.array([p]), t_opp, c, regulated)[0])
 
 
-def _interim_gains(p, t_opp: float, c: float, regulated: bool):
+def _interim_gains(p, t_opp, c: float, regulated: bool):
     """``interim_activity_gain`` at every own type in the array ``p``: the
     gain is constant on [0, t_opp), where it jumps, and is integrated on
-    [t_opp, 1] in two rows per type, cut at its kink q = p."""
+    [t_opp, 1] in two rows per type, cut at its kink q = p.  ``t_opp``, a
+    float or an array that broadcasts against ``p``, may give each row of
+    own types a cutoff of its own."""
     own = p[..., np.newaxis, np.newaxis]
     if_active = lambda q: _activity_gains(own, q, c, regulated)[0]
     opp_active = _simpson(if_active, *_split(t_opp, 1.0, p)).sum(axis=-1)
@@ -208,31 +210,24 @@ def _bisection_probes(lo: int, hi: int, levels: int) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# cutoff-pair welfare by region quadrature
+# cutoff-pair welfare from the interim gains
 
 
 def threshold_welfare_by_quadrature(t1: float, t2: float, c: float) -> ThresholdWelfare:
     """Quadrature counterpart of ``bayesian.welfare_thresholds``, by nested Simpson.
 
-    One call integrates six rows: each server's payoff-table entry over the
-    regions self alone, opponent alone and both active (nobody pays 0),
-    which its share adds in that order.  Integrals over the opponent's type
-    are cut at the own cutoff, those over the own type at the other's type.
+    A server's share is what it would earn if it were always idle, plus its
+    interim activity gain (``_interim_gains``) integrated over its active
+    types [t_own, 1], cut at the opponent's cutoff, where the gain has its
+    kink.  Both servers are one row call for each term.
     """
     c = check_cost(c)
     t1, t2 = check_sigma(t1, "t1"), check_sigma(t2, "t2")
-    own = np.array([[(t, 1.0), (0.0, t), (t, 1.0)] for t in (t1, t2)])[:, :, None, None]
-    opp = np.array([[(0.0, t), (t, 1.0), (t, 1.0)] for t in (t2, t1)])
-
-    def over_own(q):
-        def entries(p):
-            aa, ai, ia, _ = payoff_table(p, np.broadcast_to(q[..., None, None], p.shape), c)
-            return np.stack([ai[:, 0], ia[:, 1], aa[:, 2]], axis=1)
-
-        return _simpson(entries, *_split(own[..., 0], own[..., 1], q)).sum(axis=-1)
-
-    regions = _simpson(over_own, *_split(opp[..., 0], opp[..., 1], [[t1], [t2]])).sum(axis=-1)
-    s1, s2 = (regions[:, 0] + regions[:, 1] + regions[:, 2]).tolist()
+    own, opp = np.array([t1, t2]), np.array([t2, t1])
+    # idle, a server earns IA where the opponent serves alone, whatever its own type
+    idle = _simpson(lambda q: payoff_table(own[:, None], q, c)[2], opp, 1.0)
+    gains = _simpson(lambda p: _interim_gains(p, opp[:, None, None], c, False), *_split(own, 1.0, opp))
+    s1, s2 = (idle + gains.sum(axis=-1)).tolist()
     return ThresholdWelfare(s1, s2, s1 + s2)
 
 

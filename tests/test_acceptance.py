@@ -247,9 +247,7 @@ def test_criterion_10_general_distribution_fixed_point():
     _report(10, "h F(h) = c fixed points hit sqrt(c) and c^(1/3); sampled checks pass")
 
 
-def test_criterion_11_deterministic_cli_output(capsys, monkeypatch):
-    monkeypatch.delenv("SERVERGAME_VERIFY_TARGET_OFFSET", raising=False)
-
+def test_criterion_11_deterministic_cli_output(capsys):
     def run(*argv):
         code = cli.main(list(argv))
         return code, capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from servergame.cooperative import optimal_profile, welfare_case1
+from servergame.cooperative import optimal_profile, pointwise_welfare, welfare_case1
 from servergame.full_info import (
     BOUNDARY_EPS,
     EquilibriumKind,
@@ -281,6 +281,41 @@ def test_the_mixed_selection_lies_below_the_worst_pure_one(c):
     est = mc_welfare(mixed_selection, c, n=1_000_000, seed=1)
     assert abs(est.mean - mixed_selection_welfare(c)) <= 3 * est.stderr
     assert est.mean + 3 * est.stderr < welfare_case3_min(c)
+
+
+@st.composite
+def contention_states(draw):
+    """A cost and a state of contention's closed band, in either order:
+    anywhere in it, or within 4 ulp of its edges min(p1, p2) = c and
+    |p1 - p2| = c (the latter lies in the square only for c <= 1/2)."""
+    edge = draw(st.sampled_from(("inside", "min", "gap")))
+    c = draw(st.floats(0.0, 0.5 if edge == "gap" else 1.0))
+    u, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if edge == "gap":
+        low = c + u * (1.0 - 2.0 * c)
+        high = low + c
+    else:
+        low = c if edge == "min" else c + u * (1.0 - c)
+        high = low + v * min(c, 1.0 - low)
+    low, high = (min(1.0, max(0.0, ulp_steps(p, draw(st.integers(-4, 4))))) for p in (low, high))
+    return c, *((high, low) if draw(st.booleans()) else (low, high))
+
+
+@settings(deadline=None, max_examples=200)
+@given(contention_states())
+@example(case=(0.25, 0.5, 0.25))  # both edges at once: min = c, gap = c
+@example(case=(0.3, 0.6, math.nextafter(0.3, 1.0)))
+@example(case=(0.0, 0.5, 0.5))  # c = 0: (A, A) is an equilibrium too
+@example(case=(0.5, 1.0, 0.5))  # the corner where c = 1/2 meets both edges
+def test_the_mixed_equilibrium_never_beats_the_better_pure_one(case):
+    # the mixed profile spreads its weight over AA, AI, IA and II, and in
+    # contention the better lone server earns at least as much as any of them
+    c, p1, p2 = case
+    s = State(p1, p2)
+    result = classify_state(s, c)
+    assume(result.kind is EquilibriumKind.CONTENTION)
+    pure = max(pointwise_welfare(s, Profile(*sigma), c) for sigma in ((1, 0), (0, 1)))
+    assert pointwise_welfare(s, Profile(*result.mixed), c) <= pure + 1e-12, case
 
 
 @pytest.mark.parametrize(

@@ -992,22 +992,13 @@ def test_each_gain_of_a_row_call_is_its_one_point_call(case):
         assert gain.hex() == interim_activity_gain(x, t_opp, c, regulated).hex(), x
 
 
-def per_region_share(t1, t2, c):
-    """Server 1's share with each region a nested ``_simpson`` call of its own,
-    as the oracle took it before the six regions were rows of one call."""
-
-    def region(entry, p2_range, p1_range):
-        def over_p1(p2):
-            q = p2[..., np.newaxis, np.newaxis]
-            own = lambda p1: payoff_table(p1, np.broadcast_to(q, p1.shape), c)[entry]
-            return _simpson(own, *_split(*p1_range, p2)).sum(axis=-1)
-
-        return float(_simpson(over_p1, *_split(*p2_range, t1)).sum())
-
-    self_alone = region(1, (0.0, t2), (t1, 1.0))
-    opp_alone = region(2, (t2, 1.0), (0.0, t1))
-    both_active = region(0, (t2, 1.0), (t1, 1.0))
-    return self_alone + opp_alone + both_active
+def one_server_share(t_own, t_opp, c):
+    """A server's share built on its own: its idle payoff and its gains over
+    its active types, each a ``_simpson`` call of its own, the gains against
+    the scalar cutoff ``t_opp``."""
+    idle = _simpson(lambda q: payoff_table(t_own, q, c)[2], t_opp, 1.0)
+    gains = _simpson(lambda p: _interim_gains(p, t_opp, c, False), *_split(t_own, 1.0, t_opp))
+    return float(idle + gains.sum(axis=-1))
 
 
 @ENGINE_SETTINGS
@@ -1017,9 +1008,9 @@ def per_region_share(t1, t2, c):
 @example(case=(1.0, 1.0, 1.0))
 @example(case=(0.0, 1.0, 1.0))
 @example(case=(1.0, 0.0, 0.0))
-def test_region_rows_of_one_call_match_a_call_per_region(case):
+def test_both_servers_of_one_call_match_a_call_per_server(case):
     t1, t2, c = case
-    s1, s2 = per_region_share(t1, t2, c), per_region_share(t2, t1, c)
+    s1, s2 = one_server_share(t1, t2, c), one_server_share(t2, t1, c)
     got = threshold_welfare_by_quadrature(t1, t2, c)
     assert [x.hex() for x in got] == [s1.hex(), s2.hex(), (s1 + s2).hex()]
 

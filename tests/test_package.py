@@ -1,5 +1,7 @@
-"""The package surface: the exported names and the demos' output."""
+"""The package surface: the exported names, the demos' output, and the rule
+that the oracle reads none of the closed forms it checks."""
 
+import ast
 import enum
 import hashlib
 import inspect
@@ -292,3 +294,66 @@ def test_benchmark_workloads_pass_one_batch_each():
     assert [line.split()[0] for line in proc.stdout.splitlines()] == [
         "verify", "sweep", "state_queries", "oracle_probe"
     ]  # fmt: skip
+
+
+# --------------------------------------------------------------------------
+# the oracle rule: oracle shares the payoff table with the closed forms, and
+# of their modules only the plain data containers
+
+CLOSED_FORM_MODULES = {"bayesian", "cooperative", "full_info"}
+
+
+def dotted(node):
+    """``a.b.c`` of an attribute chain on a name as ["a", "b", "c"], else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    return [node.id, *parts] if isinstance(node, ast.Name) else None
+
+
+def closed_form_reads(source):
+    """What ``source`` takes from the closed-form modules, as "module.name":
+    each name it imports from one, and each attribute it reads off one."""
+    tree = ast.parse(source)
+    bound, reads = {}, []  # local name -> the dotted path it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] in CLOSED_FORM_MODULES:
+                reads += [f"{module.split('.')[-1]}.{alias.name}" for alias in node.names]
+            else:
+                bound.update({a.asname or a.name: f"{module}.{a.name}" for a in node.names})
+    for node in ast.walk(tree):
+        chain = dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in bound:
+            path = bound[chain[0]].split(".") + chain[1:]
+            reads += [
+                f"{module}.{name}"
+                for module, name in zip(path, path[1:])
+                if module in CLOSED_FORM_MODULES
+            ]
+    return reads
+
+
+def test_the_oracle_reads_no_closed_form():
+    reads = closed_form_reads(Path(oracle.__file__).read_text())
+    assert set(reads) <= {"bayesian.Distribution", "bayesian.ThresholdWelfare"}, reads
+
+
+@pytest.mark.parametrize(
+    "source, read",
+    [
+        ("from .bayesian import Distribution, welfare_thresholds", "bayesian.welfare_thresholds"),
+        ("from servergame.full_info import classify_state as cs", "full_info.classify_state"),
+        ("from . import cooperative as co\nco.welfare_case1(0.2)", "cooperative.welfare_case1"),
+        ("import servergame.bayesian as b\nb.Distribution", "bayesian.Distribution"),
+        ("import servergame.full_info\nservergame.full_info.BOUNDARY_EPS", "full_info.BOUNDARY_EPS"),
+    ],
+)
+def test_the_oracle_rule_check_sees_each_way_of_reading_a_closed_form(source, read):
+    assert read in closed_form_reads(source)
