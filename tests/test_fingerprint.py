@@ -139,13 +139,6 @@ def epsilon_nash_check():
         out.append(oracle.epsilon_nash_check((t, t), c))
         out.append(oracle.epsilon_nash_check((t_opt, t_opt), c, regulated=True))
         out.append(oracle.epsilon_nash_check((0.2, 0.9), c))
-        out.append(oracle.epsilon_nash_check((t, t), c, mode="sampled", seed=5, samples=500))
-        out.append(
-            oracle.epsilon_nash_check(
-                (t_opt, 0.8), c, mode="sampled", seed=6, regulated=True, samples=300,
-                dist=bayesian.power_distribution(2),
-            )
-        )
         out.append(oracle.epsilon_nash_check(full_info.equilibrium_activity, c))
         out.append(oracle.epsilon_nash_check(cooperative.optimal_activity, c))
         out.append(
@@ -155,6 +148,20 @@ def epsilon_nash_check():
         out.append(
             oracle.epsilon_nash_check(
                 cooperative.optimal_activity, c, states=np.column_stack(boundary_states(c))
+            )
+        )
+    return out
+
+
+def sampled_cutoff_check():
+    out = []
+    for c in (0.1, 0.25, 0.5):
+        t, t_opt = math.sqrt(c), math.sqrt(c / 2.0)
+        out.append(oracle.epsilon_nash_check((t, t), c, mode="sampled", seed=5, samples=500))
+        out.append(
+            oracle.epsilon_nash_check(
+                (t_opt, 0.8), c, mode="sampled", seed=6, regulated=True, samples=300,
+                dist=bayesian.power_distribution(2),
             )
         )
     return out
@@ -207,6 +214,7 @@ GROUPS = {
     "activity_maps": activity_maps,
     "mc_welfare": mc_welfare,
     "epsilon_nash_check": epsilon_nash_check,
+    "sampled_cutoff_check": sampled_cutoff_check,
     "grid_best_response": grid_best_response,
     "interim_gains": interim_gains,
     "quadrature_shares": quadrature_shares,
