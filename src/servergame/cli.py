@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from . import bayesian, cooperative, full_info, oracle
-from .oracle import _usable_cpus
 from .payoffs import State
 
 __all__ = [
@@ -315,6 +315,14 @@ def cmd_best_response(args) -> int:
 
 # --------------------------------------------------------------------------
 # verification suite
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: ``os.sched_getaffinity``, else ``os.cpu_count``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # A pool worker's Monte Carlo jobs, set by _take_jobs as the worker starts.

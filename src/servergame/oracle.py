@@ -16,11 +16,10 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   blocks of 2**14 states drawn into one workspace per call.  A law other
   than the default is given by its ``Distribution.uniform_map``, and
   every block it maps is checked;
-* the sampled deviation check scores idle opponents as active ones of type 0.
-  Both servers' draws are made on the calling thread; where more than one
-  CPU is usable and a server's draws number at most ``_ROWS``, server 2's
-  gains run on a second thread, joined before the check returns, with the
-  bits of the serial run.
+* the sampled deviation check scores idle opponents as active ones of type 0
+  and sorts each server's opponent draws once: every own type's gains are
+  two groups of them, split at its type, whose moments come from sums
+  between neighbouring grid types.
 
 Every integral, ``quadrature``'s too, sums one Simpson panel per row as
 h/3*(v0 + 4*v1 + v2), so a row's bits depend neither on the rows beside it
@@ -34,8 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +63,9 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per block in mc_welfare, whose rows stay below glibc's trim threshold
-# (the heap is reused, not refaulted); gain elements per sampled block of rows.
+# States per block in mc_welfare, and draws per block in the sampled check,
+# whose rows stay below glibc's trim threshold (the heap is reused, not refaulted).
 _BLOCK = 1 << 14
-_ROWS = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -470,79 +466,67 @@ def _check_state_map(activity, c, p1, p2, eps, variant):
 
 
 def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
-    """Mean and standard error (numpy's ``mean`` and ``std(ddof=1)``, step by
-    step) of each own type's whole row of gains against the opponent draws,
-    those below t_opp set to 0 in place (AA - IA at type 0 is AI - II in both
-    tables: x - 0.0 is x, x - (0.0 - c/2) is x + c/2), the rows of
-    ``_ROWS // n`` own types (at least one) a table call in a reused block.
-    IA does not depend on the own type, so the table's row is taken once;
-    AA is the same in both tables (the subsidy moves only AI and IA), so the
-    unregulated table, which allocates nothing, gives it block by block."""
-    opp_draws[opp_draws < t_opp] = 0.0
+    """Mean and standard error (``std(ddof=1) / sqrt(n)``) of each own type's
+    gains against the opponent draws, which are sorted and set to 0 below
+    t_opp, both in place: an idle opponent scores as an active one of type 0
+    (AA - IA at type 0 is AI - II in both tables: x - 0.0 is x, x - (0.0 -
+    c/2) is x + c/2).  Against a draw q < p the better server is p, so the
+    gain is AA(p, 0) - IA(q); against q >= p it is G(q) = AA(q, q) - IA(q).
+    Each own type's row is thus two groups of the sorted draws, split where
+    ``searchsorted`` puts p.  One pass, ``_BLOCK`` draws at a time, sums IA
+    and G, and their squares, between neighbouring grid types, shifted by IA
+    of the first draw and G of the last: a member of every nonempty group,
+    so a constant group has no spread.  Prefix and suffix sums give each
+    group's mean and squared deviations, and the groups combine with their
+    between-group term."""
+    opp_draws.sort()
+    opp_draws[: np.searchsorted(opp_draws, t_opp)] = 0.0
     n, variant = opp_draws.size, "case2_reg" if regulated else "unregulated"
-    k = min(max(1, _ROWS // n), p_grid.size)
-    block, column = np.empty((k, n)), np.empty((k, 1))
-    any_own = p_grid[:1, np.newaxis]
-    ia = payoff_table(any_own, opp_draws, c, variant, out=(block[:1], column[:1]))[2]
-    means, ses = np.empty((2, p_grid.size))
-    for lo in range(0, p_grid.size, k):
-        own = p_grid[lo : lo + k, np.newaxis]
-        rows = block[: len(own)]
-        aa = payoff_table(own, opp_draws, c, out=(rows, column[: len(own)]))[0]
-        means[lo : lo + k] = mean = np.add.reduce(np.subtract(aa, ia, out=rows), axis=1) / n
-        np.square(np.subtract(rows, mean[:, np.newaxis], out=rows), out=rows)
-        ses[lo : lo + k] = np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / np.sqrt(n)
-    return means, ses
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: ``os.sched_getaffinity``, else ``os.cpu_count``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    below = np.searchsorted(opp_draws, p_grid)  # the draws below each own type
+    bounds = np.concatenate(([0], below, [n]))
+    ends = opp_draws[[0, -1]]
+    aa, _, ia, _ = payoff_table(ends, ends, c, variant)
+    ref_ia, ref_g = ia[0], aa[1] - ia[1]
+    # rows IA - ref_ia, its square, G - ref_g and its square, summed over each
+    # run of draws between neighbouring grid types: bounds[j], bounds[j + 1]
+    work, sums = np.empty((4, min(n, _BLOCK))), np.zeros((4, bounds.size - 1))
+    for lo in range(0, n, _BLOCK):
+        q = opp_draws[lo : lo + _BLOCK]
+        rows = work[:, : q.size]
+        aa, _, ia, _ = payoff_table(q, q, c, variant, out=(rows[2], rows[0]))
+        np.subtract(ia, ref_ia, out=rows[0])
+        np.subtract(np.subtract(aa, ia, out=rows[2]), ref_g, out=rows[2])
+        np.square(rows[::2], out=rows[1::2])
+        edges = np.minimum(np.maximum(bounds, lo), lo + q.size) - lo
+        held = edges[1:] > edges[:-1]
+        sums[:, held] += np.add.reduceat(rows, edges[:-1][held], axis=1)
+    # own type j: IA over runs 0..j, the draws below it, and G over the rest;
+    # an empty group's sums are 0, and so are its mean and spread
+    ia_sum, ia_sq = np.cumsum(sums[:2], axis=1)[:, :-1]
+    g_sum, g_sq = np.cumsum(sums[2:, ::-1], axis=1)[:, -2::-1]
+    ia_shift, g_shift = ia_sum / np.maximum(below, 1), g_sum / np.maximum(n - below, 1)
+    spread = np.maximum(ia_sq - ia_sum * ia_shift, 0.0) + np.maximum(g_sq - g_sum * g_shift, 0.0)
+    gain_below = payoff_table(p_grid, 0.0, c)[0] - (ref_ia + ia_shift)
+    gain_above = ref_g + g_shift
+    means = (below * gain_below + (n - below) * gain_above) / n
+    spread += below * (n - below) / n * np.square(gain_below - gain_above)
+    return means, np.sqrt(spread / (n - 1)) / np.sqrt(n)
 
 
 def _sampled_gains(p_grid, t, c, seed, regulated, dist, samples):
     """Both servers' sampled gain moments, server 1's first: each server's
     ``samples`` opponent draws come from one generator on ``seed``, server
-    1's first.  Where more than one CPU is usable and a server's rows fit in
-    one block (``samples <= _ROWS``), both servers' draws are made here and
-    server 2's moments run on a second thread, joined before this returns;
-    larger checks run one server after the other, so that only one server's
-    draws and block are held at a time.  The bits are the same either way."""
+    1's first, and mapped by ``dist`` here.  The servers run one after the
+    other, so that one server's draws are held at a time."""
     rng = np.random.default_rng(seed)
 
-    def opponent_draws(k):
-        # the moments zero draws in u, never in the map's array: it may be the caller's
+    def moments(k):
+        # the moments zero and sort draws in u, never in the map's array: it may be the caller's
         u = rng.random(samples)
         np.copyto(u, _checked_draws(dist, u, f"p{2 - k}"))
-        return u
-
-    def moments(k, u):
         return _sampled_gain_moments(p_grid, u, t[1 - k], c, regulated)
 
-    if samples > _ROWS or _usable_cpus() < 2:
-        return [moments(k, opponent_draws(k)) for k in range(2)]
-    u1, u2 = opponent_draws(0), opponent_draws(1)
-    second = []  # server 2's moments, or what stopped them
-
-    def run_server_2():
-        try:
-            second.append(moments(1, u2))
-        except BaseException as err:  # raised again in the caller
-            second.append(err)
-
-    # a bare thread: concurrent.futures would add ~13 ms of import and 0.6 MiB
-    thread = threading.Thread(target=run_server_2)
-    thread.start()
-    try:
-        first = moments(0, u1)
-    finally:
-        thread.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return [first, second[0]]
+    return [moments(0), moments(1)]
 
 
 def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
@@ -597,10 +581,9 @@ def epsilon_nash_check(
     those gains are exact, so eps defaults to 1e-6.  The grids are fixed:
     own types 0, 0.005, ..., 1, and the 51 x 51 states of step 0.02.  A
     cutoff pair is a tuple or list of two, and any other one a TypeError.
-    A sampled cutoff-pair check of at most ``_ROWS`` (2**16) samples runs
-    server 2 on a second thread where more than one CPU is usable; the
-    thread has ended when this returns, its error is raised here, and the
-    report is bit for bit the one-thread report.
+    A sampled cutoff-pair check sorts each server's opponent draws and
+    takes every own type's moments from sums between grid types, in
+    O(n log n) per server on the calling thread.
     Cutoffs, states, sampled opponent types and the map's activities must
     lie in [0, 1] (ValueError otherwise, NaN included); ``sampled`` mode
     needs ``samples`` >= 2 for a cutoff pair.  ``samples`` and ``seed`` are

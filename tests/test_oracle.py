@@ -19,7 +19,6 @@ from servergame.cooperative import optimal_profile
 from servergame.full_info import regulated_activity
 from servergame.oracle import (
     _BLOCK,
-    _ROWS,
     DeviationReport,
     _interim_gains,
     _simpson,
@@ -301,18 +300,29 @@ class TestEpsilonNash:
         assert report.passed
 
     @pytest.mark.parametrize(
-        "c, seed, regulated, dist, max_gain, eps, passed",
+        "c, seed, regulated, dist, max_gain, eps, passed, witness",
         [
             # the two sampled cases of the oracle_probe benchmark workload
-            (0.25, 5, False, None, "0x0.0p+0", "0x1.0ecbd6304933ap-7", True),
-            (0.49, 3, False, None, "0x1.0ea9e6eeb6fecp-8", "0x1.c06e64c726932p-8", True),
-            (0.32, 7, True, None, "0x1.30164840e164ep-11", "0x1.1044dda8a7e16p-8", True),
-            (0.25, 5, False, 2, "0x1.fe5c91d14e3bdp-4", "0x1.2d523ab0a785fp-8", False),
+            (0.25, 5, False, None, "0x0.0p+0", "0x1.0ecbd6304933bp-7", True, None),
+            (
+                0.49, 3, False, None, "0x1.0ea9e6eeb6fecp-8", "0x1.c06e64c726932p-8", True,
+                (2, 0.7000000000000001),
+            ),
+            (
+                0.32, 7, True, None, "0x1.30164840e161ep-11", "0x1.1044dda8a7e17p-8", True,
+                (2, 0.4),
+            ),
+            (
+                0.25, 5, False, 2, "0x1.fe5c91d14e3bdp-4", "0x1.2d523ab0a785ep-8", False,
+                (2, 0.5),
+            ),
         ],
     )
-    def test_sampled_reports_are_pinned(self, c, seed, regulated, dist, max_gain, eps, passed):
-        # bits of the equilibrium's sampled check, recorded from gain rows
-        # filled by np.where over the whole row
+    def test_sampled_reports_are_pinned(
+        self, c, seed, regulated, dist, max_gain, eps, passed, witness
+    ):
+        # bits of the equilibrium's sampled check, recorded from the moments
+        # of the sorted draws; a witness is (server, own type, max_gain)
         report = epsilon_nash_check(
             nash_threshold(c, regulated=regulated),
             c,
@@ -321,22 +331,21 @@ class TestEpsilonNash:
             regulated=regulated,
             dist=None if dist is None else power_distribution(dist),
         )
-        assert (report.max_gain.hex(), report.eps.hex(), report.passed) == (max_gain, eps, passed)
+        got = (report.max_gain.hex(), report.eps.hex(), report.passed, report.witness)
+        want = (max_gain, eps, passed, witness and (*witness, report.max_gain))
+        assert got == want
 
     @pytest.mark.parametrize(
         "t, regulated", [(0.25, False), (0.5, False), (0.999, False), (0.5, True)]
     )
-    def test_sampled_check_peak_memory(self, monkeypatch, t, regulated):
-        # 10**6 draws (7.6 MiB) and one reused block of gain rows, here one
-        # row (7.6 MiB): 15.3 MiB at any cutoff.  An index of the draws
-        # below the cutoff, as the idle gains once took, grew it with t to
-        # 23 MiB near 1.  The subsidy table adds its IA row (7.6 MiB), made
-        # once per server: holding the last block's while the next was made
-        # gave 30.5 MiB.  Above _ROWS draws the servers run one after the
-        # other, never on two threads, so one server's draws and block are
-        # held at a time.  The block is reused across own types, so 21 of
-        # them show the same peak as the fixed 201, in a tenth of the time
-        monkeypatch.setattr(oracle, "_P_STEP", 0.05)
+    def test_sampled_check_peak_memory(self, t, regulated):
+        # 10**6 draws (7.6 MiB), sorted and zeroed below the cutoff in place,
+        # and a workspace of four 2**14-draw rows (0.5 MiB): about 8.2 MiB
+        # at any cutoff, and 8.4 with the subsidy table, whose IA is made
+        # anew for each block.  A whole gain row per own type, as the check
+        # once held, gave 15.3 MiB, and an index of the draws below the
+        # cutoff grew it with t to 23 MiB near 1.  The servers run one after
+        # the other, so one server's draws are held at a time
         check = dict(mode="sampled", regulated=regulated)
         epsilon_nash_check((t, t), 0.25, samples=1_000, **check)
         tracemalloc.start()
@@ -345,7 +354,7 @@ class TestEpsilonNash:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (25 if regulated else 17) * 2**20
+        assert peak < 17 * 2**20
 
     def test_cooperative_optimum_is_not_an_equilibrium(self):
         report = epsilon_nash_check(
@@ -1016,90 +1025,83 @@ def test_both_servers_of_one_call_match_a_call_per_server(case):
 
 
 # --------------------------------------------------------------------------
-# the sampled check's second thread and the batched analytic check
+# the sampled check's moments from sorted draws, and the batched analytic check
 
 
-def sampled_report(t, c, regulated, dist, samples, cpus):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_usable_cpus", lambda: cpus)
-        return epsilon_nash_check(
-            t, c, mode="sampled", seed=9, regulated=regulated, dist=dist, samples=samples
-        )
+def brute_force_moments(p_grid, draws, t_opp, c, regulated):
+    """Each own type's whole row of gains from the payoff table, in draw
+    order, idle opponents scored as active ones of type 0, and numpy's
+    ``mean`` and ``std(ddof=1) / sqrt(n)`` of it."""
+    q = np.where(draws < t_opp, 0.0, draws)
+    variant = "case2_reg" if regulated else "unregulated"
+    means, ses = [], []
+    for p in p_grid.tolist():
+        aa, _, ia, _ = payoff_table(p, q, c, variant)
+        row = aa - ia
+        means.append(np.mean(row))
+        ses.append(np.std(row, ddof=1) / np.sqrt(q.size))
+    return np.array(means), np.array(ses)
 
 
-def report_bits(report):
-    return report.max_gain.hex(), report.eps.hex(), report.passed, report.witness
+GRID = np.linspace(0.0, 1.0, 201)
+LAWS = {
+    "uniform": lambda rng, n: rng.random(n),
+    "power2": lambda rng, n: power_distribution(2).uniform_map(rng.random(n)),
+    "on_grid": lambda rng, n: GRID[rng.integers(0, GRID.size, n)],
+    "all_equal": lambda rng, n: np.full(n, rng.choice([0.0, 0.3, 1.0, rng.random()])),
+}
 
 
-@settings(deadline=None, max_examples=12)
+@settings(deadline=None, max_examples=40)
 @given(
-    cutoff_cases(),
+    st.sampled_from([2, 3, 100, 20_000]),
+    st.sampled_from(sorted(LAWS)),
+    st.integers(0, 2**32 - 1),
+    UNIT,
+    UNIT,
     st.booleans(),
-    st.sampled_from([None, 2]),
-    st.sampled_from([2, 20_000, _ROWS, _ROWS + 1]),
 )
-@example(case=(0.0, 1.0, 0.25), regulated=False, power=None, samples=2)
-@example(case=(1.0, 0.0, 1.0), regulated=True, power=2, samples=20_000)
-@example(case=(0.5, 0.5, 0.25), regulated=True, power=None, samples=_ROWS)
-@example(case=(0.3, 0.6, 0.36), regulated=False, power=2, samples=_ROWS + 1)
-def test_threaded_and_serial_sampled_reports_are_equal(case, regulated, power, samples):
-    # two CPUs take the thread where samples <= _ROWS, whatever this host has
-    t1, t2, c = case
-    dist = None if power is None else power_distribution(power)
-    threaded, serial = (
-        sampled_report((t1, t2), c, regulated, dist, samples, cpus) for cpus in (2, 1)
-    )
-    assert report_bits(threaded) == report_bits(serial)
+@example(n=2, law="uniform", seed=0, t_opp=0.5, c=0.25, regulated=False)
+@example(n=100, law="uniform", seed=1, t_opp=1.0, c=0.3, regulated=False)  # every draw 0
+@example(n=100, law="uniform", seed=2, t_opp=0.0, c=0.3, regulated=True)
+@example(n=100, law="power2", seed=3, t_opp=0.4, c=0.0, regulated=False)
+@example(n=100, law="uniform", seed=4, t_opp=0.4, c=1.0, regulated=True)
+@example(n=20_000, law="on_grid", seed=5, t_opp=0.5, c=0.25, regulated=False)
+@example(n=3, law="all_equal", seed=6, t_opp=0.2, c=0.5, regulated=True)
+@example(n=20_000, law="all_equal", seed=7, t_opp=0.0, c=0.1, regulated=False)
+@example(n=2**16 + 1, law="power2", seed=8, t_opp=0.6, c=0.36, regulated=True)
+def test_sampled_moments_match_the_whole_rows(n, law, seed, t_opp, c, regulated):
+    draws = LAWS[law](np.random.default_rng(seed), n)
+    want = brute_force_moments(GRID, draws, t_opp, c, regulated)
+    opp = draws.copy()  # sorted and zeroed below t_opp in place
+    got = oracle._sampled_gain_moments(GRID, opp, t_opp, c, regulated)
+    assert np.array_equal(opp, np.sort(np.where(draws < t_opp, 0.0, draws)))
+    for have, reference in zip(got, want):
+        assert np.max(np.abs(have - reference)) <= 1e-14
 
 
-class CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        CountedThread.started += 1
-        super().start()
-
-
-@pytest.mark.parametrize(
-    "cpus, samples, threads", [(2, 20_000, 1), (2, _ROWS, 1), (2, _ROWS + 1, 0), (1, 20_000, 0)]
-)
-def test_the_sampled_check_takes_a_thread_only_where_it_may(monkeypatch, cpus, samples, threads):
-    # the opponent draws, and the caller's uniform_map with them, stay on the
-    # calling thread; no thread the check started outlives it
-    mapped_on = []
+@pytest.mark.parametrize("samples", [2, 20_000, 2**16 + 1])
+def test_the_sampled_check_starts_no_thread(monkeypatch, samples):
+    # the opponent draws, and the caller's uniform_map with them, run once
+    # per server on the calling thread, and no thread is started at any size
+    mapped_on, started = [], []
 
     def uniform_map(u):
         mapped_on.append(threading.current_thread())
         return u
 
-    monkeypatch.setattr(oracle.threading, "Thread", CountedThread)
-    CountedThread.started = 0
+    def start(thread):
+        started.append(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     before = threading.active_count()
-    sampled_report(
-        (0.3, 0.6), 0.36, False, Distribution("u", cdf=lambda x: x, uniform_map=uniform_map),
-        samples, cpus,
+    check = dict(mode="sampled", seed=9, samples=samples)
+    report = epsilon_nash_check(
+        (0.3, 0.6), 0.36, dist=Distribution("u", cdf=lambda x: x, uniform_map=uniform_map), **check
     )
-    assert CountedThread.started == threads
-    assert threading.active_count() == before
+    assert report == epsilon_nash_check((0.3, 0.6), 0.36, **check)
+    assert started == [] and threading.active_count() == before
     assert mapped_on == [threading.current_thread()] * 2
-
-
-def test_an_error_on_server_2s_thread_is_raised_in_the_caller(monkeypatch):
-    sampled_gain_moments = oracle._sampled_gain_moments
-    raised_on = []
-
-    def fails_for_server_2(p_grid, opp_draws, t_opp, c, regulated):
-        if t_opp == 0.3:  # server 2 plays against server 1's cutoff
-            raised_on.append(threading.current_thread())
-            raise ArithmeticError("server 2 failed")
-        return sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated)
-
-    monkeypatch.setattr(oracle, "_sampled_gain_moments", fails_for_server_2)
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="server 2 failed"):
-        sampled_report((0.3, 0.6), 0.36, False, None, 20_000, 2)
-    assert raised_on and raised_on[0] is not threading.current_thread()
-    assert threading.active_count() == before
 
 
 @ENGINE_SETTINGS

@@ -301,15 +301,15 @@ def test_monte_carlo_rejects_a_sampler_that_yields_nan():
 
 
 @pytest.mark.parametrize("regulated", [False, True])
-# own types a block: 32 (201 = 6*32 + 9, the last block short), one (a
-# budget short of a row) and 7 (201 = 28*7 + 5)
-@pytest.mark.parametrize("rows", [None, 1_999, 14_000])
-def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, rows):
+# draws a block: 2**14 (one block), 7 (runs between grid types split across
+# many blocks) and 1,999 (the last block one draw long)
+@pytest.mark.parametrize("block", [None, 7, 1_999])
+def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, block):
     rng = np.random.default_rng(3)
     draws = rng.random(2_000)
     p_grid = np.linspace(0.0, 1.0, 201)
-    if rows is not None:
-        monkeypatch.setattr(oracle, "_ROWS", rows)
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
     # no draw below the cutoff, none at or above it, and one on the >= boundary
     cases = ((0.5, 0.25), (0.7, 0.49), (0.0, 0.25), (1.0, 0.49), (float(draws[17]), 0.25))
     for t_opp, c in cases:
@@ -318,12 +318,14 @@ def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, ro
         idle = p - c + c / 2.0 if regulated else p - c
         opp_payoff = q - c / 2.0 if regulated else q
         gain = np.where(q >= t_opp, np.maximum(p, q) - c - opp_payoff, idle)
-        opp = draws.copy()  # below t_opp set to 0 in place
+        opp = draws.copy()  # sorted and set to 0 below t_opp in place
         means, ses = oracle._sampled_gain_moments(p_grid, opp, t_opp, c, regulated)
-        assert np.array_equal(opp, np.where(draws < t_opp, 0.0, draws))
+        assert np.array_equal(opp, np.sort(np.where(draws < t_opp, 0.0, draws)))
         # each row reduced alone, as numpy's mean and std of that row
-        assert np.array_equal(means, [row.mean() for row in gain])
-        assert np.array_equal(ses, [row.std(ddof=1) / np.sqrt(draws.size) for row in gain])
+        np.testing.assert_allclose(means, gain.mean(axis=1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            ses, gain.std(axis=1, ddof=1) / np.sqrt(draws.size), rtol=0, atol=1e-14
+        )
 
 
 def linear_scan_best_response(t_opp, c, regulated, step):
