@@ -1080,7 +1080,7 @@ def test_sampled_moments_match_the_whole_rows(n, law, seed, t_opp, c, regulated)
         assert np.max(np.abs(have - reference)) <= 1e-14
 
 
-@pytest.mark.parametrize("samples", [2, 20_000, 2**16 + 1])
+@pytest.mark.parametrize("samples", [2, 20_000, 2**16, 2**16 + 1])
 def test_the_sampled_check_starts_no_thread(monkeypatch, samples):
     # the opponent draws, and the caller's uniform_map with them, run once
     # per server on the calling thread, and no thread is started at any size
@@ -1102,6 +1102,24 @@ def test_the_sampled_check_starts_no_thread(monkeypatch, samples):
     assert report == epsilon_nash_check((0.3, 0.6), 0.36, **check)
     assert started == [] and threading.active_count() == before
     assert mapped_on == [threading.current_thread()] * 2
+
+
+def test_an_error_in_server_2s_moments_is_raised_in_the_caller(monkeypatch):
+    sampled_gain_moments = oracle._sampled_gain_moments
+    raised_on = []
+
+    def fails_for_server_2(p_grid, opp_draws, t_opp, c, regulated):
+        if t_opp == 0.3:  # server 2 plays against server 1's cutoff
+            raised_on.append(threading.current_thread())
+            raise ArithmeticError("server 2 failed")
+        return sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated)
+
+    monkeypatch.setattr(oracle, "_sampled_gain_moments", fails_for_server_2)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="server 2 failed"):
+        epsilon_nash_check((0.3, 0.6), 0.36, mode="sampled", seed=9, samples=20_000)
+    assert raised_on == [threading.current_thread()]
+    assert threading.active_count() == before
 
 
 @ENGINE_SETTINGS
