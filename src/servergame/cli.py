@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.  All output
 is deterministic for a given argument list (fixed seeds, 12-significant-
 digit formatting, LF line endings) so runs can be diffed byte for byte.
 
-``verify`` runs its twenty Monte Carlo checks, which are independent, on up
-to one forked worker process per usable CPU.  It runs them in process where
-the platform cannot fork, one CPU is usable or the caller has other threads
-running; the output is the same either way.
+``verify`` walks one table of 31 checks, ``_battery``.  Its twenty Monte
+Carlo rows run on up to one forked worker per usable CPU, which rebuilds
+the table and runs a row by index; in process where the platform cannot
+fork, one CPU is usable or other threads run.  Same output either way.
 """
 
 from __future__ import annotations
@@ -325,73 +325,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# A pool worker's Monte Carlo jobs, set by _take_jobs as the worker starts.
-# They reach it through the fork and are never pickled: the strategies may
-# be closures, and a test's monkeypatch of oracle.mc_welfare holds there too.
-_worker_jobs: list[tuple] = []
+def _battery() -> list[tuple]:
+    """Every check in output order, as ``(name, closed-form target, oracle, tol)``.
 
-
-def _take_jobs(jobs: list[tuple]) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _mc_job(k: int) -> oracle.Estimate:
-    strategy, c, samples, seed = _worker_jobs[k]
-    return oracle.mc_welfare(strategy, c, n=samples, seed=seed)
-
-
-def _mc_estimates(jobs: list[tuple]) -> list[oracle.Estimate]:
-    """``oracle.mc_welfare`` of each ``(strategy, c, samples, seed)`` job, in job order.
-
-    The jobs run on ``min(len(jobs), usable CPUs)`` forked workers; only a
-    job's index and its ``Estimate`` cross between processes, so each
-    estimate is bit for bit the in-process one.  A worker's exception is
-    raised here, and every worker has exited when this returns.  Where a
-    pool cannot help (one usable CPU) or fork is unsafe (no ``"fork"``
-    start method, or other threads running, which a forked child would
-    find holding their locks), the jobs run in process.
+    A Monte Carlo row's oracle is its ``(strategy, c)`` and its tol is None,
+    for three standard errors; the k-th such row runs at seed + k.  Any other
+    row's oracle is a call without arguments that returns its estimate, so
+    building the table runs no oracle.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1 and threading.active_count() == 1:
-        # imported here, so that the CLI's start-up does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_take_jobs,
-                initargs=(jobs,),
-            ) as pool:
-                return list(pool.map(_mc_job, range(len(jobs))))
-    return [oracle.mc_welfare(s, c, n=n, seed=seed) for s, c, n, seed in jobs]
-
-
-def verification_checks(samples: int, seed: int) -> list[dict]:
-    """Every oracle-vs-closed-form check, as rows of name/target/estimate.
-
-    Monte Carlo rows pass within three standard errors; deterministic
-    quadrature and grid rows carry fixed tolerances.
-    """
-    rows = []
-
-    def row(name, target, estimate, stderr, tol):
-        rows.append(
-            {
-                "check": name,
-                "target": target,
-                "estimate": estimate,
-                "stderr": stderr,
-                "tol": tol,
-                "passed": abs(estimate - target) <= tol,
-            }
-        )
-
-    # (check, closed-form target, strategy, cost); the k-th runs at seed + k
-    mc_checks = [
-        ("case1 welfare", cooperative.welfare_case1(c), cooperative.optimal_activity, c)
+    rows = [
+        (f"case1 welfare mc c={c:g}", cooperative.welfare_case1(c),
+         (cooperative.optimal_activity, c), None)
         for c in (0.1, 0.25, 0.5, 0.75, 0.9)
     ]
     best = partial(full_info.equilibrium_activity, policy="max_welfare")
@@ -399,45 +343,86 @@ def verification_checks(samples: int, seed: int) -> list[dict]:
     for c in (0.25, 0.5, 0.8):
         ne = bayesian.nash_threshold(c)
         opt = bayesian.optimal_thresholds(c)
-        mc_checks += [
-            ("case2 equilibrium welfare", bayesian.welfare_thresholds(*ne, c).total, ne, c),
-            ("case2 optimal-cutoff welfare", bayesian.welfare_thresholds(*opt, c).total, opt, c),
-            ("case3 max welfare", full_info.welfare_case3_max(c), best, c),
-            ("case3 min welfare", full_info.welfare_case3_min(c), worst, c),
-            ("case3 regulated welfare", cooperative.welfare_case1(c), full_info.regulated_activity, c),
-        ]
-    jobs = [
-        (strategy, c, samples, seed + k)
-        for k, (_, _, strategy, c) in enumerate(mc_checks, start=1)
-    ]
-    for (check, target, _, c), est in zip(mc_checks, _mc_estimates(jobs)):
-        row(f"{check} mc c={c:g}", target, est.mean, est.stderr, 3.0 * est.stderr)
-
-    for t1, t2, c in ((0.3, 0.7, 0.2), (0.1, 0.55, 0.6), (0.25, 0.8, 0.45)):
-        row(
-            f"cutoff welfare quadrature t=({t1:g},{t2:g}) c={c:g}",
-            bayesian.welfare_thresholds(t1, t2, c).server1,
-            oracle.threshold_welfare_by_quadrature(t1, t2, c).server1,
-            0.0,
-            1e-10,
-        )
-
-    for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4)):
-        for regulated in (False, True):
-            label = "regulated" if regulated else "unregulated"
-            row(
-                f"best response grid {label} t_opp={t_opp:g} c={c:g}",
-                bayesian.best_response_threshold(t_opp, c, regulated=regulated),
-                oracle.grid_best_response(t_opp, c, regulated=regulated, step=1e-3),
-                0.0,
-                1e-3,
+        rows += [
+            (f"{check} mc c={c:g}", target, (strategy, c), None)
+            for check, target, strategy in (
+                ("case2 equilibrium welfare", bayesian.welfare_thresholds(*ne, c).total, ne),
+                ("case2 optimal-cutoff welfare", bayesian.welfare_thresholds(*opt, c).total, opt),
+                ("case3 max welfare", full_info.welfare_case3_max(c), best),
+                ("case3 min welfare", full_info.welfare_case3_min(c), worst),
+                ("case3 regulated welfare", cooperative.welfare_case1(c),
+                 full_info.regulated_activity),
             )
+        ]
+    rows += [
+        (f"cutoff welfare quadrature t=({t1:g},{t2:g}) c={c:g}",
+         bayesian.welfare_thresholds(t1, t2, c).server1,
+         lambda t1=t1, t2=t2, c=c: oracle.threshold_welfare_by_quadrature(t1, t2, c).server1,
+         1e-10)
+        for t1, t2, c in ((0.3, 0.7, 0.2), (0.1, 0.55, 0.6), (0.25, 0.8, 0.45))
+    ]
+    rows += [
+        (f"best response grid {label} t_opp={t_opp:g} c={c:g}",
+         bayesian.best_response_threshold(t_opp, c, regulated=regulated),
+         partial(oracle.grid_best_response, t_opp, c, regulated=regulated, step=1e-3),
+         1e-3)
+        for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4))
+        for regulated, label in ((False, "unregulated"), (True, "regulated"))
+    ]
+    return rows
+
+
+def _mc_estimate(samples: int, seed: int, k: int) -> oracle.Estimate:
+    """The battery's Monte Carlo row k (0-based), drawn at seed + k + 1."""
+    strategy, c = [run for _, _, run, tol in _battery() if tol is None][k]
+    return oracle.mc_welfare(strategy, c, n=samples, seed=seed + k + 1)
+
+
+def _mc_estimates(samples: int, seed: int, count: int) -> list[oracle.Estimate]:
+    """``_mc_estimate`` of rows 0 to count - 1, in row order.
+
+    The rows run on ``min(count, usable CPUs)`` forked workers.  Only the
+    three ints go out, and each worker rebuilds the battery, so a strategy
+    that cannot be pickled (a closure) still runs; only the ``Estimate``
+    comes back, so each is bit for bit the in-process one.  A worker's
+    exception is raised here, and every worker has exited when this
+    returns.  Where a pool cannot help (one usable CPU) or fork is unsafe
+    (no ``"fork"`` start method, or other threads running, which a forked
+    child would find holding their locks), the rows run in process.
+    """
+    job = partial(_mc_estimate, samples, seed)
+    workers = min(count, _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        # imported here, so that the CLI's start-up does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(job, range(count)))
+    return list(map(job, range(count)))
+
+
+def verification_checks(samples: int, seed: int) -> list[dict]:
+    """Every oracle-vs-closed-form check of ``_battery``, as rows of name/target/estimate."""
+    battery = _battery()
+    estimates = iter(_mc_estimates(samples, seed, sum(row[3] is None for row in battery)))
+    rows = []
+    for name, target, run, tol in battery:
+        if tol is None:
+            est = next(estimates)
+            estimate, stderr, tol = est.mean, est.stderr, 3.0 * est.stderr
+        else:
+            estimate, stderr = run(), 0.0
+        rows.append({"check": name, "target": target, "estimate": estimate,
+                     "stderr": stderr, "tol": tol, "passed": abs(estimate - target) <= tol})
     return rows
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.samples <= _MAX_SAMPLES:
-        raise ValueError(f"samples must lie in [1, {_MAX_SAMPLES}], got {args.samples}")
+    if not 2 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [2, {_MAX_SAMPLES}], got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     rows = verification_checks(args.samples, args.seed)

@@ -340,6 +340,49 @@ def test_verify_grid_rows_have_a_negative_control(monkeypatch, capsys):
     assert out.splitlines()[-1].startswith("31 checks, 8 failed")
 
 
+def test_every_verify_row_has_a_negative_control(monkeypatch, capsys):
+    # each row's target moved away from its estimate by twice the row's
+    # tolerance: that row alone fails, and verify exits 2.  Two CPUs force
+    # the pool, whose forked workers inherit the patched table
+    baseline = verification_checks(2000, 42)
+    assert len(baseline) == 31 and all(r["passed"] and r["tol"] > 0 for r in baseline)
+    battery = cli._battery
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for i, row in enumerate(baseline):
+        target = moved_away(row["target"], row["estimate"], 2.0 * row["tol"])
+
+        def moved(i=i, target=target):
+            rows = battery()
+            rows[i] = (rows[i][0], target, *rows[i][2:])
+            return rows
+
+        monkeypatch.setattr(cli, "_battery", moved)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+        assert code == 2, row["check"]
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith(row["check"] + " ")
+
+
+def test_battery_builds_without_running_an_oracle(monkeypatch):
+    def oracle_ran(*args, **kwargs):
+        raise AssertionError("building the battery ran an oracle")
+
+    for name in ("mc_welfare", "threshold_welfare_by_quadrature", "grid_best_response"):
+        monkeypatch.setattr(cli.oracle, name, oracle_ran)
+    tols = [tol for *_, tol in cli._battery()]
+    assert len(tols) == 31
+    assert (tols.count(None), tols.count(1e-10), tols.count(1e-3)) == (20, 3, 8)
+
+
+def test_a_monte_carlo_row_is_drawn_by_index_at_its_own_seed():
+    mc_rows = [run for *_, run, tol in cli._battery() if tol is None]
+    for k, (strategy, c) in enumerate(mc_rows):
+        got = cli._mc_estimate(500, 7, k)
+        want = cli.oracle.mc_welfare(strategy, c, n=500, seed=8 + k)
+        assert got.seed == want.seed == 8 + k
+        assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+
+
 def test_verification_checks_are_well_formed_at_small_n():
     rows = verification_checks(1000, 123)
     assert all({"check", "target", "estimate", "stderr", "passed"} <= set(r) for r in rows)
@@ -404,7 +447,7 @@ def test_best_response_step_without_a_finite_grid_is_a_usage_error(capsys):
     assert "step must lie" in err
 
 
-@pytest.mark.parametrize("samples", ["0", str(10**7 + 1)])
+@pytest.mark.parametrize("samples", ["0", "1", str(10**7 + 1)])
 def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, capsys):
     def draw(*args, **kwargs):
         raise AssertionError("verify drew states before rejecting --samples")
@@ -412,7 +455,7 @@ def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, 
     monkeypatch.setattr(cli.oracle, "mc_welfare", draw)
     code, out, err = run_cli(capsys, "verify", "--samples", samples)
     assert code == 1 and out == ""
-    assert "samples must lie in [1, 10000000]" in err
+    assert "samples must lie in [2, 10000000]" in err
 
 
 SUBCOMMANDS_WITH_OUT = [
