@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.  All output
 is deterministic for a given argument list (fixed seeds, 12-significant-
 digit formatting, LF line endings) so runs can be diffed byte for byte.
 
-``verify`` walks one table of 31 checks, ``_battery``.  Its twenty Monte
-Carlo rows run on up to one forked worker per usable CPU, which rebuilds
-the table and runs a row by index; in process where the platform cannot
-fork, one CPU is usable or other threads run.  Same output either way.
+``verify`` walks one table of 44 checks, ``_battery``.  Its Monte Carlo
+rows run as one job per cost, each on the draws at the seed, so that its
+paired rows compare two regimes state by state.  The six jobs go, largest
+first, to up to one forked worker per usable CPU, which rebuilds the table
+and runs a job by index; in process where the platform cannot fork, one
+CPU is usable or other threads run.  Same output either way.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def _fmt(x: float) -> str:
 # Largest sweep grid, counted before anything is allocated: a million
 # rows is ~100 MB of output, and a mistyped --c-step should not hang.
 _MAX_GRID_ROWS = 10**6 + 1
-# Most Monte Carlo states per verify check: its draws take 16 bytes a state.
+# Most Monte Carlo states per verify check.  A job holds one 2**14-state
+# block of draws whatever the count, so the cap bounds run time, not memory.
 _MAX_SAMPLES = 10**7
 
 
@@ -328,32 +331,37 @@ def _usable_cpus() -> int:
 def _battery() -> list[tuple]:
     """Every check in output order, as ``(name, closed-form target, oracle, tol)``.
 
-    A Monte Carlo row's oracle is its ``(strategy, c)`` and its tol is None,
-    for three standard errors; the k-th such row runs at seed + k.  Any other
-    row's oracle is a call without arguments that returns its estimate, so
-    building the table runs no oracle.
+    A Monte Carlo row's oracle is its ``(c, strategy)``; a paired row's is
+    ``(c, i, j)``, i and j the positions of two such rows at c, whose
+    welfare it compares state by state, i's minus j's.  Tol None means
+    three standard errors (paired ones on a paired row), tol 0 an identity:
+    no state's difference may be other than 0.  Any other row's oracle is
+    a call without arguments that returns its estimate, so building the
+    table runs no oracle.
     """
-    rows = [
-        (f"case1 welfare mc c={c:g}", cooperative.welfare_case1(c),
-         (cooperative.optimal_activity, c), None)
-        for c in (0.1, 0.25, 0.5, 0.75, 0.9)
-    ]
     best = partial(full_info.equilibrium_activity, policy="max_welfare")
     worst = partial(full_info.equilibrium_activity, policy="min_welfare")
+    # (c, check, sweep column, closed form, strategy) of each Monte Carlo row
+    mc = [
+        (c, "case1 welfare", "case1", cooperative.welfare_case1(c), cooperative.optimal_activity)
+        for c in (0.1, 0.25, 0.5, 0.75, 0.9)
+    ]
     for c in (0.25, 0.5, 0.8):
         ne = bayesian.nash_threshold(c)
         opt = bayesian.optimal_thresholds(c)
-        rows += [
-            (f"{check} mc c={c:g}", target, (strategy, c), None)
-            for check, target, strategy in (
-                ("case2 equilibrium welfare", bayesian.welfare_thresholds(*ne, c).total, ne),
-                ("case2 optimal-cutoff welfare", bayesian.welfare_thresholds(*opt, c).total, opt),
-                ("case3 max welfare", full_info.welfare_case3_max(c), best),
-                ("case3 min welfare", full_info.welfare_case3_min(c), worst),
-                ("case3 regulated welfare", cooperative.welfare_case1(c),
-                 full_info.regulated_activity),
-            )
+        mc += [
+            (c, "case2 equilibrium welfare", "case2_ne",
+             bayesian.welfare_thresholds(*ne, c).total, ne),
+            (c, "case2 optimal-cutoff welfare", "case2_opt",
+             bayesian.welfare_thresholds(*opt, c).total, opt),
+            (c, "case3 max welfare", "case3_max", full_info.welfare_case3_max(c), best),
+            (c, "case3 min welfare", "case3_min", full_info.welfare_case3_min(c), worst),
+            (c, "case3 regulated welfare", "reg_case3", cooperative.welfare_case1(c),
+             full_info.regulated_activity),
         ]
+    rows = [(f"{check} mc c={c:g}", target, (c, strategy), None)
+            for c, check, _, target, strategy in mc]
+    at = {(column, c): i for i, (c, _, column, *_) in enumerate(mc)}
     rows += [
         (f"cutoff welfare quadrature t=({t1:g},{t2:g}) c={c:g}",
          bayesian.welfare_thresholds(t1, t2, c).server1,
@@ -369,28 +377,65 @@ def _battery() -> list[tuple]:
         for t_opp, c in ((0.0, 0.32), (0.8, 0.25), (0.4, 0.5), (1.0, 0.4))
         for regulated, label in ((False, "unregulated"), (True, "regulated"))
     ]
+    # the paper's comparisons on shared draws: the value of cooperation
+    # (where case I has a row), the spread of case III and the value of
+    # communication; and the side payment, which restores case I state by state
+    for c in (0.25, 0.5, 0.8):
+        gaps = [("case1", "case3_max")] if ("case1", c) in at else []
+        gaps += [("case3_max", "case3_min"), ("case3_min", "case2_ne"), ("case2_opt", "case2_ne")]
+        rows += [
+            (f"{a} - {b} gap mc c={c:g}", mc[at[a, c]][3] - mc[at[b, c]][3],
+             (c, at[a, c], at[b, c]), None)
+            for a, b in gaps
+        ]
+        if ("case1", c) in at:
+            rows.append((f"reg_case3 = case1 on every state c={c:g}", 0.0,
+                         (c, at["reg_case3", c], at["case1", c]), 0.0))
     return rows
 
 
-def _mc_estimate(samples: int, seed: int, k: int) -> oracle.Estimate:
-    """The battery's Monte Carlo row k (0-based), drawn at seed + k + 1."""
-    strategy, c = [run for _, _, run, tol in _battery() if tol is None][k]
-    return oracle.mc_welfare(strategy, c, n=samples, seed=seed + k + 1)
+def _mc_jobs(battery) -> list[list[int]]:
+    """The positions of the battery's Monte Carlo and paired rows, one list
+    per cost, each in table order; longer lists first, ties in table order."""
+    jobs = {}
+    for i, (_, _, run, _) in enumerate(battery):
+        if not callable(run):
+            jobs.setdefault(run[0], []).append(i)
+    return sorted(jobs.values(), key=len, reverse=True)
 
 
-def _mc_estimates(samples: int, seed: int, count: int) -> list[oracle.Estimate]:
-    """``_mc_estimate`` of rows 0 to count - 1, in row order.
+def _mc_job(samples: int, seed: int, j: int) -> list[tuple[float, float]]:
+    """``(estimate, stderr)`` of each row of Monte Carlo job j, all on the
+    draws at ``seed``: ``mc_welfare``'s for a strategy row; for a paired row
+    its mean difference and paired standard error, or for an identity (tol
+    0) the largest |difference| and 0."""
+    battery = _battery()
+    job = _mc_jobs(battery)[j]
+    runs = [battery[i][2] for i in job]
+    strategies = [run[1] for run in runs if len(run) == 2]  # the table lists them first
+    estimates, gaps = oracle._mc_rows(
+        strategies, runs[0][0], samples, seed,
+        pairs=[(job.index(a), job.index(b)) for _, a, b in runs[len(strategies):]],
+    )
+    return [(est.mean, est.stderr) for est in estimates] + [
+        (largest, 0.0) if battery[i][3] == 0.0 else (gap.mean, gap.stderr)
+        for i, (gap, largest) in zip(job[len(strategies):], gaps)
+    ]
 
-    The rows run on ``min(count, usable CPUs)`` forked workers.  Only the
-    three ints go out, and each worker rebuilds the battery, so a strategy
-    that cannot be pickled (a closure) still runs; only the ``Estimate``
-    comes back, so each is bit for bit the in-process one.  A worker's
-    exception is raised here, and every worker has exited when this
-    returns.  Where a pool cannot help (one usable CPU) or fork is unsafe
-    (no ``"fork"`` start method, or other threads running, which a forked
-    child would find holding their locks), the rows run in process.
+
+def _mc_estimates(samples: int, seed: int, count: int) -> list[list[tuple[float, float]]]:
+    """``_mc_job`` of jobs 0 to count - 1, in job order.
+
+    The jobs run on ``min(count, usable CPUs)`` forked workers, which take
+    them in order.  Only the three ints go out, and each worker rebuilds
+    the battery, so a strategy that cannot be pickled (a closure) still
+    runs; only floats come back, so each is bit for bit the in-process one.
+    A worker's exception is raised here, and every worker has exited when
+    this returns.  Where a pool cannot help (one usable CPU) or fork is
+    unsafe (no ``"fork"`` start method, or other threads running, which a
+    forked child would find holding their locks), the jobs run in process.
     """
-    job = partial(_mc_estimate, samples, seed)
+    job = partial(_mc_job, samples, seed)
     workers = min(count, _usable_cpus())
     if workers > 1 and threading.active_count() == 1:
         # imported here, so that the CLI's start-up does not pay for them
@@ -407,14 +452,14 @@ def _mc_estimates(samples: int, seed: int, count: int) -> list[oracle.Estimate]:
 def verification_checks(samples: int, seed: int) -> list[dict]:
     """Every oracle-vs-closed-form check of ``_battery``, as rows of name/target/estimate."""
     battery = _battery()
-    estimates = iter(_mc_estimates(samples, seed, sum(row[3] is None for row in battery)))
+    jobs = _mc_jobs(battery)
+    found = {}
+    for job, results in zip(jobs, _mc_estimates(samples, seed, len(jobs))):
+        found.update(zip(job, results))
     rows = []
-    for name, target, run, tol in battery:
-        if tol is None:
-            est = next(estimates)
-            estimate, stderr, tol = est.mean, est.stderr, 3.0 * est.stderr
-        else:
-            estimate, stderr = run(), 0.0
+    for i, (name, target, run, tol) in enumerate(battery):
+        estimate, stderr = (run(), 0.0) if callable(run) else found[i]
+        tol = 3.0 * stderr if tol is None else tol
         rows.append({"check": name, "target": target, "estimate": estimate,
                      "stderr": stderr, "tol": tol, "passed": abs(estimate - target) <= tol})
     return rows

@@ -13,9 +13,11 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   interim gains integrated over its active types, both servers in one call;
 * expected welfare of any strategy map is estimated by seeded Monte Carlo
   from both servers' payoff-table entries for the profile played, in
-  blocks of 2**14 states drawn into one workspace per call.  A law other
-  than the default is given by its ``Distribution.uniform_map``, and
-  every block it maps is checked;
+  blocks of 2**14 states drawn into one workspace per call.  Several
+  strategies at one cost share each block's draws and table sums, which
+  pairs their estimates state by state.  A law other than the default is
+  given by its ``Distribution.uniform_map``, and every block it maps is
+  checked;
 * the sampled deviation check scores idle opponents as active ones of type 0
   and sorts each server's opponent draws once: every own type's gains are
   two groups of them, split at its type, whose moments come from sums
@@ -319,40 +321,46 @@ def _checked_draws(dist, u, name: str):
         raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
 
 
-def _block_welfare(activity, p1, p2, c, work, both_active):
-    """Per-state welfare of ``activity`` on one block of draws: the sum of
-    both servers' payoff-table entries for the profile played.
-
-    Both servers' AA and AI entries are computed into the four rows of
-    ``work``, and the lone-server and both-active sums formed in place;
-    the welfare is returned in the row of server 1's AI.  With boolean
-    activities each lone-server sum is scaled by its server's 0 or 1, and
-    the both-active sum written where ``both_active``, a boolean row, holds:
-    bit-identical to the bilinear mix of the same entries, which numeric
-    activities take.
-    """
-    sigma1, sigma2 = activity(p1, p2, c)
-    sigma1, ones1 = _checked_activity(sigma1, p1.shape)
-    sigma2, ones2 = _checked_activity(sigma2, p2.shape)
+def _block_tables(p1, p2, c, work):
+    """Both servers' payoff-table sums on one block of draws, in the four
+    rows of ``work``: the both-active sum AA + AA2, the lone-server sums
+    AI + IA2 and IA + AI2, and a spare row (server 2's AA, once added)."""
     both, alone1, ia, _ = payoff_table(p1, p2, c, out=work[:2])
     aa2, alone2, ia2, _ = payoff_table(p2, p1, c, out=work[2:])
     # server 2's row lists its own action first: its IA is server 1's AI
     alone1 += ia2
     alone2 += ia
     both += aa2
+    return both, alone1, alone2, aa2
+
+
+def _block_welfare(activity, p1, p2, c, tables, out, both_active):
+    """Per-state welfare of ``activity`` on one block of draws, written to
+    ``out``: the sum of both servers' payoff-table entries for the profile
+    played, from ``_block_tables``' rows.  It may overwrite the spare row;
+    the three sums stay as they are unless ``out`` is one of them.
+
+    With boolean activities each lone-server sum is scaled by its server's
+    0 or 1, server 2's in the spare row, and the both-active sum written
+    where ``both_active``, a boolean row, holds: bit-identical to the
+    bilinear mix of the same entries, which numeric activities take.
+    """
+    both, alone1, alone2, spare = tables
+    sigma1, sigma2 = activity(p1, p2, c)
+    sigma1, ones1 = _checked_activity(sigma1, p1.shape)
+    sigma2, ones2 = _checked_activity(sigma2, p2.shape)
     if ones1 is None or ones2 is None:
-        alone1[...] = (
+        out[...] = (
             sigma1 * sigma2 * both
             + sigma1 * (1.0 - sigma2) * alone1
             + (1.0 - sigma1) * sigma2 * alone2
         )
-        return alone1
-    alone1 *= sigma1
-    alone2 *= sigma2
-    alone1 += alone2
+        return out
+    np.multiply(alone1, sigma1, out=out)
+    out += np.multiply(alone2, sigma2, out=spare)
     np.logical_and(ones1, ones2, out=both_active)
-    np.putmask(alone1, both_active, both)
-    return alone1
+    np.putmask(out, both_active, both)
+    return out
 
 
 def _draws(dist1, dist2, n: int, seed: int, u1, u2):
@@ -365,6 +373,57 @@ def _draws(dist1, dist2, n: int, seed: int, u1, u2):
             _checked_draws(dist1, rng1.random(out=u1[: n - lo]), "p1"),
             _checked_draws(dist2, rng2.random(out=u2[: n - lo]), "p2"),
         )
+
+
+def _estimate(total: float, total_sq: float, n: int, seed: int) -> Estimate:
+    """Mean and standard error (sample std / sqrt(n)) from a sum and a sum of squares."""
+    mean = total / n
+    if n > 1:
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        stderr = float(np.sqrt(variance / n))
+    else:
+        stderr = 0.0
+    return Estimate(mean=mean, stderr=stderr, n=n, seed=seed)
+
+
+def _mc_rows(strategies, c, n, seed, dist1=None, dist2=None, pairs=()):
+    """``mc_welfare`` of each of ``strategies`` at one cost, on one draw stream.
+
+    Each block's states are drawn and its payoff-table sums built once; each
+    strategy then writes its own welfare row, the last one in server 1's
+    lone-server sum, so each Estimate is bit for bit ``mc_welfare``'s.  For
+    each pair ``(i, j)`` of positions in ``strategies`` come the paired
+    Estimate of welfare i minus welfare j, state by state, and the largest
+    |difference| on any state.  Returns ``(estimates, [(gap, largest), ...])``.
+    """
+    c = check_cost(c)
+    n = _count(n, "n", 1)
+    seed = _count(seed, "seed", 0)
+    activities = [_resolve_strategy(strategy) for strategy in strategies]
+
+    # the draws, the four table rows, and a welfare row for each strategy but the last
+    work = np.empty((5 + len(activities), min(n, _BLOCK)))
+    both_active = np.empty(work.shape[1], dtype=bool)
+    sums = [[0.0, 0.0] for _ in activities]
+    gaps = [[0.0, 0.0, 0.0] for _ in pairs]
+    for p1, p2 in _draws(dist1, dist2, n, seed, work[0], work[1]):
+        m = p1.size
+        tables = _block_tables(p1, p2, c, work[2:6, :m])
+        rows = [*work[6:, :m], tables[1]]
+        for activity, out in zip(activities, rows):
+            _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
+        for acc, (i, j) in zip(gaps, pairs):
+            d = np.subtract(rows[i], rows[j], out=tables[3])
+            acc[0] += float(np.sum(d))
+            acc[2] = max(acc[2], float(np.max(np.abs(d, out=d))))
+            acc[1] += float(np.sum(np.square(d, out=d)))
+        for acc, w in zip(sums, rows):
+            acc[0] += float(np.sum(w))
+            # squared in place and summed pairwise: a BLAS dot (w @ w) may
+            # split the sum across threads, so its bits depend on their count
+            acc[1] += float(np.sum(np.square(w, out=w)))
+    estimates = [_estimate(total, total_sq, n, seed) for total, total_sq in sums]
+    return estimates, [(_estimate(total, total_sq, n, seed), largest) for total, total_sq, largest in gaps]
 
 
 def mc_welfare(
@@ -397,28 +456,7 @@ def mc_welfare(
     no block allocates in the kernel, so the heap is not trimmed and
     refaulted block by block.
     """
-    c = check_cost(c)
-    n = _count(n, "n", 1)
-    seed = _count(seed, "seed", 0)
-    activity = _resolve_strategy(strategy)
-
-    work = np.empty((6, min(n, _BLOCK)))
-    both_active = np.empty(work.shape[1], dtype=bool)
-    total = total_sq = 0.0
-    for p1, p2 in _draws(dist1, dist2, n, seed, work[0], work[1]):
-        m = p1.size
-        w = _block_welfare(activity, p1, p2, c, work[2:, :m], both_active[:m])
-        total += float(np.sum(w))
-        # squared in place and summed pairwise: a BLAS dot (w @ w) may
-        # split the sum across threads, so its bits depend on their count
-        total_sq += float(np.sum(np.square(w, out=w)))
-    mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        stderr = float(np.sqrt(variance / n))
-    else:
-        stderr = 0.0
-    return Estimate(mean=mean, stderr=stderr, n=n, seed=seed)
+    return _mc_rows([strategy], c, n, seed, dist1, dist2)[0][0]
 
 
 # --------------------------------------------------------------------------

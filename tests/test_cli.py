@@ -220,29 +220,30 @@ def test_verify_passes_and_is_deterministic(capsys):
 def test_verify_negative_control(monkeypatch, capsys):
     # every Monte Carlo estimate shifted by 0.05, far beyond three standard
     # errors at 20000 samples: the suite must report the failure
-    mc_welfare = cli.oracle.mc_welfare
+    mc_rows = cli.oracle._mc_rows
 
     def shifted(*args, **kwargs):
-        est = mc_welfare(*args, **kwargs)
-        return dataclasses.replace(est, mean=est.mean + 0.05)
+        estimates, gaps = mc_rows(*args, **kwargs)
+        return [dataclasses.replace(est, mean=est.mean + 0.05) for est in estimates], gaps
 
-    monkeypatch.setattr(cli.oracle, "mc_welfare", shifted)
+    monkeypatch.setattr(cli.oracle, "_mc_rows", shifted)
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
 
 
 def in_process_calls(monkeypatch):
-    """Patch ``oracle.mc_welfare`` to record each call made in this process;
-    a forked worker appends to its own copy of the list."""
+    """Patch ``oracle._mc_rows``, which runs one Monte Carlo job, to record
+    the cost and strategy count of each call made in this process; a forked
+    worker appends to its own copy of the list."""
     calls = []
-    mc_welfare = cli.oracle.mc_welfare
+    mc_rows = cli.oracle._mc_rows
 
-    def recorded(*args, **kwargs):
-        calls.append(os.getpid())
-        return mc_welfare(*args, **kwargs)
+    def recorded(strategies, c, *args, **kwargs):
+        calls.append((c, len(strategies)))
+        return mc_rows(strategies, c, *args, **kwargs)
 
-    monkeypatch.setattr(cli.oracle, "mc_welfare", recorded)
+    monkeypatch.setattr(cli.oracle, "_mc_rows", recorded)
     return calls
 
 
@@ -252,7 +253,7 @@ def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
     assert code == 0 and multiprocessing.active_children() == []
     calls = in_process_calls(monkeypatch)
     # two CPUs force the pool whatever this host has; one runs every job here
-    for cpus, want_calls in ((2, 0), (1, 20)):
+    for cpus, want_calls in ((2, 0), (1, 6)):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         calls.clear()
         code, out, err = run_cli(capsys, *argv)
@@ -266,7 +267,7 @@ def test_verify_runs_in_process_where_fork_is_unavailable(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
-    assert code == 0 and len(calls) == 20
+    assert code == 0 and len(calls) == 6
 
 
 def test_verify_does_not_fork_beside_another_thread(monkeypatch, capsys):
@@ -282,7 +283,7 @@ def test_verify_does_not_fork_beside_another_thread(monkeypatch, capsys):
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert code == 0 and len(calls) == 20
+    assert code == 0 and len(calls) == 6
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
@@ -291,7 +292,7 @@ def test_verify_monte_carlo_value_error_is_a_usage_error(cpus, monkeypatch, caps
         raise ValueError(f"bad draw in process {os.getpid()}")
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli.oracle, "mc_welfare", bad_draw)
+    monkeypatch.setattr(cli.oracle, "_mc_rows", bad_draw)
     code, out, err = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
     assert code == 1 and out == ""
     assert err.startswith("error: bad draw in process ")
@@ -337,19 +338,25 @@ def test_verify_grid_rows_have_a_negative_control(monkeypatch, capsys):
     failed = [line for line in out.splitlines() if line.endswith("FAIL")]
     assert len(failed) == 8
     assert all(line.startswith("best response grid") for line in failed)
-    assert out.splitlines()[-1].startswith("31 checks, 8 failed")
+    assert out.splitlines()[-1].startswith("44 checks, 8 failed")
 
 
 def test_every_verify_row_has_a_negative_control(monkeypatch, capsys):
     # each row's target moved away from its estimate by twice the row's
-    # tolerance: that row alone fails, and verify exits 2.  Two CPUs force
-    # the pool, whose forked workers inherit the patched table
+    # tolerance: that row alone fails, and verify exits 2.  An identity row
+    # has tolerance 0, which twice 0 would not move: its target is moved by
+    # the least positive float instead.  Two CPUs force the pool, whose
+    # forked workers inherit the patched table
     baseline = verification_checks(2000, 42)
-    assert len(baseline) == 31 and all(r["passed"] and r["tol"] > 0 for r in baseline)
+    assert len(baseline) == 44 and all(r["passed"] for r in baseline)
+    identities = [r["check"] for r in baseline if r["tol"] == 0.0]
+    assert identities == [f"reg_case3 = case1 on every state c={c}" for c in (0.25, 0.5)]
+    assert all(r["estimate"] == r["target"] == 0.0 for r in baseline if r["tol"] == 0.0)
     battery = cli._battery
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for i, row in enumerate(baseline):
-        target = moved_away(row["target"], row["estimate"], 2.0 * row["tol"])
+        by = 2.0 * row["tol"] if row["tol"] > 0 else math.ulp(0.0)
+        target = moved_away(row["target"], row["estimate"], by)
 
         def moved(i=i, target=target):
             rows = battery()
@@ -367,20 +374,66 @@ def test_battery_builds_without_running_an_oracle(monkeypatch):
     def oracle_ran(*args, **kwargs):
         raise AssertionError("building the battery ran an oracle")
 
-    for name in ("mc_welfare", "threshold_welfare_by_quadrature", "grid_best_response"):
+    for name in ("mc_welfare", "_mc_rows", "threshold_welfare_by_quadrature", "grid_best_response"):
         monkeypatch.setattr(cli.oracle, name, oracle_ran)
     tols = [tol for *_, tol in cli._battery()]
-    assert len(tols) == 31
-    assert (tols.count(None), tols.count(1e-10), tols.count(1e-3)) == (20, 3, 8)
+    assert len(tols) == 44
+    # 20 Monte Carlo and 11 gap rows at three standard errors, 2 identities
+    assert (tols.count(None), tols.count(0.0), tols.count(1e-10), tols.count(1e-3)) == (31, 2, 3, 8)
 
 
-def test_a_monte_carlo_row_is_drawn_by_index_at_its_own_seed():
-    mc_rows = [run for *_, run, tol in cli._battery() if tol is None]
-    for k, (strategy, c) in enumerate(mc_rows):
-        got = cli._mc_estimate(500, 7, k)
-        want = cli.oracle.mc_welfare(strategy, c, n=500, seed=8 + k)
-        assert got.seed == want.seed == 8 + k
-        assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+def test_a_monte_carlo_row_is_drawn_by_index_at_seed():
+    # every Monte Carlo row, whichever job runs it, is mc_welfare at seed
+    battery = cli._battery()
+    rows = 0
+    for j, job in enumerate(cli._mc_jobs(battery)):
+        for i, (estimate, stderr) in zip(job, cli._mc_job(500, 7, j)):
+            if len(run := battery[i][2]) == 2:
+                want = cli.oracle.mc_welfare(run[1], run[0], n=500, seed=7)
+                assert (estimate.hex(), stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+                rows += 1
+    assert rows == 20
+
+
+def test_paired_rows_share_their_rows_job_and_jobs_go_largest_first(monkeypatch, capsys):
+    battery = cli._battery()
+    jobs = cli._mc_jobs(battery)
+    job_of = {i: j for j, job in enumerate(jobs) for i in job}
+    paired = [(i, run) for i, (*_, run, _) in enumerate(battery) if isinstance(run, tuple)
+              and len(run) == 3]
+    assert len(paired) == 13
+    for i, (c, a, b) in paired:
+        assert job_of[i] == job_of[a] == job_of[b]
+        assert battery[a][2][0] == battery[b][2][0] == c
+    assert sorted(job_of) == [i for i, (*_, run, _) in enumerate(battery) if not callable(run)]
+    assert [len(job) for job in jobs] == sorted(map(len, jobs), reverse=True)
+    # dispatched in that order: one CPU runs the jobs here, one call each
+    calls = in_process_calls(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")[0] == 0
+    assert calls == [(0.25, 6), (0.5, 6), (0.8, 5), (0.1, 1), (0.75, 1), (0.9, 1)]
+
+
+@pytest.mark.parametrize("samples", [2000, 2 * cli.oracle._BLOCK + 5])
+def test_an_identity_row_fails_where_one_state_differs(samples, monkeypatch, capsys):
+    # the side payment's equilibrium flipped on the first state of every
+    # call, one state of each block: only the two identity rows catch it
+    regulated = cli.full_info.regulated_activity
+
+    def flipped(p1, p2, c):
+        sigma1, sigma2 = regulated(p1, p2, c)
+        sigma1 = sigma1.copy()
+        sigma1[0] = not sigma1[0]
+        return sigma1, sigma2
+
+    monkeypatch.setattr(cli.full_info, "regulated_activity", flipped)
+    code, out, _ = run_cli(capsys, "verify", "--samples", str(samples), "--seed", "42")
+    assert code == 2
+    failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert [line.split()[:7] for line in failed] == [
+        ["reg_case3", "=", "case1", "on", "every", "state", f"c={c}"] for c in (0.25, 0.5)
+    ]
+    assert all(float(line.split()[-3]) > 0.0 for line in failed)
 
 
 def test_verification_checks_are_well_formed_at_small_n():
@@ -452,7 +505,7 @@ def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, 
     def draw(*args, **kwargs):
         raise AssertionError("verify drew states before rejecting --samples")
 
-    monkeypatch.setattr(cli.oracle, "mc_welfare", draw)
+    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
     code, out, err = run_cli(capsys, "verify", "--samples", samples)
     assert code == 1 and out == ""
     assert "samples must lie in [2, 10000000]" in err
@@ -507,7 +560,7 @@ def test_verify_negative_seed_is_a_usage_error(seed, monkeypatch, capsys):
     def draw(*args, **kwargs):
         raise AssertionError("verify drew states before rejecting --seed")
 
-    monkeypatch.setattr(cli.oracle, "mc_welfare", draw)
+    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
     code, out, err = run_cli(capsys, "verify", "--samples", "100", "--seed", seed)
     assert code == 1 and out == ""
     assert f"seed must be non-negative, got {seed}" in err

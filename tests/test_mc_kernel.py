@@ -33,13 +33,15 @@ from servergame.bayesian import (
     power_distribution,
     uniform_distribution,
 )
-from servergame.cli import main
+from servergame.cli import _battery, main
 from servergame.cooperative import optimal_activity, optimal_profile
 from servergame.full_info import equilibrium_activity, regulated_activity
 from servergame.oracle import (
     Estimate,
     _BLOCK,
+    _block_tables,
     _block_welfare,
+    _mc_rows,
     _resolve_strategy,
     mc_welfare,
     pointwise_strategy,
@@ -91,8 +93,8 @@ def kernel_blocks(draw):
     return c, p1, p2, *sigmas
 
 
-def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None):
-    """Bilinear evaluation of all draws at once, reduced per _BLOCK chunk."""
+def reference_welfare(strategy, c, n, seed, dist1=None, dist2=None):
+    """Per-state welfare, by the bilinear form over all draws at once."""
     c = check_cost(c)
     activity = _resolve_strategy(strategy)
     dist1 = dist1 or uniform_distribution()
@@ -101,7 +103,12 @@ def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None):
     p1 = np.asarray(dist1.uniform_map(rng.random(n)), dtype=float)
     p2 = np.asarray(dist2.uniform_map(rng.random(n)), dtype=float)
     sigma1, sigma2 = activity(p1, p2, c)
-    w = reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
+    return reference_profile_welfare(p1, p2, np.asarray(sigma1), np.asarray(sigma2), c)
+
+
+def reference_mc_welfare(strategy, c, n, seed, dist1=None, dist2=None):
+    """Bilinear evaluation of all draws at once, reduced per _BLOCK chunk."""
+    w = reference_welfare(strategy, c, n, seed, dist1, dist2)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, n, _BLOCK):
@@ -192,11 +199,18 @@ def test_blocked_kernel_is_bit_identical(name, n):
 def test_block_kernel_matches_the_reference_state_by_state(case):
     # the sums above could hide offsetting differences; each state's welfare,
     # signed zeros included, must be the reference's
+    # whether written to a row of its own or, as the last of several
+    # strategies, over server 1's lone-server sum
     c, p1, p2, sigma1, sigma2 = case
-    work = np.full((4, p1.size), np.nan)
-    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, work, np.empty(p1.size, bool))
-    want = reference_profile_welfare(p1, p2, sigma1, sigma2, c)
-    assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
+    want = [float(w).hex() for w in reference_profile_welfare(p1, p2, sigma1, sigma2, c)]
+    for last in (False, True):
+        work = np.full((5, p1.size), np.nan)
+        tables = _block_tables(p1, p2, c, work[:4])
+        out = tables[1] if last else work[4]
+        activity = lambda *_: (sigma1, sigma2)
+        got = _block_welfare(activity, p1, p2, c, tables, out, np.empty(p1.size, bool))
+        assert got is out
+        assert [float(w).hex() for w in got] == want
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
@@ -215,6 +229,45 @@ def test_scalar_map_wrapper_is_bit_identical():
         mc_welfare(strategy, 0.5, n=n, seed=11),
         reference_mc_welfare(strategy, 0.5, n=n, seed=11),
     )
+
+
+# verify's Monte Carlo strategies by cost, as its table lists them
+BATTERY_STRATEGIES = {}
+for _, _, run, _ in _battery():
+    if isinstance(run, tuple) and len(run) == 2:
+        BATTERY_STRATEGIES.setdefault(run[0], []).append(run[1])
+
+
+@st.composite
+def battery_jobs(draw):
+    """A cost of verify's battery, a nonempty subset of its strategies
+    there in any order, up to three pairs of their positions, a run size
+    about one block, with or without power_distribution(2), and a seed."""
+    c = draw(st.sampled_from(sorted(BATTERY_STRATEGIES)))
+    order = draw(st.permutations(BATTERY_STRATEGIES[c]))
+    strategies = order[: draw(st.integers(1, len(order)))]
+    position = st.integers(0, len(strategies) - 1)
+    pairs = draw(st.lists(st.tuples(position, position), max_size=3))
+    n = draw(st.sampled_from([2, _BLOCK - 1, _BLOCK, _BLOCK + 5]))
+    dist = draw(st.sampled_from([None, power_distribution(2)]))
+    return c, strategies, pairs, n, dist, draw(st.integers(0, 2**32))
+
+
+@settings(deadline=None, max_examples=40)
+@given(battery_jobs())
+def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
+    c, strategies, pairs, n, dist, seed = job
+    estimates, gaps = _mc_rows(strategies, c, n, seed, dist, dist, pairs=pairs)
+    assert len(estimates) == len(strategies) and len(gaps) == len(pairs)
+    for strategy, got in zip(strategies, estimates):
+        assert_identical(got, mc_welfare(strategy, c, n=n, seed=seed, dist1=dist, dist2=dist))
+    rows = [reference_welfare(strategy, c, n, seed, dist, dist) for strategy in strategies]
+    for (i, j), (gap, largest) in zip(pairs, gaps):
+        d = rows[i] - rows[j]
+        assert (gap.n, gap.seed) == (n, seed)
+        assert gap.mean == pytest.approx(np.mean(d), rel=1e-12, abs=1e-15)
+        assert gap.stderr == pytest.approx(np.std(d, ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
+        assert largest == np.max(np.abs(d))
 
 
 # the law of power_distribution(0.5), through a map of its own
@@ -266,14 +319,14 @@ def test_uniform_map_sees_each_block_once_and_never_the_whole_run():
 @pytest.mark.parametrize(
     "samples, seed, digest",
     [
-        # recorded with the unblocked bilinear kernel
-        ("20000", "42", "2f234676696e75921dec28cee43ad3817653e946c703993d5fc2055571e72acb"),
-        # recorded with the blocked kernel before welfare was read from the
-        # table; it spans about a dozen slices per Monte Carlo check
-        ("200000", "3", "e182ad52cb2e23e65cd5e0f44f4393a77ed42040149c6480d04ad2565c3dbe84"),
-        # the benchmark's own input, recorded with whole-run draws; the only
-        # pin whose p2 generator is advanced by 10**6
-        ("1000000", "42", "06f30871d7de983e39a83d9991648fad1404b2528364f910596149bc8f4b2ed2"),
+        # all three recorded when every Monte Carlo row came to draw at the
+        # seed itself, one draw stream per cost, with the paired gap rows
+        ("20000", "42", "72a1cfa52b4156b8d01e84b1346976e39ea603e7f3adaa5b3881f8d819e3b0d4"),
+        # about a dozen blocks per cost, the last one ragged
+        ("200000", "3", "b916027e09270ed204ba85d47c4ae0bde5507195a62d042897d6d82fc3e49181"),
+        # the benchmark's own input; the only pin whose p2 generator is
+        # advanced by 10**6
+        ("1000000", "42", "9a4479709e55a5802dcd3845a6601886e5898008bcfb3fc888d5aff945e39a8f"),
     ],
     ids=["20000-42", "200000-3", "1000000-42"],
 )

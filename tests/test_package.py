@@ -220,7 +220,7 @@ def test_benchmark_tracer_installs_against_the_package():
 
 def test_verify_under_the_benchmark_tracer_prints_the_untraced_output(capsys):
     # the tracer's activity maps are closures, which cannot be pickled: only
-    # a row's ints go to verify's forked workers, which rebuild the table
+    # a job's ints go to verify's forked workers, which rebuild the table
     # there from the traced functions they inherit
     argv = ["verify", "--samples", "20000", "--seed", "42"]
     script = "\n".join(
