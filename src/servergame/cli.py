@@ -10,12 +10,15 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.  All output
 is deterministic for a given argument list (fixed seeds, 12-significant-
 digit formatting, LF line endings) so runs can be diffed byte for byte.
 
-``verify`` walks one table of 44 checks, ``_battery``.  Its Monte Carlo
-rows run as one job per cost, each on the draws at the seed, so that its
-paired rows compare two regimes state by state.  The six jobs go, largest
+``verify`` walks one table of 44 checks, ``_battery``.  A Monte Carlo row
+is keyed by its cost and sweep column, a paired row by its cost and two
+columns, and each target is sweep's value there.  The rows at one cost run
+as one job on the draws at the seed, so that paired rows compare two
+regimes state by state; an identity row reports hypot(mean, stderr) of
+its differences, 0 only if no state differs.  The six jobs go, largest
 first, to up to one forked worker per usable CPU, which rebuilds the table
-and runs a job by index; in process where the platform cannot fork, one
-CPU is usable or other threads run.  Same output either way.
+and returns its cost's estimates by key; in process where the platform
+cannot fork, one CPU is usable or other threads run.  Same output either way.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import os
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -118,9 +122,9 @@ def _snap(values: np.ndarray) -> np.ndarray:
     return np.where((values > 4.0 / 3.0) & (values <= 4.0 / 3.0 + 1e-12), 4.0 / 3.0, values)
 
 
-def _sweep_columns(config: RunConfig) -> list[np.ndarray]:
-    """Checked columns in SWEEP_COLUMNS order; one closed-form call each."""
-    c = np.array(config.cost_grid())
+def _sweep_columns(costs) -> list[np.ndarray]:
+    """Checked columns at ``costs`` in SWEEP_COLUMNS order; one closed-form call each."""
+    c = np.array(costs)
     ne = bayesian.nash_threshold(c)
     opt = bayesian.optimal_thresholds(c)
     columns = {
@@ -141,7 +145,7 @@ def _sweep_columns(config: RunConfig) -> list[np.ndarray]:
 
 def sweep_rows(config: RunConfig) -> list[dict]:
     """One row of closed-form welfare values (Python floats) per cost."""
-    columns = [column.tolist() for column in _sweep_columns(config)]
+    columns = [column.tolist() for column in _sweep_columns(config.cost_grid())]
     return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]
 
 
@@ -220,7 +224,7 @@ def cmd_sweep(args) -> int:
         if not 0.0 <= args.c <= 1.0:
             raise ValueError(f"--c must lie in [0, 1], got {args.c!r}")
         grid = {"c_start": args.c, "c_stop": args.c}
-    columns = _sweep_columns(RunConfig(**grid))
+    columns = _sweep_columns(RunConfig(**grid).cost_grid())
     _emit(_render_columns(columns, args.format), args.out)
     return 0
 
@@ -328,40 +332,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# each Monte Carlo row's sweep column: its label and its strategy at c, looked
+# up when the row runs, so that a patched or traced module attribute runs
+_MC_COLUMNS = {
+    "case1": ("case1 welfare", lambda c: cooperative.optimal_activity),
+    "case2_ne": ("case2 equilibrium welfare", lambda c: bayesian.nash_threshold(c)),
+    "case2_opt": ("case2 optimal-cutoff welfare", lambda c: bayesian.optimal_thresholds(c)),
+    "case3_max": ("case3 max welfare",
+                  lambda c: partial(full_info.equilibrium_activity, policy="max_welfare")),
+    "case3_min": ("case3 min welfare",
+                  lambda c: partial(full_info.equilibrium_activity, policy="min_welfare")),
+    "reg_case3": ("case3 regulated welfare", lambda c: full_info.regulated_activity),
+}
+
+
 def _battery() -> list[tuple]:
     """Every check in output order, as ``(name, closed-form target, oracle, tol)``.
 
-    A Monte Carlo row's oracle is its ``(c, strategy)``; a paired row's is
-    ``(c, i, j)``, i and j the positions of two such rows at c, whose
-    welfare it compares state by state, i's minus j's.  Tol None means
-    three standard errors (paired ones on a paired row), tol 0 an identity:
-    no state's difference may be other than 0.  Any other row's oracle is
-    a call without arguments that returns its estimate, so building the
-    table runs no oracle.
+    A Monte Carlo row's oracle is its key ``(c, column)``, a sweep column
+    of ``_MC_COLUMNS``; a paired row's is ``(c, a, b)``, two such columns
+    whose welfare it compares state by state, a's minus b's.  Their targets
+    are the sweep's values at c, all from one ``_sweep_columns`` call.  Tol
+    None means three standard errors (paired ones on a paired row), tol 0
+    an identity: no state's difference may be other than 0.  Any other
+    row's oracle is a call without arguments that returns its estimate, so
+    building the table runs no oracle.
     """
-    best = partial(full_info.equilibrium_activity, policy="max_welfare")
-    worst = partial(full_info.equilibrium_activity, policy="min_welfare")
-    # (c, check, sweep column, closed form, strategy) of each Monte Carlo row
-    mc = [
-        (c, "case1 welfare", "case1", cooperative.welfare_case1(c), cooperative.optimal_activity)
-        for c in (0.1, 0.25, 0.5, 0.75, 0.9)
-    ]
-    for c in (0.25, 0.5, 0.8):
-        ne = bayesian.nash_threshold(c)
-        opt = bayesian.optimal_thresholds(c)
-        mc += [
-            (c, "case2 equilibrium welfare", "case2_ne",
-             bayesian.welfare_thresholds(*ne, c).total, ne),
-            (c, "case2 optimal-cutoff welfare", "case2_opt",
-             bayesian.welfare_thresholds(*opt, c).total, opt),
-            (c, "case3 max welfare", "case3_max", full_info.welfare_case3_max(c), best),
-            (c, "case3 min welfare", "case3_min", full_info.welfare_case3_min(c), worst),
-            (c, "case3 regulated welfare", "reg_case3", cooperative.welfare_case1(c),
-             full_info.regulated_activity),
-        ]
-    rows = [(f"{check} mc c={c:g}", target, (c, strategy), None)
-            for c, check, _, target, strategy in mc]
-    at = {(column, c): i for i, (c, _, column, *_) in enumerate(mc)}
+    costs = (0.1, 0.25, 0.5, 0.75, 0.9, 0.8)
+    sweep = dict(zip(SWEEP_COLUMNS, _sweep_columns(costs)))
+    target = {(c, column): float(sweep[column][k]) for column in sweep for k, c in enumerate(costs)}
+    mc = [(c, "case1") for c in costs[:5]]
+    mc += [(c, column) for c in (0.25, 0.5, 0.8) for column in list(_MC_COLUMNS)[1:]]
+    rows = [(f"{_MC_COLUMNS[column][0]} mc c={c:g}", target[c, column], (c, column), None)
+            for c, column in mc]
     rows += [
         (f"cutoff welfare quadrature t=({t1:g},{t2:g}) c={c:g}",
          bayesian.welfare_thresholds(t1, t2, c).server1,
@@ -381,62 +384,44 @@ def _battery() -> list[tuple]:
     # (where case I has a row), the spread of case III and the value of
     # communication; and the side payment, which restores case I state by state
     for c in (0.25, 0.5, 0.8):
-        gaps = [("case1", "case3_max")] if ("case1", c) in at else []
+        gaps = [("case1", "case3_max")] if (c, "case1") in mc else []
         gaps += [("case3_max", "case3_min"), ("case3_min", "case2_ne"), ("case2_opt", "case2_ne")]
-        rows += [
-            (f"{a} - {b} gap mc c={c:g}", mc[at[a, c]][3] - mc[at[b, c]][3],
-             (c, at[a, c], at[b, c]), None)
-            for a, b in gaps
-        ]
-        if ("case1", c) in at:
+        rows += [(f"{a} - {b} gap mc c={c:g}", target[c, a] - target[c, b], (c, a, b), None)
+                 for a, b in gaps]
+        if (c, "case1") in mc:
             rows.append((f"reg_case3 = case1 on every state c={c:g}", 0.0,
-                         (c, at["reg_case3", c], at["case1", c]), 0.0))
+                         (c, "reg_case3", "case1"), 0.0))
     return rows
 
 
-def _mc_jobs(battery) -> list[list[int]]:
-    """The positions of the battery's Monte Carlo and paired rows, one list
-    per cost, each in table order; longer lists first, ties in table order."""
-    jobs = {}
-    for i, (_, _, run, _) in enumerate(battery):
-        if not callable(run):
-            jobs.setdefault(run[0], []).append(i)
-    return sorted(jobs.values(), key=len, reverse=True)
-
-
-def _mc_job(samples: int, seed: int, j: int) -> list[tuple[float, float]]:
-    """``(estimate, stderr)`` of each row of Monte Carlo job j, all on the
-    draws at ``seed``: ``mc_welfare``'s for a strategy row; for a paired row
-    its mean difference and paired standard error, or for an identity (tol
-    0) the largest |difference| and 0."""
-    battery = _battery()
-    job = _mc_jobs(battery)[j]
-    runs = [battery[i][2] for i in job]
-    strategies = [run[1] for run in runs if len(run) == 2]  # the table lists them first
-    estimates, gaps = oracle._mc_rows(
-        strategies, runs[0][0], samples, seed,
-        pairs=[(job.index(a), job.index(b)) for _, a, b in runs[len(strategies):]],
+def _mc_job(samples: int, seed: int, c: float) -> dict:
+    """The Estimate of each Monte Carlo and paired row of the battery at
+    cost c, by its key, all on the draws at ``seed``: ``mc_welfare``'s for
+    a ``(c, column)`` row, the paired one of a minus b for a ``(c, a, b)`` row."""
+    keys = [run for _, _, run, _ in _battery() if not callable(run) and run[0] == c]
+    columns = list(dict.fromkeys(column for key in keys for column in key[1:]))
+    pairs = [key for key in keys if len(key) == 3]
+    estimates = oracle._mc_rows(
+        [_MC_COLUMNS[column][1](c) for column in columns], c, samples, seed,
+        pairs=[(columns.index(a), columns.index(b)) for _, a, b in pairs],
     )
-    return [(est.mean, est.stderr) for est in estimates] + [
-        (largest, 0.0) if battery[i][3] == 0.0 else (gap.mean, gap.stderr)
-        for i, (gap, largest) in zip(job[len(strategies):], gaps)
-    ]
+    return dict(zip([(c, column) for column in columns] + pairs, estimates))
 
 
-def _mc_estimates(samples: int, seed: int, count: int) -> list[list[tuple[float, float]]]:
-    """``_mc_job`` of jobs 0 to count - 1, in job order.
+def _mc_estimates(samples: int, seed: int, costs: list[float]) -> list[dict]:
+    """``_mc_job`` at each of ``costs``, in their order.
 
-    The jobs run on ``min(count, usable CPUs)`` forked workers, which take
-    them in order.  Only the three ints go out, and each worker rebuilds
-    the battery, so a strategy that cannot be pickled (a closure) still
-    runs; only floats come back, so each is bit for bit the in-process one.
+    The jobs run on ``min(len(costs), usable CPUs)`` forked workers, which
+    take them in order.  Only two ints and a cost go out, and each worker
+    rebuilds the battery, so a strategy that cannot be pickled (a closure)
+    still runs; only Estimates come back, each bit for bit the in-process one.
     A worker's exception is raised here, and every worker has exited when
     this returns.  Where a pool cannot help (one usable CPU) or fork is
     unsafe (no ``"fork"`` start method, or other threads running, which a
     forked child would find holding their locks), the jobs run in process.
     """
     job = partial(_mc_job, samples, seed)
-    workers = min(count, _usable_cpus())
+    workers = min(len(costs), _usable_cpus())
     if workers > 1 and threading.active_count() == 1:
         # imported here, so that the CLI's start-up does not pay for them
         import multiprocessing
@@ -445,20 +430,28 @@ def _mc_estimates(samples: int, seed: int, count: int) -> list[list[tuple[float,
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(job, range(count)))
-    return list(map(job, range(count)))
+                return list(pool.map(job, costs))
+    return list(map(job, costs))
 
 
 def verification_checks(samples: int, seed: int) -> list[dict]:
-    """Every oracle-vs-closed-form check of ``_battery``, as rows of name/target/estimate."""
+    """Every oracle-vs-closed-form check of ``_battery``, as rows of name/target/estimate;
+    ValueError, before any draw, unless 2 <= samples <= 10**7 and seed >= 0."""
+    if not 2 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [2, {_MAX_SAMPLES}], got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     battery = _battery()
-    jobs = _mc_jobs(battery)
+    # one Monte Carlo job per cost, those with more rows first, ties in table order
+    costs = Counter(run[0] for _, _, run, _ in battery if not callable(run))
     found = {}
-    for job, results in zip(jobs, _mc_estimates(samples, seed, len(jobs))):
-        found.update(zip(job, results))
+    for estimates in _mc_estimates(samples, seed, [c for c, _ in costs.most_common()]):
+        found.update(estimates)
     rows = []
-    for i, (name, target, run, tol) in enumerate(battery):
-        estimate, stderr = (run(), 0.0) if callable(run) else found[i]
+    for name, target, run, tol in battery:
+        estimate, stderr = (run(), 0.0) if callable(run) else (found[run].mean, found[run].stderr)
+        if tol == 0.0:  # an identity: 0 exactly iff no state's difference is other than 0
+            estimate = math.hypot(estimate, stderr)
         tol = 3.0 * stderr if tol is None else tol
         rows.append({"check": name, "target": target, "estimate": estimate,
                      "stderr": stderr, "tol": tol, "passed": abs(estimate - target) <= tol})
@@ -466,10 +459,6 @@ def verification_checks(samples: int, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.samples <= _MAX_SAMPLES:
-        raise ValueError(f"samples must lie in [2, {_MAX_SAMPLES}], got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
     rows = verification_checks(args.samples, args.seed)
     width = max(len(row["check"]) for row in rows)
     lines = [

@@ -15,7 +15,8 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   from both servers' payoff-table entries for the profile played, in
   blocks of 2**14 states drawn into one workspace per call.  Several
   strategies at one cost share each block's draws and table sums, which
-  pairs their estimates state by state.  A law other than the default is
+  pairs their estimates state by state: a pair's difference is one more
+  row, reduced as a welfare row is.  A law other than the default is
   given by its ``Distribution.uniform_map``, and every block it maps is
   checked;
 * the sampled deviation check scores idle opponents as active ones of type 0
@@ -34,6 +35,7 @@ algorithm name and are bitwise reproducible for a given (seed, n).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -387,14 +389,14 @@ def _estimate(total: float, total_sq: float, n: int, seed: int) -> Estimate:
 
 
 def _mc_rows(strategies, c, n, seed, dist1=None, dist2=None, pairs=()):
-    """``mc_welfare`` of each of ``strategies`` at one cost, on one draw stream.
+    """``mc_welfare`` of each of ``strategies`` at one cost, on one draw stream,
+    then for each pair ``(i, j)`` of their positions the paired Estimate of
+    welfare i minus welfare j, state by state: one flat list of Estimates.
 
     Each block's states are drawn and its payoff-table sums built once; each
     strategy then writes its own welfare row, the last one in server 1's
-    lone-server sum, so each Estimate is bit for bit ``mc_welfare``'s.  For
-    each pair ``(i, j)`` of positions in ``strategies`` come the paired
-    Estimate of welfare i minus welfare j, state by state, and the largest
-    |difference| on any state.  Returns ``(estimates, [(gap, largest), ...])``.
+    lone-server sum, so its Estimate is bit for bit ``mc_welfare``'s.  A
+    pair's difference is written to the spare table row and reduced alike.
     """
     c = check_cost(c)
     n = _count(n, "n", 1)
@@ -404,26 +406,20 @@ def _mc_rows(strategies, c, n, seed, dist1=None, dist2=None, pairs=()):
     # the draws, the four table rows, and a welfare row for each strategy but the last
     work = np.empty((5 + len(activities), min(n, _BLOCK)))
     both_active = np.empty(work.shape[1], dtype=bool)
-    sums = [[0.0, 0.0] for _ in activities]
-    gaps = [[0.0, 0.0, 0.0] for _ in pairs]
+    sums = [[0.0, 0.0] for _ in range(len(activities) + len(pairs))]
     for p1, p2 in _draws(dist1, dist2, n, seed, work[0], work[1]):
         m = p1.size
         tables = _block_tables(p1, p2, c, work[2:6, :m])
         rows = [*work[6:, :m], tables[1]]
         for activity, out in zip(activities, rows):
             _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
-        for acc, (i, j) in zip(gaps, pairs):
-            d = np.subtract(rows[i], rows[j], out=tables[3])
-            acc[0] += float(np.sum(d))
-            acc[2] = max(acc[2], float(np.max(np.abs(d, out=d))))
-            acc[1] += float(np.sum(np.square(d, out=d)))
-        for acc, w in zip(sums, rows):
+        differences = (np.subtract(rows[i], rows[j], out=tables[3]) for i, j in pairs)
+        for acc, w in zip(sums, itertools.chain(rows, differences)):
             acc[0] += float(np.sum(w))
-            # squared in place and summed pairwise: a BLAS dot (w @ w) may
-            # split the sum across threads, so its bits depend on their count
-            acc[1] += float(np.sum(np.square(w, out=w)))
-    estimates = [_estimate(total, total_sq, n, seed) for total, total_sq in sums]
-    return estimates, [(_estimate(total, total_sq, n, seed), largest) for total, total_sq, largest in gaps]
+            # squared into the spare row and summed pairwise: a BLAS dot (w @ w)
+            # may split the sum across threads, so its bits depend on their count
+            acc[1] += float(np.sum(np.square(w, out=tables[3])))
+    return [_estimate(total, total_sq, n, seed) for total, total_sq in sums]
 
 
 def mc_welfare(
@@ -456,7 +452,7 @@ def mc_welfare(
     no block allocates in the kernel, so the heap is not trimmed and
     refaulted block by block.
     """
-    return _mc_rows([strategy], c, n, seed, dist1, dist2)[0][0]
+    return _mc_rows([strategy], c, n, seed, dist1, dist2)[0]
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -222,9 +223,10 @@ def test_verify_negative_control(monkeypatch, capsys):
     # errors at 20000 samples: the suite must report the failure
     mc_rows = cli.oracle._mc_rows
 
-    def shifted(*args, **kwargs):
-        estimates, gaps = mc_rows(*args, **kwargs)
-        return [dataclasses.replace(est, mean=est.mean + 0.05) for est in estimates], gaps
+    def shifted(strategies, *args, **kwargs):
+        estimates = mc_rows(strategies, *args, **kwargs)
+        k = len(strategies)  # the strategies' rows come first, then the pairs'
+        return [dataclasses.replace(est, mean=est.mean + 0.05) for est in estimates[:k]] + estimates[k:]
 
     monkeypatch.setattr(cli.oracle, "_mc_rows", shifted)
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
@@ -382,32 +384,29 @@ def test_battery_builds_without_running_an_oracle(monkeypatch):
     assert (tols.count(None), tols.count(0.0), tols.count(1e-10), tols.count(1e-3)) == (31, 2, 3, 8)
 
 
-def test_a_monte_carlo_row_is_drawn_by_index_at_seed():
+def test_a_monte_carlo_row_is_drawn_by_key_at_seed():
     # every Monte Carlo row, whichever job runs it, is mc_welfare at seed
-    battery = cli._battery()
-    rows = 0
-    for j, job in enumerate(cli._mc_jobs(battery)):
-        for i, (estimate, stderr) in zip(job, cli._mc_job(500, 7, j)):
-            if len(run := battery[i][2]) == 2:
-                want = cli.oracle.mc_welfare(run[1], run[0], n=500, seed=7)
-                assert (estimate.hex(), stderr.hex()) == (want.mean.hex(), want.stderr.hex())
-                rows += 1
-    assert rows == 20
+    keys = [run for *_, run, _ in cli._battery() if isinstance(run, tuple) and len(run) == 2]
+    assert len(keys) == 20
+    for c, column in keys:
+        got = cli._mc_job(500, 7, c)[c, column]
+        want = cli.oracle.mc_welfare(cli._MC_COLUMNS[column][1](c), c, n=500, seed=7)
+        assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
 
 
 def test_paired_rows_share_their_rows_job_and_jobs_go_largest_first(monkeypatch, capsys):
     battery = cli._battery()
-    jobs = cli._mc_jobs(battery)
-    job_of = {i: j for j, job in enumerate(jobs) for i in job}
-    paired = [(i, run) for i, (*_, run, _) in enumerate(battery) if isinstance(run, tuple)
-              and len(run) == 3]
+    keys = [run for *_, run, _ in battery if not callable(run)]
+    paired = [key for key in keys if len(key) == 3]
     assert len(paired) == 13
-    for i, (c, a, b) in paired:
-        assert job_of[i] == job_of[a] == job_of[b]
-        assert battery[a][2][0] == battery[b][2][0] == c
-    assert sorted(job_of) == [i for i, (*_, run, _) in enumerate(battery) if not callable(run)]
-    assert [len(job) for job in jobs] == sorted(map(len, jobs), reverse=True)
-    # dispatched in that order: one CPU runs the jobs here, one call each
+    for c, a, b in paired:
+        assert (c, a) in keys and (c, b) in keys
+    # each cost's job returns exactly the battery's rows at that cost
+    for c in {key[0] for key in keys}:
+        assert sorted(cli._mc_job(2, 0, c), key=str) == sorted(
+            [key for key in keys if key[0] == c], key=str
+        )
+    # dispatched with the jobs of more rows first: one CPU runs them here, one call each
     calls = in_process_calls(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")[0] == 0
@@ -434,6 +433,60 @@ def test_an_identity_row_fails_where_one_state_differs(samples, monkeypatch, cap
         ["reg_case3", "=", "case1", "on", "every", "state", f"c={c}"] for c in (0.25, 0.5)
     ]
     assert all(float(line.split()[-3]) > 0.0 for line in failed)
+
+
+def test_an_identity_row_fails_on_a_zero_mean_with_spread(monkeypatch):
+    # differences that cancel to a mean of exactly 0 are not an identity: the
+    # identity at c = 0.25 given mean 0.0 and a positive stderr fails, alone
+    mc_rows = cli.oracle._mc_rows
+
+    def cancelling(strategies, c, *args, pairs=(), **kwargs):
+        estimates = mc_rows(strategies, c, *args, pairs=pairs, **kwargs)
+        if c == 0.25:
+            identity = (strategies.index(cli.full_info.regulated_activity),
+                        strategies.index(cli.cooperative.optimal_activity))
+            k = len(strategies) + pairs.index(identity)
+            estimates[k] = dataclasses.replace(estimates[k], mean=0.0, stderr=1e-3)
+        return estimates
+
+    monkeypatch.setattr(cli.oracle, "_mc_rows", cancelling)
+    rows = verification_checks(2000, 42)
+    assert [r["check"] for r in rows if not r["passed"]] == ["reg_case3 = case1 on every state c=0.25"]
+
+
+def test_verify_targets_are_the_sweep_values():
+    # verify and sweep share one definition of each column: a Monte Carlo
+    # row's target is, bit for bit, sweep's value at its cost and column,
+    # and a paired row's the difference of two such values
+    rows = 0
+    for name, target, run, _ in cli._battery():
+        if callable(run):
+            continue
+        c, *columns = run
+        (sweep,) = sweep_rows(RunConfig(c_start=c, c_stop=c))
+        assert sweep["c"] == c
+        values = [sweep[column] for column in columns]
+        want = values[0] if len(values) == 1 else values[0] - values[1]
+        assert target.hex() == want.hex(), name
+        rows += 1
+    assert rows == 33
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (1, 42, "samples must lie in [2, 10000000], got 1"),
+        (cli._MAX_SAMPLES + 1, 0, "samples must lie in [2, 10000000], got 10000001"),
+        (100, -1, "seed must be non-negative, got -1"),
+    ],
+)
+def test_verification_checks_rejects_its_input_before_any_draw(samples, seed, message, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("verification_checks drew states before rejecting its input")
+
+    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verification_checks(samples, seed)
 
 
 def test_verification_checks_are_well_formed_at_small_n():

@@ -33,7 +33,7 @@ from servergame.bayesian import (
     power_distribution,
     uniform_distribution,
 )
-from servergame.cli import _battery, main
+from servergame.cli import _MC_COLUMNS, _battery, main
 from servergame.cooperative import optimal_activity, optimal_profile
 from servergame.full_info import equilibrium_activity, regulated_activity
 from servergame.oracle import (
@@ -235,19 +235,21 @@ def test_scalar_map_wrapper_is_bit_identical():
 BATTERY_STRATEGIES = {}
 for _, _, run, _ in _battery():
     if isinstance(run, tuple) and len(run) == 2:
-        BATTERY_STRATEGIES.setdefault(run[0], []).append(run[1])
+        BATTERY_STRATEGIES.setdefault(run[0], []).append(_MC_COLUMNS[run[1]][1](run[0]))
 
 
 @st.composite
 def battery_jobs(draw):
     """A cost of verify's battery, a nonempty subset of its strategies
-    there in any order, up to three pairs of their positions, a run size
+    there in any order, up to three pairs of their positions (a position
+    paired with itself among them), a run size
     about one block, with or without power_distribution(2), and a seed."""
     c = draw(st.sampled_from(sorted(BATTERY_STRATEGIES)))
     order = draw(st.permutations(BATTERY_STRATEGIES[c]))
     strategies = order[: draw(st.integers(1, len(order)))]
     position = st.integers(0, len(strategies) - 1)
     pairs = draw(st.lists(st.tuples(position, position), max_size=3))
+    pairs += [(i, i) for i in draw(st.lists(position, max_size=1))]
     n = draw(st.sampled_from([2, _BLOCK - 1, _BLOCK, _BLOCK + 5]))
     dist = draw(st.sampled_from([None, power_distribution(2)]))
     return c, strategies, pairs, n, dist, draw(st.integers(0, 2**32))
@@ -257,17 +259,18 @@ def battery_jobs(draw):
 @given(battery_jobs())
 def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
     c, strategies, pairs, n, dist, seed = job
-    estimates, gaps = _mc_rows(strategies, c, n, seed, dist, dist, pairs=pairs)
-    assert len(estimates) == len(strategies) and len(gaps) == len(pairs)
+    estimates = _mc_rows(strategies, c, n, seed, dist, dist, pairs=pairs)
+    assert len(estimates) == len(strategies) + len(pairs)
     for strategy, got in zip(strategies, estimates):
         assert_identical(got, mc_welfare(strategy, c, n=n, seed=seed, dist1=dist, dist2=dist))
     rows = [reference_welfare(strategy, c, n, seed, dist, dist) for strategy in strategies]
-    for (i, j), (gap, largest) in zip(pairs, gaps):
+    for (i, j), gap in zip(pairs, estimates[len(strategies):]):
         d = rows[i] - rows[j]
         assert (gap.n, gap.seed) == (n, seed)
         assert gap.mean == pytest.approx(np.mean(d), rel=1e-12, abs=1e-15)
         assert gap.stderr == pytest.approx(np.std(d, ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
-        assert largest == np.max(np.abs(d))
+        # verify's identity rule: exactly 0 iff no state's difference is other than 0
+        assert (math.hypot(gap.mean, gap.stderr) == 0.0) == bool(np.all(d == 0.0))
 
 
 # the law of power_distribution(0.5), through a map of its own

@@ -245,6 +245,44 @@ def test_verify_under_the_benchmark_tracer_prints_the_untraced_output(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def test_verify_under_the_benchmark_tracer_records_the_activity_map_spans():
+    # the tracer replaces module attributes, so verify must look its
+    # strategies up through them when a row runs, not hold references taken
+    # at import; in process (one CPU), where the spans are kept
+    script = "\n".join(
+        [
+            "import contextlib, io",
+            "from servergame import cli",
+            "from tracing import Tracer",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "cli._usable_cpus = lambda: 1",
+            "tracer.begin_op('verify', 0)",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['verify', '--samples', '2000', '--seed', '42']) == 0",
+            "tracer.end_op()",
+            "for name in ('cooperative.optimal_activity', 'full_info.equilibrium_activity',",
+            "             'full_info.regulated_activity', 'oracle.threshold_activity'):",
+            "    print(name, tracer.counts['verify', name, 'calls'])",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=perfbench_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one block of 2000 states per strategy and cost
+    assert proc.stdout.split() == [
+        "cooperative.optimal_activity", "5",
+        "full_info.equilibrium_activity", "6",
+        "full_info.regulated_activity", "3",
+        "oracle.threshold_activity", "6",
+    ]  # fmt: skip
+
+
 def test_cli_start_up_imports_no_process_pool():
     # the pool's modules are imported when verify runs, not when the CLI
     # starts: the benchmark's set-up time is this fresh interpreter

@@ -315,7 +315,7 @@ def test_renderer_matches_the_reference_in_any_chunking(monkeypatch, chunk, outp
 @pytest.mark.parametrize("chunk", [3, 2048])
 def test_a_shared_column_renders_as_its_copies_do(monkeypatch, chunk, output_format):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
-    columns = cli._sweep_columns(RunConfig(c_step=0.05))
+    columns = cli._sweep_columns(RunConfig(c_step=0.05).cost_grid())
     assert columns[SWEEP_COLUMNS.index("reg_case2")] is columns[SWEEP_COLUMNS.index("case2_opt")]
     assert columns[SWEEP_COLUMNS.index("reg_case3")] is columns[SWEEP_COLUMNS.index("case1")]
     copies = [column.copy() for column in columns]
@@ -388,6 +388,6 @@ def test_no_sweep_cost_leaves_the_unit_interval(c_start, rows, frac):
     # rows - frac*1e-9 steps span [c_start, 1], so the slack counts `rows`
     # steps and the last point lands up to about 1e-9 above 1
     config = RunConfig(c_start, 1.0, (1.0 - c_start) / (rows - frac * 1e-9))
-    c = cli._sweep_columns(config)[0]
+    c = cli._sweep_columns(config.cost_grid())[0]
     assert np.all((0.0 <= c) & (c <= 1.0))
     assert hexes(c) == hexes(reference_grid(config))
