@@ -12,13 +12,13 @@ digit formatting, LF line endings) so runs can be diffed byte for byte.
 
 ``verify`` walks one table of 44 checks, ``_battery``.  A Monte Carlo row
 is keyed by its cost and sweep column, a paired row by its cost and two
-columns, and each target is sweep's value there.  The rows at one cost run
-as one job on the draws at the seed, so that paired rows compare two
-regimes state by state; an identity row reports hypot(mean, stderr) of
-its differences, 0 only if no state differs.  The six jobs go, largest
-first, to up to one forked worker per usable CPU, which rebuilds the table
-and returns its cost's estimates by key; in process where the platform
-cannot fork, one CPU is usable or other threads run.  Same output either way.
+columns, and each target is sweep's value there.  Every row runs on the
+draws at the seed, so that paired rows compare two regimes state by state;
+an identity row reports hypot(mean, stderr) of its differences, 0 only if
+no state differs.  The draws' blocks are split into one contiguous range
+per usable CPU, each run for all rows by a forked worker that rebuilds the
+table and returns its blocks' sums; in process where the platform cannot
+fork, one range is left or other threads run.  Same output either way.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ import math
 import os
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import bayesian, cooperative, full_info, oracle
-from .payoffs import State
+from .payoffs import State, _count
 
 __all__ = [
     "RunConfig",
@@ -394,34 +393,47 @@ def _battery() -> list[tuple]:
     return rows
 
 
-def _mc_job(samples: int, seed: int, c: float) -> dict:
-    """The Estimate of each Monte Carlo and paired row of the battery at
-    cost c, by its key, all on the draws at ``seed``: ``mc_welfare``'s for
-    a ``(c, column)`` row, the paired one of a minus b for a ``(c, a, b)`` row."""
-    keys = [run for _, _, run, _ in _battery() if not callable(run) and run[0] == c]
-    columns = list(dict.fromkeys(column for key in keys for column in key[1:]))
-    pairs = [key for key in keys if len(key) == 3]
-    estimates = oracle._mc_rows(
-        [_MC_COLUMNS[column][1](c) for column in columns], c, samples, seed,
-        pairs=[(columns.index(a), columns.index(b)) for _, a, b in pairs],
-    )
-    return dict(zip([(c, column) for column in columns] + pairs, estimates))
+def _mc_plan(battery) -> list[tuple]:
+    """verify's Monte Carlo work by cost, costs in table order: ``(c, columns,
+    pairs)``, the sweep columns its rows read and its paired rows' (a, b)."""
+    keys = [run for _, _, run, _ in battery if not callable(run)]
+    plan = []
+    for c in dict.fromkeys(key[0] for key in keys):
+        at = [key[1:] for key in keys if key[0] == c]
+        plan.append((c, list(dict.fromkeys(column for key in at for column in key)),
+                     [key for key in at if len(key) == 2]))
+    return plan
 
 
-def _mc_estimates(samples: int, seed: int, costs: list[float]) -> list[dict]:
-    """``_mc_job`` at each of ``costs``, in their order.
+def _mc_range(samples: int, seed: int, start: int, stop: int):
+    """The block sums (``oracle._mc_block_sums``) of verify's Monte Carlo
+    rows over states [start, stop) of the draws at ``seed``: at each cost
+    of ``_mc_plan``, each column's ``mc_welfare``, then each pair's a - b."""
+    jobs = [(c, [_MC_COLUMNS[column][1](c) for column in columns],
+             [(columns.index(a), columns.index(b)) for a, b in pairs])
+            for c, columns, pairs in _mc_plan(_battery())]
+    return oracle._mc_block_sums(jobs, samples, seed, start, stop)
 
-    The jobs run on ``min(len(costs), usable CPUs)`` forked workers, which
-    take them in order.  Only two ints and a cost go out, and each worker
-    rebuilds the battery, so a strategy that cannot be pickled (a closure)
-    still runs; only Estimates come back, each bit for bit the in-process one.
-    A worker's exception is raised here, and every worker has exited when
-    this returns.  Where a pool cannot help (one usable CPU) or fork is
-    unsafe (no ``"fork"`` start method, or other threads running, which a
-    forked child would find holding their locks), the jobs run in process.
+
+def _mc_estimates(samples: int, seed: int) -> dict:
+    """The Estimate of every Monte Carlo and paired row, by its key.
+
+    The 2**14-state blocks are split into ``min(blocks, usable CPUs)``
+    contiguous ranges, one ``_mc_range`` job each, run on as many forked
+    workers.  Only four ints go out, and each worker rebuilds the battery,
+    so a strategy that cannot be pickled (a closure) still runs; only
+    blocks' float sums come back, added here in block order, so each
+    Estimate is bit for bit ``mc_welfare``'s whatever the split.  A
+    worker's exception is raised here, and every worker has exited when
+    this returns.  Where a pool cannot help (one range) or fork is unsafe
+    (no ``"fork"`` start method, or other threads running, which a forked
+    child would find holding their locks), the ranges run in process.
     """
-    job = partial(_mc_job, samples, seed)
-    workers = min(len(costs), _usable_cpus())
+    blocks = -(-samples // oracle._BLOCK)
+    workers = min(blocks, _usable_cpus())
+    edges = [min(blocks * k // workers * oracle._BLOCK, samples) for k in range(workers + 1)]
+    job, ranges = partial(_mc_range, samples, seed), (edges[:-1], edges[1:])
+    sums = map(job, *ranges)  # in process, unless the pool below runs them
     if workers > 1 and threading.active_count() == 1:
         # imported here, so that the CLI's start-up does not pay for them
         import multiprocessing
@@ -430,25 +442,23 @@ def _mc_estimates(samples: int, seed: int, costs: list[float]) -> list[dict]:
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(job, costs))
-    return list(map(job, costs))
+                sums = list(pool.map(job, *ranges))
+    keys = [(c, *key) for c, columns, pairs in _mc_plan(_battery()) for key in [*zip(columns), *pairs]]
+    return dict(zip(keys, oracle._estimates(np.concatenate(list(sums)), samples, seed)))
 
 
 def verification_checks(samples: int, seed: int) -> list[dict]:
     """Every oracle-vs-closed-form check of ``_battery``, as rows of name/target/estimate;
-    ValueError, before any draw, unless 2 <= samples <= 10**7 and seed >= 0."""
+    TypeError unless samples and seed are integers, and ValueError unless
+    2 <= samples <= 10**7 and seed >= 0, both before any draw."""
+    samples, seed = _count(samples, "samples", -math.inf), _count(seed, "seed", -math.inf)
     if not 2 <= samples <= _MAX_SAMPLES:
         raise ValueError(f"samples must lie in [2, {_MAX_SAMPLES}], got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    battery = _battery()
-    # one Monte Carlo job per cost, those with more rows first, ties in table order
-    costs = Counter(run[0] for _, _, run, _ in battery if not callable(run))
-    found = {}
-    for estimates in _mc_estimates(samples, seed, [c for c, _ in costs.most_common()]):
-        found.update(estimates)
+    found = _mc_estimates(samples, seed)
     rows = []
-    for name, target, run, tol in battery:
+    for name, target, run, tol in _battery():
         estimate, stderr = (run(), 0.0) if callable(run) else (found[run].mean, found[run].stderr)
         if tol == 0.0:  # an identity: 0 exactly iff no state's difference is other than 0
             estimate = math.hypot(estimate, stderr)

@@ -13,12 +13,13 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   interim gains integrated over its active types, both servers in one call;
 * expected welfare of any strategy map is estimated by seeded Monte Carlo
   from both servers' payoff-table entries for the profile played, in
-  blocks of 2**14 states drawn into one workspace per call.  Several
-  strategies at one cost share each block's draws and table sums, which
-  pairs their estimates state by state: a pair's difference is one more
-  row, reduced as a welfare row is.  A law other than the default is
-  given by its ``Distribution.uniform_map``, and every block it maps is
-  checked;
+  blocks of 2**14 states drawn into one workspace per call.  Strategies
+  at several costs share each block's draws, and those at one cost its
+  table sums, which pairs their estimates state by state: a pair's
+  difference is one more row, reduced as a welfare row is.  Any range of
+  blocks can be run alone and its sums added later in block order, with
+  the same bits.  A law other than the default is given by its
+  ``Distribution.uniform_map``, and every block it maps is checked;
 * the sampled deviation check scores idle opponents as active ones of type 0
   and sorts each server's opponent draws once: every own type's gains are
   two groups of them, split at its type, whose moments come from sums
@@ -35,7 +36,6 @@ algorithm name and are bitwise reproducible for a given (seed, n).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -323,12 +323,12 @@ def _checked_draws(dist, u, name: str):
         raise ValueError(f"sampled state not finite or outside [0, 1]: {err}") from None
 
 
-def _block_tables(p1, p2, c, work):
+def _block_tables(p1, p2, c, rows):
     """Both servers' payoff-table sums on one block of draws, in the four
-    rows of ``work``: the both-active sum AA + AA2, the lone-server sums
-    AI + IA2 and IA + AI2, and a spare row (server 2's AA, once added)."""
-    both, alone1, ia, _ = payoff_table(p1, p2, c, out=work[:2])
-    aa2, alone2, ia2, _ = payoff_table(p2, p1, c, out=work[2:])
+    ``rows``: the both-active sum AA + AA2, the lone-server sums AI + IA2
+    and IA + AI2, and a spare row (server 2's AA, once added)."""
+    both, alone1, ia, _ = payoff_table(p1, p2, c, out=rows[:2])
+    aa2, alone2, ia2, _ = payoff_table(p2, p1, c, out=rows[2:])
     # server 2's row lists its own action first: its IA is server 1's AI
     alone1 += ia2
     alone2 += ia
@@ -365,61 +365,66 @@ def _block_welfare(activity, p1, p2, c, tables, out, both_active):
     return out
 
 
-def _draws(dist1, dist2, n: int, seed: int, u1, u2):
-    """Yield mc_welfare's (p1, p2), one block of ``u1.size`` uniforms at a time."""
+def _draws(dist1, dist2, n: int, seed: int, u1, u2, start: int, stop: int):
+    """Yield mc_welfare's (p1, p2) for its states [start, stop) of n, ``u1.size`` at a time."""
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
-    rng1 = np.random.default_rng(seq)
-    rng2 = np.random.Generator(np.random.PCG64(seq).advance(n))
-    for lo in range(0, n, u1.size):
+    rng1 = np.random.Generator(np.random.PCG64(seq).advance(start))
+    rng2 = np.random.Generator(np.random.PCG64(seq).advance(n + start))
+    for lo in range(start, stop, u1.size):
         yield (
-            _checked_draws(dist1, rng1.random(out=u1[: n - lo]), "p1"),
-            _checked_draws(dist2, rng2.random(out=u2[: n - lo]), "p2"),
+            _checked_draws(dist1, rng1.random(out=u1[: stop - lo]), "p1"),
+            _checked_draws(dist2, rng2.random(out=u2[: stop - lo]), "p2"),
         )
 
 
-def _estimate(total: float, total_sq: float, n: int, seed: int) -> Estimate:
-    """Mean and standard error (sample std / sqrt(n)) from a sum and a sum of squares."""
-    mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        stderr = float(np.sqrt(variance / n))
-    else:
-        stderr = 0.0
-    return Estimate(mean=mean, stderr=stderr, n=n, seed=seed)
+def _mc_block_sums(jobs, n, seed, start, stop, dist1=None, dist2=None):
+    """Per block, the sum and sum of squares of every row of ``jobs`` over
+    mc_welfare's states [start, stop) of n: an array (blocks, rows, 2).
 
-
-def _mc_rows(strategies, c, n, seed, dist1=None, dist2=None, pairs=()):
-    """``mc_welfare`` of each of ``strategies`` at one cost, on one draw stream,
-    then for each pair ``(i, j)`` of their positions the paired Estimate of
-    welfare i minus welfare j, state by state: one flat list of Estimates.
-
-    Each block's states are drawn and its payoff-table sums built once; each
-    strategy then writes its own welfare row, the last one in server 1's
-    lone-server sum, so its Estimate is bit for bit ``mc_welfare``'s.  A
-    pair's difference is written to the spare table row and reduced alike.
+    ``jobs`` lists ``(c, strategies, pairs)``, whose rows are the strategies'
+    welfare, then each pair (i, j)'s welfare i minus welfare j, state by
+    state.  A block is drawn once; at each cost its table sums are built
+    once, its rows written to one stack in the workspace (the last
+    strategy's over server 1's lone-server sum) and reduced by one
+    ``np.sum`` along each row, then squared in place and summed again: the
+    bits of each row's own ``np.sum``.  ``start`` is a multiple of _BLOCK.
     """
-    c = check_cost(c)
-    n = _count(n, "n", 1)
-    seed = _count(seed, "seed", 0)
-    activities = [_resolve_strategy(strategy) for strategy in strategies]
-
-    # the draws, the four table rows, and a welfare row for each strategy but the last
-    work = np.empty((5 + len(activities), min(n, _BLOCK)))
+    jobs = [(c, [_resolve_strategy(s) for s in strategies], pairs) for c, strategies, pairs in jobs]
+    heights = [len(activities) + len(pairs) for _, activities, pairs in jobs]
+    # the draws, the both-active sum, the spare table row, server 2's lone-server sum, the stack
+    work = np.empty((5 + max(heights), min(n, _BLOCK)))
     both_active = np.empty(work.shape[1], dtype=bool)
-    sums = [[0.0, 0.0] for _ in range(len(activities) + len(pairs))]
-    for p1, p2 in _draws(dist1, dist2, n, seed, work[0], work[1]):
-        m = p1.size
-        tables = _block_tables(p1, p2, c, work[2:6, :m])
-        rows = [*work[6:, :m], tables[1]]
-        for activity, out in zip(activities, rows):
-            _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
-        differences = (np.subtract(rows[i], rows[j], out=tables[3]) for i, j in pairs)
-        for acc, w in zip(sums, itertools.chain(rows, differences)):
-            acc[0] += float(np.sum(w))
-            # squared into the spare row and summed pairwise: a BLAS dot (w @ w)
-            # may split the sum across threads, so its bits depend on their count
-            acc[1] += float(np.sum(np.square(w, out=tables[3])))
-    return [_estimate(total, total_sq, n, seed) for total, total_sq in sums]
+    sums = np.empty((-(-(stop - start) // _BLOCK), sum(heights), 2))
+    for block, (p1, p2) in zip(sums, _draws(dist1, dist2, n, seed, work[0], work[1], start, stop)):
+        row, m = 0, p1.size
+        for (c, activities, pairs), height in zip(jobs, heights):
+            k, stack = len(activities), work[5 : 5 + height, :m]
+            tables = _block_tables(p1, p2, c, [work[2, :m], stack[k - 1], work[3, :m], work[4, :m]])
+            for activity, out in zip(activities, stack):
+                _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
+            for out, (i, j) in zip(stack[k:], pairs):
+                np.subtract(stack[i], stack[j], out=out)
+            block[row : row + height, 0] = np.sum(stack, axis=1)
+            # squared in place and summed pairwise: a BLAS dot (w @ w) may
+            # split the sum across threads, so its bits depend on their count
+            block[row : row + height, 1] = np.sum(np.square(stack, out=stack), axis=1)
+            row += height
+    return sums
+
+
+def _estimates(sums, n: int, seed: int) -> list[Estimate]:
+    """Each row's mean and standard error (sample std / sqrt(n)) from
+    ``_mc_block_sums``' blocks, whose sums are added by float ``+=`` from
+    0.0 in block order, however the blocks were split into ranges."""
+    totals = [0.0] * (2 * sums.shape[1])
+    for block in sums.reshape(len(sums), -1).tolist():
+        totals = [total + x for total, x in zip(totals, block)]
+    estimates = []
+    for total, total_sq in zip(totals[::2], totals[1::2]):
+        mean = total / n
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        estimates.append(Estimate(mean=mean, stderr=float(np.sqrt(variance / n)), n=n, seed=seed))
+    return estimates
 
 
 def mc_welfare(
@@ -452,7 +457,8 @@ def mc_welfare(
     no block allocates in the kernel, so the heap is not trimmed and
     refaulted block by block.
     """
-    return _mc_rows([strategy], c, n, seed, dist1, dist2)[0]
+    c, n, seed = check_cost(c), _count(n, "n", 1), _count(seed, "seed", 0)
+    return _estimates(_mc_block_sums([(c, [strategy], ())], n, seed, 0, n, dist1, dist2), n, seed)[0]
 
 
 # --------------------------------------------------------------------------

@@ -221,32 +221,36 @@ def test_verify_passes_and_is_deterministic(capsys):
 def test_verify_negative_control(monkeypatch, capsys):
     # every Monte Carlo estimate shifted by 0.05, far beyond three standard
     # errors at 20000 samples: the suite must report the failure
-    mc_rows = cli.oracle._mc_rows
+    mc_estimates = cli._mc_estimates
 
-    def shifted(strategies, *args, **kwargs):
-        estimates = mc_rows(strategies, *args, **kwargs)
-        k = len(strategies)  # the strategies' rows come first, then the pairs'
-        return [dataclasses.replace(est, mean=est.mean + 0.05) for est in estimates[:k]] + estimates[k:]
+    def shifted(samples, seed):
+        # a (c, column) key is a strategy's row; the paired (c, a, b) rows stay
+        return {key: dataclasses.replace(est, mean=est.mean + 0.05) if len(key) == 2 else est
+                for key, est in mc_estimates(samples, seed).items()}
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", shifted)
+    monkeypatch.setattr(cli, "_mc_estimates", shifted)
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
 
 
 def in_process_calls(monkeypatch):
-    """Patch ``oracle._mc_rows``, which runs one Monte Carlo job, to record
-    the cost and strategy count of each call made in this process; a forked
-    worker appends to its own copy of the list."""
+    """Patch ``oracle._mc_block_sums``, which runs one range of blocks for
+    every Monte Carlo row, to record the ``(start, stop)`` of each call made
+    in this process; a forked worker appends to its own copy of the list."""
     calls = []
-    mc_rows = cli.oracle._mc_rows
+    block_sums = cli.oracle._mc_block_sums
 
-    def recorded(strategies, c, *args, **kwargs):
-        calls.append((c, len(strategies)))
-        return mc_rows(strategies, c, *args, **kwargs)
+    def recorded(jobs, n, seed, start, stop, *args, **kwargs):
+        calls.append((start, stop))
+        return block_sums(jobs, n, seed, start, stop, *args, **kwargs)
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", recorded)
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", recorded)
     return calls
+
+
+# three blocks, the last of five states: two CPUs split them into two ranges
+POOLED = 2 * cli.oracle._BLOCK + 5
 
 
 def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
@@ -254,13 +258,14 @@ def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
     code, default, _ = run_cli(capsys, *argv)  # pooled or not, as this host allows
     assert code == 0 and multiprocessing.active_children() == []
     calls = in_process_calls(monkeypatch)
-    # two CPUs force the pool whatever this host has; one runs every job here
-    for cpus, want_calls in ((2, 0), (1, 6)):
+    # two CPUs force the pool for these two blocks whatever this host has;
+    # one runs the one range here
+    for cpus, want_calls in ((2, []), (1, [(0, 20000)])):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == "" and out == default
-        assert len(calls) == want_calls
+        assert calls == want_calls
         assert multiprocessing.active_children() == []
 
 
@@ -268,8 +273,8 @@ def test_verify_runs_in_process_where_fork_is_unavailable(monkeypatch, capsys):
     calls = in_process_calls(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
-    assert code == 0 and len(calls) == 6
+    code, out, _ = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
+    assert code == 0 and calls == [(0, cli.oracle._BLOCK), (cli.oracle._BLOCK, POOLED)]
 
 
 def test_verify_does_not_fork_beside_another_thread(monkeypatch, capsys):
@@ -280,12 +285,12 @@ def test_verify_does_not_fork_beside_another_thread(monkeypatch, capsys):
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
-        code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+        code, out, _ = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert code == 0 and len(calls) == 6
+    assert code == 0 and calls == [(0, cli.oracle._BLOCK), (cli.oracle._BLOCK, POOLED)]
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "in_process"])
@@ -294,8 +299,8 @@ def test_verify_monte_carlo_value_error_is_a_usage_error(cpus, monkeypatch, caps
         raise ValueError(f"bad draw in process {os.getpid()}")
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli.oracle, "_mc_rows", bad_draw)
-    code, out, err = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", bad_draw)
+    code, out, err = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
     assert code == 1 and out == ""
     assert err.startswith("error: bad draw in process ")
     raised_in_a_worker = int(err.split()[-1]) != os.getpid()
@@ -347,9 +352,9 @@ def test_every_verify_row_has_a_negative_control(monkeypatch, capsys):
     # each row's target moved away from its estimate by twice the row's
     # tolerance: that row alone fails, and verify exits 2.  An identity row
     # has tolerance 0, which twice 0 would not move: its target is moved by
-    # the least positive float instead.  Two CPUs force the pool, whose
-    # forked workers inherit the patched table
-    baseline = verification_checks(2000, 42)
+    # the least positive float instead.  Two CPUs force the pool for these
+    # three blocks, whose forked workers inherit the patched table
+    baseline = verification_checks(POOLED, 42)
     assert len(baseline) == 44 and all(r["passed"] for r in baseline)
     identities = [r["check"] for r in baseline if r["tol"] == 0.0]
     assert identities == [f"reg_case3 = case1 on every state c={c}" for c in (0.25, 0.5)]
@@ -366,7 +371,7 @@ def test_every_verify_row_has_a_negative_control(monkeypatch, capsys):
             return rows
 
         monkeypatch.setattr(cli, "_battery", moved)
-        code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")
+        code, out, _ = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
         assert code == 2, row["check"]
         failed = [line for line in out.splitlines() if line.endswith("FAIL")]
         assert len(failed) == 1 and failed[0].startswith(row["check"] + " ")
@@ -376,7 +381,7 @@ def test_battery_builds_without_running_an_oracle(monkeypatch):
     def oracle_ran(*args, **kwargs):
         raise AssertionError("building the battery ran an oracle")
 
-    for name in ("mc_welfare", "_mc_rows", "threshold_welfare_by_quadrature", "grid_best_response"):
+    for name in ("mc_welfare", "_mc_block_sums", "threshold_welfare_by_quadrature", "grid_best_response"):
         monkeypatch.setattr(cli.oracle, name, oracle_ran)
     tols = [tol for *_, tol in cli._battery()]
     assert len(tols) == 44
@@ -384,33 +389,59 @@ def test_battery_builds_without_running_an_oracle(monkeypatch):
     assert (tols.count(None), tols.count(0.0), tols.count(1e-10), tols.count(1e-3)) == (31, 2, 3, 8)
 
 
-def test_a_monte_carlo_row_is_drawn_by_key_at_seed():
-    # every Monte Carlo row, whichever job runs it, is mc_welfare at seed
+def test_a_monte_carlo_row_is_drawn_by_key_at_seed(monkeypatch):
+    # every Monte Carlo row, whichever range and worker runs its blocks, is
+    # mc_welfare at seed over all the samples
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     keys = [run for *_, run, _ in cli._battery() if isinstance(run, tuple) and len(run) == 2]
     assert len(keys) == 20
+    found = cli._mc_estimates(POOLED, 7)
     for c, column in keys:
-        got = cli._mc_job(500, 7, c)[c, column]
-        want = cli.oracle.mc_welfare(cli._MC_COLUMNS[column][1](c), c, n=500, seed=7)
+        got = found[c, column]
+        want = cli.oracle.mc_welfare(cli._MC_COLUMNS[column][1](c), c, n=POOLED, seed=7)
         assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
 
 
-def test_paired_rows_share_their_rows_job_and_jobs_go_largest_first(monkeypatch, capsys):
+def test_paired_rows_share_their_cost_and_ranges_cover_the_samples_in_order(monkeypatch):
     battery = cli._battery()
     keys = [run for *_, run, _ in battery if not callable(run)]
     paired = [key for key in keys if len(key) == 3]
     assert len(paired) == 13
     for c, a, b in paired:
         assert (c, a) in keys and (c, b) in keys
-    # each cost's job returns exactly the battery's rows at that cost
-    for c in {key[0] for key in keys}:
-        assert sorted(cli._mc_job(2, 0, c), key=str) == sorted(
-            [key for key in keys if key[0] == c], key=str
-        )
-    # dispatched with the jobs of more rows first: one CPU runs them here, one call each
+    # the engine's rows are exactly the battery's Monte Carlo and paired rows
+    assert sorted(cli._mc_estimates(2, 0), key=str) == sorted(keys, key=str)
+    # min(blocks, CPUs) ranges, one call each, in order and covering [0, samples);
+    # without fork they all run here
     calls = in_process_calls(monkeypatch)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert run_cli(capsys, "verify", "--samples", "2000", "--seed", "42")[0] == 0
-    assert calls == [(0.25, 6), (0.5, 6), (0.8, 5), (0.1, 1), (0.75, 1), (0.9, 1)]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    block = cli.oracle._BLOCK
+    for cpus, samples, ranges in [
+        (1, 2000, [(0, 2000)]),
+        (3, 2000, [(0, 2000)]),
+        (1, POOLED, [(0, POOLED)]),
+        (2, POOLED, [(0, block), (block, POOLED)]),
+        (3, POOLED, [(0, block), (block, 2 * block), (2 * block, POOLED)]),
+        (5, POOLED, [(0, block), (block, 2 * block), (2 * block, POOLED)]),
+        (2, 62 * block, [(0, 31 * block), (31 * block, 62 * block)]),
+    ]:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        calls.clear()
+        assert len(verification_checks(samples, 42)) == 44
+        assert calls == ranges, (cpus, samples)
+
+
+@pytest.mark.parametrize("samples", [2000, POOLED, 10**5])
+def test_the_worker_count_never_moves_a_bit(samples, monkeypatch):
+    # the blocks' sums are added in block order however they were split
+    # into ranges: 2000 samples are one block, run in process at any count
+    rows = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        rows[cpus] = [(r["check"], r["estimate"].hex(), r["stderr"].hex())
+                      for r in verification_checks(samples, 42)]
+    assert len(rows[1]) == 44
+    assert rows[1] == rows[2] == rows[3]
 
 
 @pytest.mark.parametrize("samples", [2000, 2 * cli.oracle._BLOCK + 5])
@@ -438,18 +469,15 @@ def test_an_identity_row_fails_where_one_state_differs(samples, monkeypatch, cap
 def test_an_identity_row_fails_on_a_zero_mean_with_spread(monkeypatch):
     # differences that cancel to a mean of exactly 0 are not an identity: the
     # identity at c = 0.25 given mean 0.0 and a positive stderr fails, alone
-    mc_rows = cli.oracle._mc_rows
+    mc_estimates = cli._mc_estimates
 
-    def cancelling(strategies, c, *args, pairs=(), **kwargs):
-        estimates = mc_rows(strategies, c, *args, pairs=pairs, **kwargs)
-        if c == 0.25:
-            identity = (strategies.index(cli.full_info.regulated_activity),
-                        strategies.index(cli.cooperative.optimal_activity))
-            k = len(strategies) + pairs.index(identity)
-            estimates[k] = dataclasses.replace(estimates[k], mean=0.0, stderr=1e-3)
-        return estimates
+    def cancelling(samples, seed):
+        found = mc_estimates(samples, seed)
+        identity = (0.25, "reg_case3", "case1")
+        found[identity] = dataclasses.replace(found[identity], mean=0.0, stderr=1e-3)
+        return found
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", cancelling)
+    monkeypatch.setattr(cli, "_mc_estimates", cancelling)
     rows = verification_checks(2000, 42)
     assert [r["check"] for r in rows if not r["passed"]] == ["reg_case3 = case1 on every state c=0.25"]
 
@@ -484,8 +512,32 @@ def test_verification_checks_rejects_its_input_before_any_draw(samples, seed, me
     def draw(*args, **kwargs):
         raise AssertionError("verification_checks drew states before rejecting its input")
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", draw)
     with pytest.raises(ValueError, match=re.escape(message)):
+        verification_checks(samples, seed)
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (1000.0, 42, "samples must be an integer, got 1000.0"),
+        ("1000", 42, "samples must be an integer, got '1000'"),
+        (True, 42, "samples must be an integer, got True"),
+        (1000, 4.0, "seed must be an integer, got 4.0"),
+        (1000, "42", "seed must be an integer, got '42'"),
+        (1000, False, "seed must be an integer, got False"),
+    ],
+)
+def test_verification_checks_rejects_a_count_that_is_no_integer(samples, seed, message, monkeypatch):
+    # before the battery is built or anything forks: a float count would
+    # otherwise reach the workers' block bounds
+    def ran(*args, **kwargs):
+        raise AssertionError("verification_checks ran before rejecting its input")
+
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", ran)
+    monkeypatch.setattr(cli, "_battery", ran)
+    monkeypatch.setattr(cli, "_usable_cpus", ran)
+    with pytest.raises(TypeError, match=re.escape(message)):
         verification_checks(samples, seed)
 
 
@@ -558,7 +610,7 @@ def test_verify_samples_outside_the_cap_are_a_usage_error(samples, monkeypatch, 
     def draw(*args, **kwargs):
         raise AssertionError("verify drew states before rejecting --samples")
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", draw)
     code, out, err = run_cli(capsys, "verify", "--samples", samples)
     assert code == 1 and out == ""
     assert "samples must lie in [2, 10000000]" in err
@@ -613,7 +665,7 @@ def test_verify_negative_seed_is_a_usage_error(seed, monkeypatch, capsys):
     def draw(*args, **kwargs):
         raise AssertionError("verify drew states before rejecting --seed")
 
-    monkeypatch.setattr(cli.oracle, "_mc_rows", draw)
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", draw)
     code, out, err = run_cli(capsys, "verify", "--samples", "100", "--seed", seed)
     assert code == 1 and out == ""
     assert f"seed must be non-negative, got {seed}" in err

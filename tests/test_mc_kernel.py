@@ -41,7 +41,9 @@ from servergame.oracle import (
     _BLOCK,
     _block_tables,
     _block_welfare,
-    _mc_rows,
+    _draws,
+    _estimates,
+    _mc_block_sums,
     _resolve_strategy,
     mc_welfare,
     pointwise_strategy,
@@ -259,7 +261,7 @@ def battery_jobs(draw):
 @given(battery_jobs())
 def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
     c, strategies, pairs, n, dist, seed = job
-    estimates = _mc_rows(strategies, c, n, seed, dist, dist, pairs=pairs)
+    estimates = _estimates(_mc_block_sums([(c, strategies, pairs)], n, seed, 0, n, dist, dist), n, seed)
     assert len(estimates) == len(strategies) + len(pairs)
     for strategy, got in zip(strategies, estimates):
         assert_identical(got, mc_welfare(strategy, c, n=n, seed=seed, dist1=dist, dist2=dist))
@@ -271,6 +273,40 @@ def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
         assert gap.stderr == pytest.approx(np.std(d, ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
         # verify's identity rule: exactly 0 iff no state's difference is other than 0
         assert (math.hypot(gap.mean, gap.stderr) == 0.0) == bool(np.all(d == 0.0))
+
+
+@st.composite
+def block_ranges(draw):
+    """A run size n, a range [start, stop) of it that starts on a block
+    boundary and stops on one or at n, with or without a mapped law, and a seed."""
+    n = draw(st.integers(1, 3 * _BLOCK + 7))
+    blocks = -(-n // _BLOCK)
+    first = draw(st.integers(0, blocks - 1))
+    stop = min(draw(st.integers(first + 1, blocks)) * _BLOCK, n)
+    dist = draw(st.sampled_from([None, power_distribution(2)]))
+    return n, first * _BLOCK, stop, dist, draw(st.integers(0, 2**32))
+
+
+def drawn(dist, n, seed, start, stop):
+    """Copies of the (p1, p2) blocks ``_draws`` yields for [start, stop), run end to end."""
+    u1, u2 = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    blocks = [(p1.copy(), p2.copy()) for p1, p2 in _draws(dist, dist, n, seed, u1, u2, start, stop)]
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(block_ranges())
+@example((3 * _BLOCK + 7, _BLOCK, 3 * _BLOCK, power_distribution(2), 42))
+@example((2 * _BLOCK + 5, 2 * _BLOCK, 2 * _BLOCK + 5, None, 0))
+def test_a_block_range_reproduces_the_whole_stream(case):
+    # a worker that runs blocks [start, stop) alone must draw, and map, the
+    # very states a run over all n draws there
+    n, start, stop, dist, seed = case
+    whole = drawn(dist, n, seed, 0, n)
+    part = drawn(dist, n, seed, start, stop)
+    assert len(part) == len(whole) == 2
+    for got, want in zip(part, whole):
+        assert got.tobytes() == want[start:stop].tobytes()
 
 
 # the law of power_distribution(0.5), through a map of its own

@@ -307,6 +307,32 @@ def test_cli_start_up_imports_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_pooled_verify_leaves_numpy_random_out_of_the_parent():
+    # only the forked workers draw: importing numpy.random in the parent
+    # would add about 6 MiB to the benchmark's RUSAGE_SELF peak.  Three
+    # blocks, so that two CPUs split them into two ranges, one per worker
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from servergame import cli",
+            "cli._usable_cpus = lambda: 2  # the pool, whatever this host has",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['verify', '--samples', str(2 * 2**14 + 5)]) == 0",
+            "print('numpy.random' in sys.modules)",
+        ]
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_benchmark_workloads_pass_one_batch_each():
     # one batch of each workload the benchmark times, run and checked as
     # perfbench/run.py does: an API break or a changed output shows here
