@@ -16,8 +16,8 @@ columns, and each target is sweep's value there.  Every row runs on the
 draws at the seed, so that paired rows compare two regimes state by state;
 an identity row reports hypot(mean, stderr) of its differences, 0 only if
 no state differs.  The draws' blocks are split into one contiguous range
-per usable CPU, each run for all rows by a forked worker that rebuilds the
-table and returns its blocks' sums; in process where the platform cannot
+per usable CPU, each run for all rows by a child forked for it, which sends
+its blocks' sums back through a pipe; in process where the platform cannot
 fork, one range is left or other threads run.  Same output either way.
 """
 
@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass
@@ -393,58 +394,76 @@ def _battery() -> list[tuple]:
     return rows
 
 
-def _mc_plan(battery) -> list[tuple]:
-    """verify's Monte Carlo work by cost, costs in table order: ``(c, columns,
-    pairs)``, the sweep columns its rows read and its paired rows' (a, b)."""
+def _forked(run, ranges) -> list:
+    """``run(*r)`` for each range r, in order, each in a child forked for it
+    that pickles ``(ok, result or exception)`` into a pipe; all are reaped."""
+    import signal  # here, so that the CLI's start-up does not pay for it
+    fds, pids, results = [], [], []
+    try:
+        for r in ranges:
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # os._exit: never back into the caller, no inherited buffer flushed
+                    for fd in fds[:-1]:  # the read ends: once the parent is gone, a write fails
+                        os.close(fd)
+                    with open(fds[-1], "wb") as pipe:
+                        try:
+                            pipe.write(pickle.dumps((True, run(*r))))
+                        except Exception as exc:
+                            pipe.write(pickle.dumps((False, exc)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fds.pop())  # the write end: the pipe ends when the child does
+            pids.append(pid)
+        for pid, read in zip(list(pids), fds):
+            data = b"".join(iter(partial(os.read, read, 1 << 16), b""))
+            if not data:
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise ChildProcessError(f"Monte Carlo worker {pid} ended with status {code}, no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:  # a child not yet read is killed first
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if len(results) < len(ranges):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _mc_estimates(samples: int, seed: int, battery) -> dict:
+    """The Estimate of every Monte Carlo and paired row of ``battery``, by its key.
+
+    One job per cost runs the columns and pairs its rows read, each strategy
+    looked up here, so that a patched or traced one runs.  The 2**14-state
+    blocks are split into ``min(blocks, usable CPUs)`` ranges, each run by a
+    forked child (in process where that cannot help, one range, or is unsafe:
+    no ``os.fork``, or other threads running); their sums are added in block
+    order, so each Estimate has ``mc_welfare``'s bits whatever the split.
+    """
     keys = [run for _, _, run, _ in battery if not callable(run)]
-    plan = []
+    jobs, order = [], []
     for c in dict.fromkeys(key[0] for key in keys):
         at = [key[1:] for key in keys if key[0] == c]
-        plan.append((c, list(dict.fromkeys(column for key in at for column in key)),
-                     [key for key in at if len(key) == 2]))
-    return plan
-
-
-def _mc_range(samples: int, seed: int, start: int, stop: int):
-    """The block sums (``oracle._mc_block_sums``) of verify's Monte Carlo
-    rows over states [start, stop) of the draws at ``seed``: at each cost
-    of ``_mc_plan``, each column's ``mc_welfare``, then each pair's a - b."""
-    jobs = [(c, [_MC_COLUMNS[column][1](c) for column in columns],
-             [(columns.index(a), columns.index(b)) for a, b in pairs])
-            for c, columns, pairs in _mc_plan(_battery())]
-    return oracle._mc_block_sums(jobs, samples, seed, start, stop)
-
-
-def _mc_estimates(samples: int, seed: int) -> dict:
-    """The Estimate of every Monte Carlo and paired row, by its key.
-
-    The 2**14-state blocks are split into ``min(blocks, usable CPUs)``
-    contiguous ranges, one ``_mc_range`` job each, run on as many forked
-    workers.  Only four ints go out, and each worker rebuilds the battery,
-    so a strategy that cannot be pickled (a closure) still runs; only
-    blocks' float sums come back, added here in block order, so each
-    Estimate is bit for bit ``mc_welfare``'s whatever the split.  A
-    worker's exception is raised here, and every worker has exited when
-    this returns.  Where a pool cannot help (one range) or fork is unsafe
-    (no ``"fork"`` start method, or other threads running, which a forked
-    child would find holding their locks), the ranges run in process.
-    """
+        columns = list(dict.fromkeys(column for key in at for column in key))
+        pairs = [key for key in at if len(key) == 2]
+        jobs.append((c, [_MC_COLUMNS[column][1](c) for column in columns],
+                     [(columns.index(a), columns.index(b)) for a, b in pairs]))
+        order += [(c, *key) for key in [*zip(columns), *pairs]]
+    run = partial(oracle._mc_block_sums, jobs, samples, seed)
     blocks = -(-samples // oracle._BLOCK)
     workers = min(blocks, _usable_cpus())
     edges = [min(blocks * k // workers * oracle._BLOCK, samples) for k in range(workers + 1)]
-    job, ranges = partial(_mc_range, samples, seed), (edges[:-1], edges[1:])
-    sums = map(job, *ranges)  # in process, unless the pool below runs them
-    if workers > 1 and threading.active_count() == 1:
-        # imported here, so that the CLI's start-up does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                sums = list(pool.map(job, *ranges))
-    keys = [(c, *key) for c, columns, pairs in _mc_plan(_battery()) for key in [*zip(columns), *pairs]]
-    return dict(zip(keys, oracle._estimates(np.concatenate(list(sums)), samples, seed)))
+    ranges = list(zip(edges[:-1], edges[1:]))
+    if forks := workers > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
+        import numpy.random  # noqa: F401  once here, not in every child
+    sums = _forked(run, ranges) if forks else [run(*r) for r in ranges]
+    return dict(zip(order, oracle._estimates(np.concatenate(sums), samples, seed)))
 
 
 def verification_checks(samples: int, seed: int) -> list[dict]:
@@ -456,9 +475,10 @@ def verification_checks(samples: int, seed: int) -> list[dict]:
         raise ValueError(f"samples must lie in [2, {_MAX_SAMPLES}], got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    found = _mc_estimates(samples, seed)
+    battery = _battery()
+    found = _mc_estimates(samples, seed, battery)
     rows = []
-    for name, target, run, tol in _battery():
+    for name, target, run, tol in battery:
         estimate, stderr = (run(), 0.0) if callable(run) else (found[run].mean, found[run].stderr)
         if tol == 0.0:  # an identity: 0 exactly iff no state's difference is other than 0
             estimate = math.hypot(estimate, stderr)

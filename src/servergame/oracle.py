@@ -299,14 +299,11 @@ def _resolve_strategy(strategy):
 
 
 def _checked_activity(sigma, shape):
-    """``sigma`` as an array of ``shape`` and its mask of ones: itself if boolean,
-    as the pure maps return, else None after a ValueError check of [0, 1]."""
+    """``sigma`` as an array of ``shape``, checked to lie in [0, 1] unless boolean."""
     sigma = np.asarray(sigma)
     if sigma.shape != shape:
         sigma = np.broadcast_to(sigma, shape)
-    if sigma.dtype == bool:
-        return sigma, sigma
-    return _check_unit_array(sigma, "strategy activity sigma"), None
+    return sigma if sigma.dtype == bool else _check_unit_array(sigma, "strategy activity sigma")
 
 
 def _checked_draws(dist, u, name: str):
@@ -343,25 +340,25 @@ def _block_welfare(activity, p1, p2, c, tables, out, both_active):
     the three sums stay as they are unless ``out`` is one of them.
 
     With boolean activities each lone-server sum is scaled by its server's
-    0 or 1, server 2's in the spare row, and the both-active sum written
-    where ``both_active``, a boolean row, holds: bit-identical to the
-    bilinear mix of the same entries, which numeric activities take.
+    mask cast to 0.0 or 1.0 in the spare row, and the both-active sum written
+    where ``both_active``, a boolean row, holds (if anywhere): bit-identical
+    to the bilinear mix of the same entries, which numeric activities take.
     """
     both, alone1, alone2, spare = tables
-    sigma1, sigma2 = activity(p1, p2, c)
-    sigma1, ones1 = _checked_activity(sigma1, p1.shape)
-    sigma2, ones2 = _checked_activity(sigma2, p2.shape)
-    if ones1 is None or ones2 is None:
+    sigma1, sigma2 = (_checked_activity(sigma, p1.shape) for sigma in activity(p1, p2, c))
+    if sigma1.dtype != bool or sigma2.dtype != bool:
         out[...] = (
             sigma1 * sigma2 * both
             + sigma1 * (1.0 - sigma2) * alone1
             + (1.0 - sigma1) * sigma2 * alone2
         )
         return out
-    np.multiply(alone1, sigma1, out=out)
-    out += np.multiply(alone2, sigma2, out=spare)
-    np.logical_and(ones1, ones2, out=both_active)
-    np.putmask(out, both_active, both)
+    np.copyto(spare, sigma1)
+    np.multiply(alone1, spare, out=out)  # out may be alone1: the mask goes to the spare row
+    np.copyto(spare, sigma2)
+    out += np.multiply(alone2, spare, out=spare)
+    if np.logical_and(sigma1, sigma2, out=both_active).any():
+        np.putmask(out, both_active, both)
     return out
 
 
@@ -386,8 +383,8 @@ def _mc_block_sums(jobs, n, seed, start, stop, dist1=None, dist2=None):
     state.  A block is drawn once; at each cost its table sums are built
     once, its rows written to one stack in the workspace (the last
     strategy's over server 1's lone-server sum) and reduced by one
-    ``np.sum`` along each row, then squared in place and summed again: the
-    bits of each row's own ``np.sum``.  ``start`` is a multiple of _BLOCK.
+    ``np.add.reduce`` along its rows, then squared in place and reduced
+    again: the bits of each row's own ``np.sum``.  ``start`` is a _BLOCK multiple.
     """
     jobs = [(c, [_resolve_strategy(s) for s in strategies], pairs) for c, strategies, pairs in jobs]
     heights = [len(activities) + len(pairs) for _, activities, pairs in jobs]
@@ -404,10 +401,10 @@ def _mc_block_sums(jobs, n, seed, start, stop, dist1=None, dist2=None):
                 _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
             for out, (i, j) in zip(stack[k:], pairs):
                 np.subtract(stack[i], stack[j], out=out)
-            block[row : row + height, 0] = np.sum(stack, axis=1)
+            np.add.reduce(stack, axis=1, out=block[row : row + height, 0])
             # squared in place and summed pairwise: a BLAS dot (w @ w) may
             # split the sum across threads, so its bits depend on their count
-            block[row : row + height, 1] = np.sum(np.square(stack, out=stack), axis=1)
+            np.add.reduce(np.square(stack, out=stack), axis=1, out=block[row : row + height, 1])
             row += height
     return sums
 
@@ -486,7 +483,7 @@ def _pure_deviation_gain(row, sigma_own, sigma_other):
 
 def _check_state_map(activity, c, p1, p2, eps, variant):
     p1, p2 = check_states(p1, p2)
-    sigma1, sigma2 = (_checked_activity(sigma, p1.shape)[0] for sigma in activity(p1, p2, c))
+    sigma1, sigma2 = (_checked_activity(sigma, p1.shape) for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
     gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
     gains = np.concatenate([gain1, gain2])

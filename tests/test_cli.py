@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -223,15 +222,21 @@ def test_verify_negative_control(monkeypatch, capsys):
     # errors at 20000 samples: the suite must report the failure
     mc_estimates = cli._mc_estimates
 
-    def shifted(samples, seed):
+    def shifted(samples, seed, battery):
         # a (c, column) key is a strategy's row; the paired (c, a, b) rows stay
         return {key: dataclasses.replace(est, mean=est.mean + 0.05) if len(key) == 2 else est
-                for key, est in mc_estimates(samples, seed).items()}
+                for key, est in mc_estimates(samples, seed, battery).items()}
 
     monkeypatch.setattr(cli, "_mc_estimates", shifted)
     code, out, _ = run_cli(capsys, "verify", "--samples", "20000", "--seed", "42")
     assert code == 2
     assert "FAIL" in out
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def in_process_calls(monkeypatch):
@@ -256,9 +261,10 @@ POOLED = 2 * cli.oracle._BLOCK + 5
 def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
     argv = ("verify", "--samples", "20000", "--seed", "42")
     code, default, _ = run_cli(capsys, *argv)  # pooled or not, as this host allows
-    assert code == 0 and multiprocessing.active_children() == []
+    assert code == 0
+    assert_no_child()
     calls = in_process_calls(monkeypatch)
-    # two CPUs force the pool for these two blocks whatever this host has;
+    # two CPUs fork workers for these two blocks whatever this host has;
     # one runs the one range here
     for cpus, want_calls in ((2, []), (1, [(0, 20000)])):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -266,13 +272,13 @@ def test_verify_pooled_and_in_process_output_are_identical(monkeypatch, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == "" and out == default
         assert calls == want_calls
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 def test_verify_runs_in_process_where_fork_is_unavailable(monkeypatch, capsys):
     calls = in_process_calls(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     code, out, _ = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
     assert code == 0 and calls == [(0, cli.oracle._BLOCK), (cli.oracle._BLOCK, POOLED)]
 
@@ -305,7 +311,63 @@ def test_verify_monte_carlo_value_error_is_a_usage_error(cpus, monkeypatch, caps
     assert err.startswith("error: bad draw in process ")
     raised_in_a_worker = int(err.split()[-1]) != os.getpid()
     assert raised_in_a_worker == (cpus > 1)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+def test_verify_builds_its_table_once_and_never_in_a_worker(monkeypatch, capsys):
+    # the forked workers inherit the jobs built from the one table
+    built, parent, battery = [], os.getpid(), cli._battery
+
+    def counted():
+        if os.getpid() != parent:
+            raise ValueError("a worker rebuilt the table")
+        built.append(1)
+        return battery()
+
+    monkeypatch.setattr(cli, "_battery", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    code, _, err = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
+    assert code == 0 and err == "" and built == [1]
+    assert_no_child()
+
+
+def fail_in_each_child(monkeypatch, fail, ranges):
+    """``oracle._mc_block_sums`` patched to call ``fail()`` in a forked
+    child that runs a range starting at one of ``ranges``, and never here."""
+    parent, block_sums = os.getpid(), cli.oracle._mc_block_sums
+
+    def failing(jobs, n, seed, start, stop, *args, **kwargs):
+        if os.getpid() != parent and start in ranges:
+            fail()
+        return block_sums(jobs, n, seed, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli.oracle, "_mc_block_sums", failing)
+
+
+class Unpicklable(ValueError):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def raise_unpicklable():
+    raise Unpicklable("no way back to the parent")
+
+
+@pytest.mark.parametrize("starts", [(0,), (cli.oracle._BLOCK,), (0, cli.oracle._BLOCK)],
+                         ids=["first", "last", "both"])
+@pytest.mark.parametrize("fail, status", [(lambda: os._exit(3), 3), (raise_unpicklable, 1)],
+                         ids=["exit_3", "unpicklable"])
+def test_a_worker_that_ends_without_a_result_is_one_error_line(fail, status, starts,
+                                                               monkeypatch, capsys):
+    # a child that leaves before it writes, or whose exception cannot be
+    # pickled, reports its pid and status; every other child is reaped
+    fail_in_each_child(monkeypatch, fail, starts)
+    code, out, err = run_cli(capsys, "verify", "--samples", str(POOLED), "--seed", "42")
+    assert code == 1 and out == ""
+    assert re.fullmatch(rf"error: Monte Carlo worker \d+ ended with status {status}, no result\n", err)
+    assert int(err.split()[4]) != os.getpid()
+    assert_no_child()
 
 
 def moved_away(estimate, target, by):
@@ -352,8 +414,8 @@ def test_every_verify_row_has_a_negative_control(monkeypatch, capsys):
     # each row's target moved away from its estimate by twice the row's
     # tolerance: that row alone fails, and verify exits 2.  An identity row
     # has tolerance 0, which twice 0 would not move: its target is moved by
-    # the least positive float instead.  Two CPUs force the pool for these
-    # three blocks, whose forked workers inherit the patched table
+    # the least positive float instead.  Two CPUs fork workers for these
+    # three blocks, which run the jobs built from the patched table
     baseline = verification_checks(POOLED, 42)
     assert len(baseline) == 44 and all(r["passed"] for r in baseline)
     identities = [r["check"] for r in baseline if r["tol"] == 0.0]
@@ -393,9 +455,10 @@ def test_a_monte_carlo_row_is_drawn_by_key_at_seed(monkeypatch):
     # every Monte Carlo row, whichever range and worker runs its blocks, is
     # mc_welfare at seed over all the samples
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    keys = [run for *_, run, _ in cli._battery() if isinstance(run, tuple) and len(run) == 2]
+    battery = cli._battery()
+    keys = [run for *_, run, _ in battery if isinstance(run, tuple) and len(run) == 2]
     assert len(keys) == 20
-    found = cli._mc_estimates(POOLED, 7)
+    found = cli._mc_estimates(POOLED, 7, battery)
     for c, column in keys:
         got = found[c, column]
         want = cli.oracle.mc_welfare(cli._MC_COLUMNS[column][1](c), c, n=POOLED, seed=7)
@@ -410,11 +473,11 @@ def test_paired_rows_share_their_cost_and_ranges_cover_the_samples_in_order(monk
     for c, a, b in paired:
         assert (c, a) in keys and (c, b) in keys
     # the engine's rows are exactly the battery's Monte Carlo and paired rows
-    assert sorted(cli._mc_estimates(2, 0), key=str) == sorted(keys, key=str)
+    assert sorted(cli._mc_estimates(2, 0, battery), key=str) == sorted(keys, key=str)
     # min(blocks, CPUs) ranges, one call each, in order and covering [0, samples);
     # without fork they all run here
     calls = in_process_calls(monkeypatch)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     block = cli.oracle._BLOCK
     for cpus, samples, ranges in [
         (1, 2000, [(0, 2000)]),
@@ -471,8 +534,8 @@ def test_an_identity_row_fails_on_a_zero_mean_with_spread(monkeypatch):
     # identity at c = 0.25 given mean 0.0 and a positive stderr fails, alone
     mc_estimates = cli._mc_estimates
 
-    def cancelling(samples, seed):
-        found = mc_estimates(samples, seed)
+    def cancelling(samples, seed, battery):
+        found = mc_estimates(samples, seed, battery)
         identity = (0.25, "reg_case3", "case1")
         found[identity] = dataclasses.replace(found[identity], mean=0.0, stderr=1e-3)
         return found

@@ -215,6 +215,30 @@ def test_block_kernel_matches_the_reference_state_by_state(case):
         assert [float(w).hex() for w in got] == want
 
 
+# states where both servers serve: the kernel writes the both-active sum
+# there, and skips that write where there are none
+BOTH_ACTIVE = {"nowhere": [], "first": [0], "last": [-1], "everywhere": slice(None)}
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["own_row", "over_alone1"])
+@pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 5])
+@pytest.mark.parametrize("where", BOTH_ACTIVE.values(), ids=BOTH_ACTIVE.keys())
+def test_boolean_rows_take_the_both_active_sum_wherever_both_serve(where, n, last):
+    rng = np.random.default_rng(5)
+    p1, p2, c = rng.random(n), rng.random(n), 0.3
+    sigma1 = p1 >= p2
+    sigma2 = ~sigma1
+    sigma1[where] = sigma2[where] = True
+    assert np.flatnonzero(sigma1 & sigma2).tolist() == np.arange(n)[where].tolist()
+    want = reference_profile_welfare(p1, p2, sigma1, sigma2, c)
+    work = np.full((5, n), np.nan)
+    tables = _block_tables(p1, p2, c, work[:4])
+    out = tables[1] if last else work[4]
+    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, tables, out, np.empty(n, bool))
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
 def test_blocked_kernel_at_cost_extremes(c):
     for strategy in (STRATEGIES["cooperative"], STRATEGIES["case3_min"], (0.2, 0.7)):

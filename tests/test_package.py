@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -219,9 +220,9 @@ def test_benchmark_tracer_installs_against_the_package():
 
 
 def test_verify_under_the_benchmark_tracer_prints_the_untraced_output(capsys):
-    # the tracer's activity maps are closures, which cannot be pickled: only
-    # a job's ints go to verify's forked workers, which rebuild the table
-    # there from the traced functions they inherit
+    # the tracer's activity maps are closures, which cannot be pickled:
+    # verify's forked workers inherit the jobs, built from the traced
+    # functions before the fork, and send back only floats
     argv = ["verify", "--samples", "20000", "--seed", "42"]
     script = "\n".join(
         [
@@ -229,7 +230,7 @@ def test_verify_under_the_benchmark_tracer_prints_the_untraced_output(capsys):
             "from servergame import cli",
             "from tracing import Tracer",
             "Tracer().install()",
-            "cli._usable_cpus = lambda: 2  # the pool, whatever this host has",
+            "cli._usable_cpus = lambda: 2  # forked workers, whatever this host has",
             f"sys.exit(cli.main({argv!r}))",
         ]
     )
@@ -284,15 +285,21 @@ def test_verify_under_the_benchmark_tracer_records_the_activity_map_spans():
 
 
 def test_cli_start_up_imports_no_process_pool():
-    # the pool's modules are imported when verify runs, not when the CLI
-    # starts: the benchmark's set-up time is this fresh interpreter
+    # verify forks its workers by hand, so neither start-up nor a pooled
+    # verify imports a process pool: the benchmark's set-up time is this
+    # fresh interpreter, and its peak RSS this parent
     script = "\n".join(
         [
             "import contextlib, io, sys",
             "from servergame import cli",
+            "pool = {'multiprocessing', 'concurrent.futures'}",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['--help']) == 0",
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+            "print(sorted(pool & set(sys.modules)))",
+            "cli._usable_cpus = lambda: 2  # the forked workers, whatever this host has",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['verify', '--samples', str(2 * 2**14 + 5)]) == 0",
+            "print(sorted(pool & set(sys.modules)))",
         ]
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -304,21 +311,28 @@ def test_cli_start_up_imports_no_process_pool():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
-def test_pooled_verify_leaves_numpy_random_out_of_the_parent():
-    # only the forked workers draw: importing numpy.random in the parent
-    # would add about 6 MiB to the benchmark's RUSAGE_SELF peak.  Three
+def test_pooled_verify_forks_its_workers_with_numpy_random_loaded():
+    # the parent imports numpy.random once, just before it forks, so that no
+    # worker imports it on every verify: a worker that finds it missing, or
+    # a range run in the parent, raises, and verify would exit 1.  Three
     # blocks, so that two CPUs split them into two ranges, one per worker
     script = "\n".join(
         [
-            "import contextlib, io, sys",
+            "import contextlib, io, os, sys",
             "from servergame import cli",
-            "cli._usable_cpus = lambda: 2  # the pool, whatever this host has",
+            "cli._usable_cpus = lambda: 2  # the forked workers, whatever this host has",
+            "parent, block_sums = os.getpid(), cli.oracle._mc_block_sums",
+            "def checked(*args):",
+            "    if os.getpid() == parent or 'numpy.random' not in sys.modules:",
+            "        raise ValueError('a range ran here, or in a worker without numpy.random')",
+            "    return block_sums(*args)",
+            "cli.oracle._mc_block_sums = checked",
+            "assert 'numpy.random' not in sys.modules",
             "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert cli.main(['verify', '--samples', str(2 * 2**14 + 5)]) == 0",
-            "print('numpy.random' in sys.modules)",
+            "    sys.exit(cli.main(['verify', '--samples', str(2 * 2**14 + 5)]))",
         ]
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -330,7 +344,47 @@ def test_pooled_verify_leaves_numpy_random_out_of_the_parent():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+
+
+def ended(pid: int) -> bool:
+    """Whether process ``pid`` has exited: gone, or a zombie not yet reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_forked_workers_end_when_verify_is_killed():
+    # a worker must not wait on its pipe forever once its parent is gone:
+    # at 8 * 10**6 samples on two CPUs, each worker's block sums (about
+    # 130 KB) are more than a pipe holds, so that it writes while no one reads
+    script = "\n".join(
+        [
+            "from servergame import cli",
+            "cli._usable_cpus = lambda: 2  # forked workers, whatever this host has",
+            "cli.main(['verify', '--samples', str(8 * 10**6)])",
+        ]
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 120
+    try:
+        while len(workers := children.read_text().split()) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    while not all(ended(int(pid)) for pid in workers):
+        assert time.monotonic() < deadline, f"workers {workers} outlived verify"
+        time.sleep(0.05)
 
 
 def test_benchmark_workloads_pass_one_batch_each():
