@@ -35,7 +35,6 @@ algorithm name and are bitwise reproducible for a given (seed, n).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -172,11 +171,13 @@ def grid_best_response(
 ) -> float:
     """Smallest grid point of own type where being active weakly dominates.
 
-    The gain is nondecreasing in own type (single crossing), so bisection
-    finds the leftmost nonnegative point of the grid k/n, n = round(1/step),
-    as a linear scan would; 1.0, never probed, if no point below dominates.
-    Each ``_interim_gains`` call takes the (at most 31) midpoints of the
-    bisection's next five steps: 2 calls at step 1e-3, about 6 at 1e-9.
+    The gain is nondecreasing in own type (single crossing), so a 32-way
+    search returns the leftmost grid point k/n, n = round(1/step), whose
+    gain is >= -1e-12, as a linear scan finds it; 1.0, never probed, if no
+    point below dominates.  Its index stays in a bracket [lo, hi], hi = n
+    standing for no such point; each ``_interim_gains`` call reads 31
+    probes that cut the bracket into 32 parts, or all of [lo, hi) once
+    that is shorter than 32: 2 calls at step 1e-3, 6 at 1e-9.
     """
     if not (0.0 < step <= 0.01 and math.isfinite(1.0 / step)):
         raise ValueError(f"step must lie in (0, 0.01] with 1/step finite, got {step!r}")
@@ -186,27 +187,17 @@ def grid_best_response(
     spacing = 1.0 / n
     lo, hi = 0, n
     while lo < hi:
-        probes = _bisection_probes(lo, hi, 5)
+        w = hi - lo
+        probes = range(lo, hi) if w < 32 else [lo + w * j // 32 for j in range(1, 32)]
         # weak dominance up to quadrature rounding, so a crossing that lands
         # exactly on a grid point is not pushed one step right by -1e-17 dust
         gains = _interim_gains(np.array(probes) * spacing, t_opp, c, regulated)
-        dominates = dict(zip(probes, (gains >= -1e-12).tolist()))
-        while lo < hi and (mid := (lo + hi) // 2) in dominates:
-            lo, hi = (lo, mid) if dominates[mid] else (mid + 1, hi)
+        first = ((gains >= -1e-12).tolist() + [True]).index(True)  # len(probes) if none
+        if first:
+            lo = probes[first - 1] + 1
+        if first < len(probes):
+            hi = probes[first]
     return lo * spacing if lo < n else 1.0
-
-
-@functools.lru_cache(maxsize=1024)
-def _bisection_probes(lo: int, hi: int, levels: int) -> tuple:
-    """The indices, at most 2**levels - 1, that a bisection for the leftmost
-    True on [lo, hi) may read in its next ``levels`` steps (memoised: a grid
-    search at a given step meets the same intervals again and again)."""
-    if lo >= hi:
-        return ()
-    mid = (lo + hi) // 2
-    if levels == 1:
-        return (mid,)
-    return (mid, *_bisection_probes(lo, mid, levels - 1), *_bisection_probes(mid + 1, hi, levels - 1))
 
 
 # --------------------------------------------------------------------------
@@ -294,8 +285,7 @@ def pointwise_strategy(fn):
 
 
 def _resolve_strategy(strategy):
-    pair = _cutoff_pair(strategy)
-    return strategy if pair is None else threshold_activity(pair)
+    return strategy if callable(strategy) else threshold_activity(strategy)
 
 
 def _checked_activity(sigma, shape):
@@ -413,9 +403,7 @@ def _estimates(sums, n: int, seed: int) -> list[Estimate]:
     """Each row's mean and standard error (sample std / sqrt(n)) from
     ``_mc_block_sums``' blocks, whose sums are added by float ``+=`` from
     0.0 in block order, however the blocks were split into ranges."""
-    totals = [0.0] * (2 * sums.shape[1])
-    for block in sums.reshape(len(sums), -1).tolist():
-        totals = [total + x for total, x in zip(totals, block)]
+    totals = np.add.reduce(sums.reshape(len(sums), -1), axis=0, initial=0.0).tolist()
     estimates = []
     for total, total_sq in zip(totals[::2], totals[1::2]):
         mean = total / n
@@ -550,22 +538,6 @@ def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
     return means, np.sqrt(spread / (n - 1)) / np.sqrt(n)
 
 
-def _sampled_gains(p_grid, t, c, seed, regulated, dist, samples):
-    """Both servers' sampled gain moments, server 1's first: each server's
-    ``samples`` opponent draws come from one generator on ``seed``, server
-    1's first, and mapped by ``dist`` here.  The servers run one after the
-    other, so that one server's draws are held at a time."""
-    rng = np.random.default_rng(seed)
-
-    def moments(k):
-        # the moments zero and sort draws in u, never in the map's array: it may be the caller's
-        u = rng.random(samples)
-        np.copyto(u, _checked_draws(dist, u, f"p{2 - k}"))
-        return _sampled_gain_moments(p_grid, u, t[1 - k], c, regulated)
-
-    return [moments(0), moments(1)]
-
-
 def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
     p_grid = np.linspace(0.0, 1.0, int(round(1.0 / _P_STEP)) + 1)
     # row k is server k + 1, against the other's cutoff; positive = profitable switch
@@ -575,7 +547,14 @@ def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
         means = _interim_gains(both, cutoffs[::-1], c, regulated)
         ses = np.zeros((2, p_grid.size))
     else:
-        means, ses = np.stack(_sampled_gains(p_grid, t, c, seed, regulated, dist, samples), axis=1)
+        # each server's opponent draws, server 1's first, from one generator
+        # on seed into one buffer: one server's draws are held at a time
+        rng, u, moments = np.random.default_rng(seed), np.empty(samples), []
+        for k in range(2):
+            # the moments zero and sort draws in u, never in the map's array: it may be the caller's
+            np.copyto(u, _checked_draws(dist, rng.random(out=u), f"p{2 - k}"))
+            moments.append(_sampled_gain_moments(p_grid, u, t[1 - k], c, regulated))
+        means, ses = np.stack(moments, axis=1)
     gains = np.where(p_grid >= cutoffs, -means, means)
     k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
     max_gain = max(0.0, float(gains[k, j]))

@@ -299,6 +299,44 @@ def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
         assert (math.hypot(gap.mean, gap.stderr) == 0.0) == bool(np.all(d == 0.0))
 
 
+def looped_estimates(sums, n, seed):
+    """``_estimates`` with its block sums added by a Python float ``+=``
+    loop from 0.0 in block order, the reference for its summation bits."""
+    totals = [0.0] * (2 * sums.shape[1])
+    for block in sums.reshape(len(sums), -1).tolist():
+        totals = [total + x for total, x in zip(totals, block)]
+    estimates = []
+    for total, total_sq in zip(totals[::2], totals[1::2]):
+        mean = total / n
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        estimates.append(Estimate(mean=mean, stderr=float(np.sqrt(variance / n)), n=n, seed=seed))
+    return estimates
+
+
+@st.composite
+def block_sums(draw):
+    """A (blocks, rows, 2) array of block sums, 1 to 70 blocks: signed
+    values of a drawn scale, some of them, or all, replaced by signed zeros,
+    a subnormal or values of magnitude 1e300."""
+    shape = draw(st.integers(1, 70)), draw(st.integers(1, 6)), 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sums = rng.normal(0.0, 10.0 ** draw(st.integers(-3, 6)), shape)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    sums[special] = rng.choice([0.0, -0.0, 5e-324, -1e300, 1e300], special.sum())
+    return sums
+
+
+@settings(deadline=None, max_examples=100)
+@given(block_sums(), st.sampled_from([1, 2, 10**6, 2**40]) | st.integers(1, 2**40), st.integers(0, 2**32))
+@example(np.full((70, 3, 2), -0.0), 1, 0)
+@example(np.full((70, 1, 2), 0.1), 2, 0)
+def test_estimates_add_the_blocks_as_a_float_loop_in_block_order(sums, n, seed):
+    got, want = _estimates(sums, n, seed), looped_estimates(sums, n, seed)
+    assert [(e.mean.hex(), e.stderr.hex(), e.n, e.seed, e.algorithm) for e in got] == [
+        (e.mean.hex(), e.stderr.hex(), e.n, e.seed, e.algorithm) for e in want
+    ]
+
+
 @st.composite
 def block_ranges(draw):
     """A run size n, a range [start, stop) of it that starts on a block

@@ -1136,25 +1136,31 @@ def test_both_servers_gains_of_one_call_are_their_own_calls(case, regulated):
     ]
 
 
-def recursive_bisection_probes(lo, hi, levels):
-    """The probes as a list built anew on every call, before they were memoised."""
-    if lo >= hi:
-        return []
-    mid = (lo + hi) // 2
-    if levels == 1:
-        return [mid]
-    return [
-        mid,
-        *recursive_bisection_probes(lo, mid, levels - 1),
-        *recursive_bisection_probes(mid + 1, hi, levels - 1),
-    ]
+def full_scan_best_response(t_opp, c, regulated, step):
+    """k * spacing for the first grid point k of n whose gain is >= -1e-12,
+    from one ``_interim_gains`` row over the whole grid; 1.0 if none is."""
+    n = int(round(1.0 / step))
+    spacing = 1.0 / n
+    dominates = np.flatnonzero(_interim_gains(np.arange(n) * spacing, t_opp, c, regulated) >= -1e-12)
+    return dominates[0] * spacing if dominates.size else 1.0
+
+
+@st.composite
+def best_response_cases(draw):
+    """(t_opp, c): a cost in [0, 1], and a cutoff anywhere or at 0, 1, sqrt(c)
+    or sqrt(c/2), the Nash cutoffs, where the unregulated and the regulated
+    best response switch branch."""
+    c = draw(UNIT)
+    return draw(UNIT | st.sampled_from([math.sqrt(c), math.sqrt(c / 2)])), c
 
 
 @ENGINE_SETTINGS
-@given(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(1, 6))
-@example(lo=0, hi=1000, levels=5)
-@example(lo=7, hi=7, levels=5)
-def test_memoised_bisection_probes_match_the_recursion(lo, hi, levels):
-    got = oracle._bisection_probes(lo, hi, levels)
-    assert isinstance(got, tuple) and list(got) == recursive_bisection_probes(lo, hi, levels)
-    assert oracle._bisection_probes.cache_info().maxsize is not None  # bounded
+@given(best_response_cases(), st.booleans(), st.sampled_from([0.01, 0.003, 1e-3, 1e-4]))
+@example(case=(0.0, 0.0), regulated=False, step=1e-3)
+@example(case=(1.0, 1.0), regulated=True, step=1e-4)
+@example(case=(math.sqrt(0.5), 0.5), regulated=False, step=0.003)
+@example(case=(0.5, 0.5), regulated=True, step=0.01)
+def test_grid_search_returns_the_linear_scans_point(case, regulated, step):
+    t_opp, c = case
+    got = grid_best_response(t_opp, c, regulated=regulated, step=step)
+    assert got.hex() == float(full_scan_best_response(t_opp, c, regulated, step)).hex()
