@@ -31,15 +31,18 @@ def optimal_activity(p1, p2, c: float):
     """Vectorised welfare-optimal activity: boolean masks (sigma1, sigma2).
 
     Server 1 serves on ties; nobody serves at ``max(p1, p2) <= c / 2``.
+    A state given as two floats returns two Python bools.
     """
     c = check_cost(c)
     p1, p2 = check_states(p1, p2)
-    return _better_server_serves(p1, p2, np.maximum(p1, p2) > c / 2.0)
+    return _better_server_serves(p1, p2, (p1 > c / 2.0) | (p2 > c / 2.0))
 
 
 def _better_server_serves(p1, p2, serve):
     """Boolean activities (sigma1, sigma2) with the better server active
-    where ``serve`` holds and nobody elsewhere; server 1 serves on ties."""
+    where ``serve`` holds and nobody elsewhere; server 1 serves on ties.
+    Comparisons, ``&``, ``|`` and ``^`` act alike on Python bools and on
+    boolean arrays; ``~`` does not (``~True == -2``), so no mask uses it."""
     return serve & (p1 >= p2), serve & (p2 > p1)
 
 

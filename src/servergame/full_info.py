@@ -171,6 +171,8 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
     resolve to both-inactive, the canonical member of their indifference
     family).  Inside contention, ``max_welfare`` activates the higher-p
     server and ``min_welfare`` the lower-p one; ties go to server 1.
+    A state given as two floats returns two Python bools, on which ``~``
+    is not a logical not.
     """
     if policy not in ("max_welfare", "min_welfare"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -178,7 +180,8 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
     p1, p2 = check_states(p1, p2)
     ii, ai, ia, _ = _stable_profiles(p1, p2, c)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
-    return ai & ~ii & (~ia | first), ia & ~ii & ~(ai & first)
+    not_ii = ii ^ True  # a logical not on Python bools and on arrays alike
+    return ai & not_ii & ((ia ^ True) | first), ia & not_ii & ((ai & first) ^ True)
 
 
 def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profile:
@@ -224,10 +227,11 @@ def regulated_activity(p1, p2, c: float):
 
     The better server is active whenever ``max(p1, p2) >= c/2`` (ties to
     server 1, where both asymmetric profiles are equilibria), nobody below.
+    A state given as two floats returns two Python bools.
     """
     c = check_cost(c)
     p1, p2 = check_states(p1, p2)
-    return _better_server_serves(p1, p2, np.maximum(p1, p2) >= c / 2.0)
+    return _better_server_serves(p1, p2, (p1 >= c / 2.0) | (p2 >= c / 2.0))
 
 
 def regulated_equilibrium(s: State, c: float) -> Profile:

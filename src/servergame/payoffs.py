@@ -158,16 +158,16 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def check_states(p1, p2) -> tuple[np.ndarray, np.ndarray]:
+def check_states(p1, p2) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Validate the states of an activity map, returning float arrays.
 
     Every entry of ``p1`` and ``p2`` must lie in [0, 1]; the error names
     the first that is NaN or outside.  A single state given as two floats
-    comes back as numpy float scalars, whose arithmetic is much cheaper
-    than that of 0-d arrays.
+    (``np.float64`` included) comes back as two Python floats, so a map's
+    comparisons give Python bools at a tenth of numpy scalars' cost.
     """
     if isinstance(p1, float) and isinstance(p2, float):
-        return np.float64(check_sigma(p1, "p1")), np.float64(check_sigma(p2, "p2"))
+        return check_sigma(p1, "p1"), check_sigma(p2, "p2")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     return _check_unit_array(p1, "p1"), _check_unit_array(p2, "p2")

@@ -10,6 +10,7 @@ the array path.
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -291,6 +292,56 @@ def test_activity_maps_accept_the_closed_unit_square(activity):
     sigma1, sigma2 = activity(*corners, 0.2)
     assert np.all(sigma1 + sigma2 <= 1.0)
     assert activity(1.0, 0.0, 0.2) == (1.0, 0.0)
+
+
+@st.composite
+def one_state_near_an_edge(draw):
+    """A cost and one state within 4 ulp of max = c/2, max = c,
+    |p1 - p2| = c or p1 = p2, in either order, each coordinate a Python
+    float or an ``np.float64``."""
+    c = draw(st.floats(0.0, 1.0))
+    u = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(("half", "max", "gap", "tie")))
+    if kind == "half":
+        p1, p2 = c / 2.0, u * c / 2.0
+    elif kind == "max":
+        p1, p2 = c, u * c
+    elif kind == "gap":
+        p2 = u * (1.0 - c)
+        p1 = p2 + c
+    else:
+        p1 = p2 = u
+    p1, p2 = (min(1.0, max(0.0, ulp_steps(p, draw(st.integers(-4, 4))))) for p in (p1, p2))
+    p1, p2 = (draw(st.sampled_from((float, np.float64)))(p) for p in (p1, p2))
+    return (c, p2, p1) if draw(st.booleans()) else (c, p1, p2)
+
+
+MASK_MAPS = (
+    optimal_activity,
+    regulated_activity,
+    partial(equilibrium_activity, policy="max_welfare"),
+    partial(equilibrium_activity, policy="min_welfare"),
+)
+
+
+# A float state runs the maps' one body on Python floats: every mask must
+# come back a Python bool (``~`` on one gives the int -2, and warns on
+# Python >= 3.12) with the value of the same state as a 1-element array.
+@SETTINGS
+@given(one_state_near_an_edge())
+@example(case=(0.5, 0.25, 0.1))  # max == c/2: the strict gate is off, the weak one on
+@example(case=(0.5, 0.1, np.float64(0.25)))
+@example(case=(0.3, 0.3, 0.3))  # max == c on the tie
+@example(case=(0.25, 0.75, 0.5))  # contention: |p1 - p2| == c with both above c
+@example(case=(0.0, 0.0, 0.0))
+def test_a_float_state_gets_python_bools_equal_to_its_one_element_masks(case):
+    c, p1, p2 = case
+    for activity in MASK_MAPS:
+        scalar = activity(p1, p2, c)
+        assert tuple(map(type, scalar)) == (bool, bool), (activity, case)
+        arrays = activity(np.array([p1]), np.array([p2]), c)
+        assert all(mask.dtype == bool and mask.shape == (1,) for mask in arrays)
+        assert scalar == (arrays[0][0], arrays[1][0]), (activity, case)
 
 
 def test_monte_carlo_rejects_a_sampler_that_yields_nan():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from servergame.payoffs import (
     PayoffPair,
     State,
     as_state,
+    check_states,
     payoff,
     payoff_case2_regulated,
     payoff_case3_regulated,
@@ -98,6 +100,43 @@ def test_a_pair_is_coerced_to_a_checked_state():
     assert payoff((0.7, 0.4), ACTIVE, INACTIVE, 0.2) == payoff(state, ACTIVE, INACTIVE, 0.2)
     with pytest.raises(ValueError, match="p2 must lie in"):
         as_state((0.5, math.nan))
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [(0.25, 0.5), (np.float64(0.25), 0.5), (0.25, np.float64(0.5)), (np.float64(0.25), np.float64(0.5))],
+    ids=["floats", "float64-float", "float-float64", "float64s"],
+)
+def test_check_states_keeps_a_float_pair_on_python_floats(p1, p2):
+    got = check_states(p1, p2)
+    assert tuple(map(type, got)) == (float, float) and got == (0.25, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p1, p2, message",
+    [
+        (math.nan, 0.5, "p1 must lie in [0, 1], got nan"),
+        (0.5, math.inf, "p2 must lie in [0, 1], got inf"),
+        (-math.inf, 0.5, "p1 must lie in [0, 1], got -inf"),
+        (1.5, 0.5, "p1 must lie in [0, 1], got 1.5"),
+        (0.5, -0.25, "p2 must lie in [0, 1], got -0.25"),
+        (np.float64(1.0000000000000002), 0.5, "p1 must lie in [0, 1], got 1.0000000000000002"),
+    ],
+)
+def test_a_bad_float_state_gets_the_array_paths_message(p1, p2, message):
+    for pair in ((p1, p2), (np.array([p1]), np.array([p2]))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_states(*pair)
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [(np.array(0.25), 0.5), (0.25, np.array(0.5)), (0.25, np.array([0.5, 0.75])), (np.array([0.25]), 0.5)],
+)
+def test_a_0d_array_or_a_float_beside_an_array_takes_the_array_path(p1, p2):
+    got = check_states(p1, p2)
+    assert all(type(x) is np.ndarray and x.dtype == float for x in got)
+    assert [x.shape for x in got] == [np.shape(p1), np.shape(p2)]
 
 
 def test_transfer_neutrality_and_symmetry():
