@@ -39,11 +39,12 @@ def optimal_activity(p1, p2, c: float):
 
 
 def _better_server_serves(p1, p2, serve):
-    """Boolean activities (sigma1, sigma2) with the better server active
-    where ``serve`` holds and nobody elsewhere; server 1 serves on ties.
+    """Boolean activities (sigma1, sigma2): the better server serves where
+    ``serve`` holds (server 1 on ties, server 2 the rest), nobody elsewhere.
     Comparisons, ``&``, ``|`` and ``^`` act alike on Python bools and on
     boolean arrays; ``~`` does not (``~True == -2``), so no mask uses it."""
-    return serve & (p1 >= p2), serve & (p2 > p1)
+    first = serve & (p1 >= p2)
+    return first, serve ^ first
 
 
 def optimal_profile(s: State, c: float) -> Profile:

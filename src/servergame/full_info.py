@@ -181,7 +181,8 @@ def equilibrium_activity(p1, p2, c: float, policy: str = "max_welfare"):
     ii, ai, ia, _ = _stable_profiles(p1, p2, c)
     first = p1 >= p2 if policy == "max_welfare" else p1 <= p2
     not_ii = ii ^ True  # a logical not on Python bools and on arrays alike
-    return ai & not_ii & ((ia ^ True) | first), ia & not_ii & ((ai & first) ^ True)
+    server1 = ai & not_ii & ((ia ^ True) | first)
+    return server1, not_ii ^ server1  # off II, AI or IA is stable: server 2 serves the rest
 
 
 def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profile:

@@ -271,15 +271,10 @@ def pointwise_strategy(fn):
     """
 
     def activity(p1, p2, c):
-        p1 = np.atleast_1d(np.asarray(p1, dtype=float))
-        p2 = np.atleast_1d(np.asarray(p2, dtype=float))
-        sigma1 = np.empty_like(p1)
-        sigma2 = np.empty_like(p2)
-        for i in range(p1.size):
-            prof = fn(State(float(p1[i]), float(p2[i])), c)
-            sigma1[i] = prof.sigma1
-            sigma2[i] = prof.sigma2
-        return sigma1, sigma2
+        states = zip(np.ravel(p1).tolist(), np.ravel(p2).tolist(), strict=True)
+        profiles = (fn(State(q1, q2), c) for q1, q2 in states)
+        sigma = np.array([(p.sigma1, p.sigma2) for p in profiles], dtype=float).reshape(-1, 2)
+        return sigma[:, 0], sigma[:, 1]
 
     return activity
 
@@ -474,19 +469,11 @@ def _check_state_map(activity, c, p1, p2, eps, variant):
     sigma1, sigma2 = (_checked_activity(sigma, p1.shape) for sigma in activity(p1, p2, c))
     gain1, better1 = _pure_deviation_gain(payoff_table(p1, p2, c, variant), sigma1, sigma2)
     gain2, better2 = _pure_deviation_gain(payoff_table(p2, p1, c, variant), sigma2, sigma1)
-    gains = np.concatenate([gain1, gain2])
-    idx = int(np.argmax(gains))
-    max_gain = float(gains[idx])
-    witness = None
-    if max_gain > 0.0:
-        server = 1 if idx < p1.size else 2
-        j = idx % p1.size
-        better = (better1 if server == 1 else better2)[j]
-        witness = (
-            State(float(p1[j]), float(p2[j])),
-            server,
-            "active" if bool(better) else "inactive",
-        )
+    gains, better = np.stack([gain1, gain2]), np.stack([better1, better2])
+    k, j = divmod(int(np.argmax(gains)), p1.size)  # server 1's row first: it wins ties
+    max_gain = float(gains[k, j])
+    action = "active" if better[k, j] else "inactive"
+    witness = (State(p1[j], p2[j]), k + 1, action) if max_gain > 0.0 else None
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 

@@ -69,6 +69,7 @@ class Action(Enum):
 
 ACTIVE = Action.ACTIVE
 INACTIVE = Action.INACTIVE
+_SCALARS = (float, int)  # check_states' scalar types, built once, not per call
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,11 @@ def check_states(p1, p2) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Validate the states of an activity map, returning float arrays.
 
     Every entry of ``p1`` and ``p2`` must lie in [0, 1]; the error names
-    the first that is NaN or outside.  A single state given as two floats
-    (``np.float64`` included) comes back as two Python floats, so a map's
-    comparisons give Python bools at a tenth of numpy scalars' cost.
+    the first that is NaN or outside.  Two Python ints or floats (and
+    ``np.float64``) come back as Python floats, so a map's comparisons give
+    Python bools at a tenth of numpy scalars' cost; numpy ints do not.
     """
-    if isinstance(p1, float) and isinstance(p2, float):
+    if isinstance(p1, _SCALARS) and isinstance(p2, _SCALARS):
         return check_sigma(p1, "p1"), check_sigma(p2, "p2")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)

@@ -399,6 +399,22 @@ class TestEpsilonNash:
         assert not report.passed
 
 
+def test_pointwise_strategy_contract():
+    lifted = pointwise_strategy(optimal_profile)
+    p1, p2 = np.array([0.3, 0.9, 0.05, 0.5]), np.array([0.25, 0.1, 0.05, 0.5])
+    sigma1, sigma2 = lifted(p1, p2, 0.4)
+    profiles = [optimal_profile(State(q1, q2), 0.4) for q1, q2 in zip(p1, p2)]
+    assert sigma1.dtype == float and sigma2.dtype == float
+    assert sigma1.tolist() == [p.sigma1 for p in profiles]
+    assert sigma2.tolist() == [p.sigma2 for p in profiles]
+    assert [x.tolist() for x in lifted(0.9, 0.1, 0.4)] == [[1.0], [0.0]]
+    assert [x.shape for x in lifted(np.empty(0), np.empty(0), 0.4)] == [(0,), (0,)]
+    with pytest.raises(ValueError):
+        lifted(np.array([0.3, 0.9]), np.array([0.25]), 0.4)
+    with pytest.raises(AttributeError):
+        pointwise_strategy(lambda s, c: (1.0, 0.0))(p1, p2, 0.4)
+
+
 def test_threshold_activity_contract():
     strat = threshold_activity((0.3, 0.6))
     s1, s2 = strat(np.array([0.2, 0.3, 0.9]), np.array([0.59, 0.6, 0.61]), 0.1)
@@ -509,6 +525,17 @@ class TestStateMapInputs:
         assert report.passed and report.max_gain == 0.0
         report = epsilon_nash_check(constant_map(0.5, 0.5), 0.2, states=[(0.0, 1.0)])
         assert not report.passed and report.witness[0] == State(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "sigma, action, gain", [(0.0, "active", 0.9 - 0.2), (1.0, "inactive", 0.9 - (0.9 - 0.2))]
+    )
+    def test_a_tied_witness_names_server_1(self, sigma, action, gain):
+        # both servers gain the most at (0.9, 0.9), by the same amount: server
+        # 1's row comes first, as in a cutoff pair's witness
+        states = [(0.3, 0.5), (0.9, 0.9), (0.6, 0.2)]
+        report = epsilon_nash_check(constant_map(sigma, sigma), 0.2, states=states)
+        assert report.max_gain == gain
+        assert report.witness == (State(0.9, 0.9), 1, action)
 
     @pytest.mark.parametrize(
         "states",

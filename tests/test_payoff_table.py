@@ -21,6 +21,7 @@ from servergame import oracle
 from servergame.bayesian import Distribution
 from servergame.cooperative import optimal_activity, optimal_profile, pointwise_welfare
 from servergame.full_info import (
+    _stable_profiles,
     classify_state,
     equilibrium_activity,
     regulated_activity,
@@ -342,6 +343,47 @@ def test_a_float_state_gets_python_bools_equal_to_its_one_element_masks(case):
         arrays = activity(np.array([p1]), np.array([p2]), c)
         assert all(mask.dtype == bool and mask.shape == (1,) for mask in arrays)
         assert scalar == (arrays[0][0], arrays[1][0]), (activity, case)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.5, 1])
+@pytest.mark.parametrize("p1, p2", [(0, 0), (1, 0), (0, 1), (1, 1), (1, 0.25), (0.75, 0), (0, 0.5)])
+def test_an_int_state_gets_the_python_bools_of_its_float_pair(p1, p2, c):
+    for activity in MASK_MAPS:
+        got = activity(p1, p2, c)
+        assert tuple(map(type, got)) == (bool, bool), (activity, p1, p2)
+        assert got == activity(float(p1), float(p2), c), (activity, p1, p2)
+
+
+def not_ii(p1, p2, c):
+    return _stable_profiles(p1, p2, c)[0] ^ True
+
+
+SERVING_SETS = (
+    (optimal_activity, lambda p1, p2, c: (p1 > c / 2.0) | (p2 > c / 2.0)),
+    (regulated_activity, lambda p1, p2, c: (p1 >= c / 2.0) | (p2 >= c / 2.0)),
+    (MASK_MAPS[2], not_ii),
+    (MASK_MAPS[3], not_ii),
+)
+
+
+# Every pure selection hands the task to one server: none of them has both
+# active, and one is active exactly where its map serves.  The maps derive
+# server 2's mask from server 1's on this identity.
+@SETTINGS
+@given(states_at_one_cost())
+@example(case=(0.5, [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.5, 0.5), (1.0, 1.0)]))
+def test_exactly_one_server_serves_where_each_map_serves(case):
+    c, rows = case
+    p1 = np.array([r[0] for r in rows])
+    p2 = np.array([r[1] for r in rows])
+    for activity, serving in SERVING_SETS:
+        sigma1, sigma2 = activity(p1, p2, c)
+        assert not np.any(sigma1 & sigma2), (activity, c)
+        assert np.array_equal(sigma1 | sigma2, serving(p1, p2, c)), (activity, c)
+        for q1, q2 in rows:
+            sigma1, sigma2 = activity(q1, q2, c)
+            assert not (sigma1 and sigma2), (activity, q1, q2, c)
+            assert (sigma1 or sigma2) == serving(q1, q2, c), (activity, q1, q2, c)
 
 
 def test_monte_carlo_rejects_a_sampler_that_yields_nan():

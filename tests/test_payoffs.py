@@ -112,6 +112,12 @@ def test_check_states_keeps_a_float_pair_on_python_floats(p1, p2):
     assert tuple(map(type, got)) == (float, float) and got == (0.25, 0.5)
 
 
+@pytest.mark.parametrize("p1, p2", [(1, 0), (0, 0.5), (0.25, 1)])
+def test_check_states_keeps_an_int_pair_on_python_floats(p1, p2):
+    got = check_states(p1, p2)
+    assert tuple(map(type, got)) == (float, float) and got == (float(p1), float(p2))
+
+
 @pytest.mark.parametrize(
     "p1, p2, message",
     [
@@ -121,6 +127,7 @@ def test_check_states_keeps_a_float_pair_on_python_floats(p1, p2):
         (1.5, 0.5, "p1 must lie in [0, 1], got 1.5"),
         (0.5, -0.25, "p2 must lie in [0, 1], got -0.25"),
         (np.float64(1.0000000000000002), 0.5, "p1 must lie in [0, 1], got 1.0000000000000002"),
+        (2, 0, "p1 must lie in [0, 1], got 2.0"),  # an int is named as its float
     ],
 )
 def test_a_bad_float_state_gets_the_array_paths_message(p1, p2, message):
@@ -131,7 +138,14 @@ def test_a_bad_float_state_gets_the_array_paths_message(p1, p2, message):
 
 @pytest.mark.parametrize(
     "p1, p2",
-    [(np.array(0.25), 0.5), (0.25, np.array(0.5)), (0.25, np.array([0.5, 0.75])), (np.array([0.25]), 0.5)],
+    [
+        (np.array(0.25), 0.5),
+        (0.25, np.array(0.5)),
+        (0.25, np.array([0.5, 0.75])),
+        (np.array([0.25]), 0.5),
+        (np.int64(1), 0),
+        (0, np.int64(1)),
+    ],
 )
 def test_a_0d_array_or_a_float_beside_an_array_takes_the_array_path(p1, p2):
     got = check_states(p1, p2)
