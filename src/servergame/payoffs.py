@@ -218,18 +218,15 @@ def payoff_table(p1, p2, c, variant: str = "unregulated", *, out=None) -> tuple:
     return (best - c if out is None else np.subtract(best, c, out=best)), ai, ia, 0.0
 
 
-def _pure_payoff(s: State, a1: Action, a2: Action, c: float, variant: str) -> PayoffPair:
-    s = as_state(s)
-    c = check_cost(c)
-    i, j = a1 is not Action.ACTIVE, a2 is not Action.ACTIVE  # 0 when active
-    u1 = payoff_table(s.p1, s.p2, c, variant)[2 * i + j]
-    u2 = payoff_table(s.p2, s.p1, c, variant)[2 * j + i]
-    return PayoffPair(u1, u2)
+def _action_sigma(action: Action, name: str) -> float:
+    if not isinstance(action, Action):
+        raise TypeError(f"{name} must be an Action, got {action!r}")
+    return action.sigma
 
 
 def payoff(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
     """Expected payoffs of the unregulated game at state ``s``."""
-    return _pure_payoff(s, a1, a2, c, "unregulated")
+    return payoff_mixed(s, _action_sigma(a1, "a1"), _action_sigma(a2, "a2"), c, "unregulated")
 
 
 def payoff_case2_regulated(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
@@ -237,7 +234,7 @@ def payoff_case2_regulated(s: State, a1: Action, a2: Action, c: float) -> Payoff
 
     Profiles where both or neither server is active are untouched.
     """
-    return _pure_payoff(s, a1, a2, c, "case2_reg")
+    return payoff_mixed(s, _action_sigma(a1, "a1"), _action_sigma(a2, "a2"), c, "case2_reg")
 
 
 def payoff_case3_regulated(s: State, a1: Action, a2: Action, c: float) -> PayoffPair:
@@ -247,7 +244,7 @@ def payoff_case3_regulated(s: State, a1: Action, a2: Action, c: float) -> Payoff
     below the gate the game is unchanged.  Both-active and both-inactive
     profiles are never altered.
     """
-    return _pure_payoff(s, a1, a2, c, "case3_reg")
+    return payoff_mixed(s, _action_sigma(a1, "a1"), _action_sigma(a2, "a2"), c, "case3_reg")
 
 
 PAYOFF_VARIANTS = {
@@ -267,8 +264,9 @@ def payoff_mixed(
     """Bilinear extension of a payoff table over independent randomisations.
 
     Averages the four pure profiles with weights
-    ``(sigma-or-complement) x (sigma-or-complement)``.  Zero-weight
-    profiles are skipped so corner mixes reproduce pure payoffs exactly.
+    ``(sigma-or-complement) x (sigma-or-complement)``.  Its corners are
+    the pure payoffs, bit for bit: zero-weight profiles are skipped and the
+    lone term is added to -0.0, IEEE's additive identity.
     """
     s = as_state(s)
     sigma1 = check_sigma(sigma1, "sigma1")
@@ -276,7 +274,7 @@ def payoff_mixed(
     c = check_cost(c)
     row1 = payoff_table(s.p1, s.p2, c, variant)
     row2 = payoff_table(s.p2, s.p1, c, variant)
-    u1 = u2 = 0.0
+    u1 = u2 = -0.0
     # i, j = 0 for an active server 1, 2; each server's row lists its own action first
     for i, w1 in ((0, sigma1), (1, 1.0 - sigma1)):
         for j, w2 in ((0, sigma2), (1, 1.0 - sigma2)):

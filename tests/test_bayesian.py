@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from servergame.bayesian import (
+    FixedPointResult,
     ThresholdPair,
     best_response_fixed_point,
     best_response_threshold,
@@ -151,6 +152,11 @@ def test_damped_iteration_converges_to_the_subsidised_equilibrium(c):
 def test_fixed_point_rejects_bad_step_counts(kwargs, error, match):
     with pytest.raises(error, match=match):
         best_response_fixed_point(0.3, **kwargs)
+
+
+def test_fixed_point_reports_a_run_cut_short_by_max_iter():
+    # one damped step from 0.5 moves far more than 1e-12: not converged
+    assert best_response_fixed_point(0.3, max_iter=1) == FixedPointResult(0.5458039891549809, 1, False)
 
 
 @pytest.mark.parametrize(

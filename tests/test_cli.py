@@ -81,6 +81,19 @@ def test_sweep_csv_round_trips(capsys):
     assert _render_columns(columns, "csv") == out
 
 
+def test_render_columns_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        _render_columns([[0.5]] * len(SWEEP_COLUMNS), "xml")
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch, count, cpus):
+    # platforms without os.sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == cpus
+
+
 def test_sweep_json_matches_csv(capsys):
     _, csv_out, _ = run_cli(capsys, "sweep", "--c", "0.3")
     _, json_out, _ = run_cli(capsys, "sweep", "--c", "0.3", "--format", "json")

@@ -114,6 +114,12 @@ def test_mixed_components_stay_in_range_on_contention_edges():
             assert 0.0 <= result.mixed[1] <= 1.0
 
 
+def test_mixed_formula_refuses_a_state_far_outside_contention():
+    # (0.9, 0.1) at c = 0.5 has one lone equilibrium; its formula gives -4.0
+    with pytest.raises(AssertionError, match=r"^mixed profile component -4\.0 outside \[0, 1\]"):
+        _mixed_formula(0.9, 0.1, 0.5)
+
+
 def test_mixed_equilibrium_indifference():
     rng = np.random.default_rng(99)
     found = 0

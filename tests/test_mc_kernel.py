@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from servergame import oracle
 from servergame.bayesian import (
     Distribution,
     nash_threshold,
@@ -200,9 +201,8 @@ def test_blocked_kernel_is_bit_identical(name, n):
 )
 def test_block_kernel_matches_the_reference_state_by_state(case):
     # the sums above could hide offsetting differences; each state's welfare,
-    # signed zeros included, must be the reference's
-    # whether written to a row of its own or, as the last of several
-    # strategies, over server 1's lone-server sum
+    # signed zeros included, must be the reference's, whether written to a
+    # row of its own or over server 1's lone-server sum
     c, p1, p2, sigma1, sigma2 = case
     want = [float(w).hex() for w in reference_profile_welfare(p1, p2, sigma1, sigma2, c)]
     for last in (False, True):
@@ -297,6 +297,34 @@ def test_rows_on_one_draw_stream_are_mc_welfare_and_pairs_their_difference(job):
         assert gap.stderr == pytest.approx(np.std(d, ddof=1) / math.sqrt(n), rel=1e-9, abs=1e-15)
         # verify's identity rule: exactly 0 iff no state's difference is other than 0
         assert (math.hypot(gap.mean, gap.stderr) == 0.0) == bool(np.all(d == 0.0))
+
+
+def test_no_welfare_row_is_written_over_the_table_sums(monkeypatch):
+    # _block_tables gets one contiguous slice of the workspace, and every row
+    # _block_welfare writes lies outside it, so the sums hold for each strategy
+    seen = []
+
+    def tables(p1, p2, c, rows):
+        seen.append((rows, []))
+        assert isinstance(rows, np.ndarray) and rows.shape == (4, p1.size)
+        assert rows.strides == rows.base.strides  # four neighbouring rows of the workspace
+        return _block_tables(p1, p2, c, rows)
+
+    def welfare(activity, p1, p2, c, tables, out, both_active):
+        seen[-1][1].append(out)
+        assert not np.shares_memory(out, seen[-1][0])
+        return _block_welfare(activity, p1, p2, c, tables, out, both_active)
+
+    monkeypatch.setattr(oracle, "_block_tables", tables)
+    monkeypatch.setattr(oracle, "_block_welfare", welfare)
+    strategies = [STRATEGIES[name] for name in ("cooperative", "case3_max", "constant_mix")]
+    jobs = [(0.25, strategies, [(0, 1)]), (0.6, strategies[::-1], [])]
+    n = _BLOCK + 5
+    got = _estimates(_mc_block_sums(jobs, n, 4, 0, n), n, 4)
+    assert len(seen) == 4 and all(len(outs) == 3 for _, outs in seen)
+    for (c, order, _), estimates in zip(jobs, (got[:3], got[4:])):
+        for strategy, estimate in zip(order, estimates):
+            assert_identical(estimate, mc_welfare(strategy, c, n=n, seed=4))
 
 
 def looped_estimates(sums, n, seed):

@@ -21,6 +21,7 @@ from servergame import oracle
 from servergame.bayesian import Distribution
 from servergame.cooperative import optimal_activity, optimal_profile, pointwise_welfare
 from servergame.full_info import (
+    BOUNDARY_EPS,
     _stable_profiles,
     classify_state,
     equilibrium_activity,
@@ -71,7 +72,7 @@ def reference_payoff(s, a1, a2, c, variant):
 
 
 def reference_mixed(s, sigma1, sigma2, c, variant):
-    u1 = u2 = 0.0
+    u1 = u2 = -0.0  # IEEE's additive identity: a lone term keeps a -0.0 entry's sign
     for a1, w1 in ((ACTIVE, sigma1), (INACTIVE, 1.0 - sigma1)):
         for a2, w2 in ((ACTIVE, sigma2), (INACTIVE, 1.0 - sigma2)):
             w = w1 * w2
@@ -384,6 +385,29 @@ def test_exactly_one_server_serves_where_each_map_serves(case):
             sigma1, sigma2 = activity(q1, q2, c)
             assert not (sigma1 and sigma2), (activity, q1, q2, c)
             assert (sigma1 or sigma2) == serving(q1, q2, c), (activity, q1, q2, c)
+
+
+_GATE = 0.3 + BOUNDARY_EPS
+
+
+# Case III's best selection is the cooperative rule with its gate moved from
+# c/2 to c: someone serves once a type exceeds c (closed by BOUNDARY_EPS),
+# and the better server serves, server 1 on a tie, as the paper states.
+@SETTINGS
+@given(states_at_one_cost())
+@example(case=(0.3, [(_GATE, 0.1), (0.1, math.nextafter(_GATE, 1.0)), (_GATE, _GATE), (0.6, 0.6)]))
+@example(case=(0.0, [(0.0, 0.0), (BOUNDARY_EPS, 0.0), (0.0, math.nextafter(BOUNDARY_EPS, 1.0))]))
+def test_case3_best_selection_is_the_cooperative_rule_gated_at_c(case):
+    c, rows = case
+    p1 = np.array([r[0] for r in rows])
+    p2 = np.array([r[1] for r in rows])
+    serve = (p1 > c + BOUNDARY_EPS) | (p2 > c + BOUNDARY_EPS)
+    sigma1, sigma2 = equilibrium_activity(p1, p2, c, "max_welfare")
+    assert np.array_equal(sigma1, serve & (p1 >= p2)) and np.array_equal(sigma2, serve & (p1 < p2))
+    for q1, q2 in rows:
+        serves = q1 > c + BOUNDARY_EPS or q2 > c + BOUNDARY_EPS
+        got = equilibrium_activity(q1, q2, c, "max_welfare")
+        assert got == (serves and q1 >= q2, serves and q1 < q2), (q1, q2, c)
 
 
 def test_monte_carlo_rejects_a_sampler_that_yields_nan():

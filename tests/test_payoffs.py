@@ -17,6 +17,7 @@ from servergame.payoffs import (
     payoff_case2_regulated,
     payoff_case3_regulated,
     payoff_mixed,
+    payoff_table,
 )
 
 ACTIONS = (ACTIVE, INACTIVE)
@@ -172,14 +173,30 @@ def test_transfer_neutrality_and_symmetry():
 
 
 def test_mixed_corners_match_pure_exactly():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        p1, p2, c = rng.random(3)
-        s = State(p1, p2)
-        for variant in PAYOFF_VARIANTS:
-            for a1, a2 in itertools.product(ACTIONS, repeat=2):
-                mixed = payoff_mixed(s, a1.sigma, a2.sigma, c, variant=variant)
-                assert mixed == PAYOFF_VARIANTS[variant](s, a1, a2, c)
+    # each corner, and the pure payoff, is the table's entry bit for bit:
+    # server 1's row and server 2's mirrored one, its own action first
+    states = [((0.0, 5e-324), 0.0), ((5e-324, 0.0), 0.0)]  # case3_reg's lone-server AI is -0.0
+    states += [((p1, p2), c) for p1, p2, c in np.random.default_rng(7).random((50, 3)).tolist()]
+    for state, c in states:
+        s = State(*state)
+        for variant, pure in PAYOFF_VARIANTS.items():
+            row1 = payoff_table(s.p1, s.p2, c, variant)
+            row2 = payoff_table(s.p2, s.p1, c, variant)
+            for (i, a1), (j, a2) in itertools.product(enumerate(ACTIONS), repeat=2):
+                want = [float.hex(row1[2 * i + j]), float.hex(row2[2 * j + i])]
+                got = payoff_mixed(s, a1.sigma, a2.sigma, c, variant)
+                assert [float.hex(u) for u in got] == want, (state, c, variant, a1, a2)
+                assert [float.hex(u) for u in pure(s, a1, a2, c)] == want, (state, c, variant)
+
+
+@pytest.mark.parametrize("pure", PAYOFF_VARIANTS.values())
+@pytest.mark.parametrize("bad", ["active", True, None, 1.0])
+def test_a_pure_payoff_rejects_an_action_that_is_not_an_action(pure, bad):
+    s = State(0.7, 0.4)
+    with pytest.raises(TypeError, match=f"^a1 must be an Action, got {re.escape(repr(bad))}$"):
+        pure(s, bad, INACTIVE, 0.2)
+    with pytest.raises(TypeError, match=f"^a2 must be an Action, got {re.escape(repr(bad))}$"):
+        pure(s, ACTIVE, bad, 0.2)
 
 
 def test_mixed_examples():
