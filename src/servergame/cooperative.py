@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .payoffs import Profile, State, as_state, check_cost, check_states, payoff_mixed
+from .payoffs import _PURE_PROFILES, Profile, State, as_state, check_cost, check_states, payoff_mixed
 
 __all__ = [
     "optimal_activity",
@@ -50,14 +50,16 @@ def _better_server_serves(p1, p2, serve):
 def optimal_profile(s: State, c: float) -> Profile:
     """The welfare-maximising profile at a single state."""
     s = as_state(s)
-    return Profile(*map(float, optimal_activity(s.p1, s.p2, c)))
+    return _PURE_PROFILES[optimal_activity(s.p1, s.p2, c)]
 
 
-def pointwise_welfare(
-    s: State, prof: Profile, c: float, variant: str = "unregulated"
-) -> float:
-    """Total expected payoff u1 + u2 of a (possibly mixed) profile at one state."""
-    return payoff_mixed(s, prof.sigma1, prof.sigma2, c, variant=variant).total
+def pointwise_welfare(s: State, prof: Profile, c: float, variant: str = "unregulated") -> float:
+    """Total expected payoff u1 + u2 of a (possibly mixed) ``(sigma1, sigma2)`` pair at one state."""
+    try:
+        sigma1, sigma2 = prof
+    except (TypeError, ValueError):
+        raise TypeError(f"prof must be a (sigma1, sigma2) pair, got {prof!r}") from None
+    return payoff_mixed(s, sigma1, sigma2, c, variant=variant).total
 
 
 def welfare_case1(c: float | np.ndarray) -> float | np.ndarray:

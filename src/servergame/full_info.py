@@ -40,6 +40,7 @@ unique equilibrium matching the cooperative optimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .payoffs import (
+    _PURE_PROFILES,
     ACTIVE,
     INACTIVE,
     Action,
@@ -96,12 +98,6 @@ class EquilibriumSet:
     mixed: tuple[float, float] | None = None
 
 
-_II = (INACTIVE, INACTIVE)
-_AI = (ACTIVE, INACTIVE)
-_IA = (INACTIVE, ACTIVE)
-_AA = (ACTIVE, ACTIVE)
-
-
 def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
     denom = p2 if p1 >= p2 else p1
     sigma1 = (p2 - c) / denom
@@ -132,23 +128,33 @@ def _stable_profiles(p1, p2, c):
     return ii, (p1 >= lo) & (gap >= -hi), (p2 >= lo) & (gap <= hi), c <= BOUNDARY_EPS
 
 
-def classify_state(s: State, c: float) -> EquilibriumSet:
-    """Full equilibrium set of the unregulated game at state ``s``."""
-    s = as_state(s)
-    c = check_cost(c)
-    ii, ai, ia, aa = _stable_profiles(s.p1, s.p2, c)
-    pure = ((_II,) if ii else ()) + ((_AI,) if ai else ()) + ((_IA,) if ia else ())
-    pure += (_AA,) if aa else ()
+def _region(ii, ai, ia, aa, first) -> EquilibriumSet:
+    """The equilibrium set at ``_stable_profiles``' flags and ``p1 >= p2``, mix left out."""
+    profiles = ((INACTIVE, INACTIVE), (ACTIVE, INACTIVE), (INACTIVE, ACTIVE), (ACTIVE, ACTIVE))
+    pure = tuple(profile for profile, stable in zip(profiles, (ii, ai, ia, aa)) if stable)
     if ii:  # a server on the knife edge max == c may also be active alone
         if not (ai or ia):
             return EquilibriumSet(EquilibriumKind.BOTH_INACTIVE, pure)
-        kind = EquilibriumKind.BOUNDARY_MIX_1 if s.p1 >= s.p2 else EquilibriumKind.BOUNDARY_MIX_2
+        kind = EquilibriumKind.BOUNDARY_MIX_1 if first else EquilibriumKind.BOUNDARY_MIX_2
         return EquilibriumSet(kind, pure)
     if not ia:
         return EquilibriumSet(EquilibriumKind.ONLY_SERVER_1, pure)
     if not ai:
         return EquilibriumSet(EquilibriumKind.ONLY_SERVER_2, pure)
-    return EquilibriumSet(EquilibriumKind.CONTENTION, pure, _mixed_formula(s.p1, s.p2, c))
+    return EquilibriumSet(EquilibriumKind.CONTENTION, pure)
+
+
+# built once: classify_state returns these shared frozen sets outside contention
+_REGIONS = {flags: _region(*flags) for flags in itertools.product((False, True), repeat=5)}
+
+
+def classify_state(s: State, c: float) -> EquilibriumSet:
+    """Full equilibrium set of the unregulated game at state ``s``."""
+    s, c = as_state(s), check_cost(c)
+    result = _REGIONS[(*_stable_profiles(s.p1, s.p2, c), s.p1 >= s.p2)]
+    if result.kind is EquilibriumKind.CONTENTION:  # the one region whose set depends on the state
+        return EquilibriumSet(result.kind, result.pure_equilibria, _mixed_formula(s.p1, s.p2, c))
+    return result
 
 
 def mixed_equilibrium(s: State, c: float) -> tuple[float, float]:
@@ -193,7 +199,7 @@ def select_equilibrium(s: State, c: float, policy: str = "max_welfare") -> Profi
     custom one, pass your own activity callable to ``oracle.mc_welfare``.
     """
     s = as_state(s)
-    return Profile(*map(float, equilibrium_activity(s.p1, s.p2, c, policy=policy)))
+    return _PURE_PROFILES[equilibrium_activity(s.p1, s.p2, c, policy=policy)]
 
 
 def welfare_case3_max(c: float | np.ndarray) -> float | np.ndarray:
@@ -245,4 +251,4 @@ def regulated_equilibrium(s: State, c: float) -> Profile:
     activates the better server there; welfare is zero either way).
     """
     s = as_state(s)
-    return Profile(*map(float, regulated_activity(s.p1, s.p2, c)))
+    return _PURE_PROFILES[regulated_activity(s.p1, s.p2, c)]

@@ -72,17 +72,16 @@ INACTIVE = Action.INACTIVE
 _SCALARS = (float, int)  # check_states' scalar types, built once, not per call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
     """Success probabilities ``(p1, p2)``, each a float in [0, 1]."""
 
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        # keep the validated Python floats, as as_state does for pairs
-        object.__setattr__(self, "p1", check_sigma(self.p1, "p1"))
-        object.__setattr__(self, "p2", check_sigma(self.p2, "p2"))
+    def __init__(self, p1: float, p2: float) -> None:
+        object.__setattr__(self, "p1", check_sigma(p1, "p1"))
+        object.__setattr__(self, "p2", check_sigma(p2, "p2"))
 
 
 def as_state(value) -> State:
@@ -109,6 +108,10 @@ class Profile(NamedTuple):
 
     sigma1: float
     sigma2: float
+
+
+# the four pure profiles, keyed by an activity map's one-state pair of bools
+_PURE_PROFILES = {(a, b): Profile(float(a), float(b)) for a in (False, True) for b in (False, True)}
 
 
 def check_cost(c: float | np.ndarray) -> float | np.ndarray:
@@ -139,7 +142,7 @@ def _check_unit_array(x: np.ndarray, name: str) -> np.ndarray:
 
 def check_sigma(sigma: float, name: str = "sigma") -> float:
     """Validate an activity probability, returning it as a float in [0, 1]."""
-    sigma = float(sigma)
+    sigma = sigma if type(sigma) is float else float(sigma)
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {sigma!r}")
     return sigma
@@ -167,6 +170,8 @@ def check_states(p1, p2) -> tuple[float | np.ndarray, float | np.ndarray]:
     ``np.float64``) come back as Python floats, so a map's comparisons give
     Python bools at a tenth of numpy scalars' cost; numpy ints do not.
     """
+    if type(p1) is float and type(p2) is float and 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0:
+        return p1, p2  # a State's fields, the one-state views' case
     if isinstance(p1, _SCALARS) and isinstance(p2, _SCALARS):
         return check_sigma(p1, "p1"), check_sigma(p2, "p2")
     p1 = np.asarray(p1, dtype=float)
@@ -272,15 +277,17 @@ def payoff_mixed(
     sigma1 = check_sigma(sigma1, "sigma1")
     sigma2 = check_sigma(sigma2, "sigma2")
     c = check_cost(c)
-    row1 = payoff_table(s.p1, s.p2, c, variant)
-    row2 = payoff_table(s.p2, s.p1, c, variant)
+    aa1, ai1, ia1, ii1 = payoff_table(s.p1, s.p2, c, variant)
+    aa2, ia2, ai2, ii2 = payoff_table(s.p2, s.p1, c, variant)  # server 2's action first
+    rest1, rest2 = 1.0 - sigma1, 1.0 - sigma2
     u1 = u2 = -0.0
-    # i, j = 0 for an active server 1, 2; each server's row lists its own action first
-    for i, w1 in ((0, sigma1), (1, 1.0 - sigma1)):
-        for j, w2 in ((0, sigma2), (1, 1.0 - sigma2)):
-            w = w1 * w2
-            if w == 0.0:
-                continue
-            u1 += w * row1[2 * i + j]
-            u2 += w * row2[2 * j + i]
+    for w, e1, e2 in (
+        (sigma1 * sigma2, aa1, aa2),
+        (sigma1 * rest2, ai1, ai2),
+        (rest1 * sigma2, ia1, ia2),
+        (rest1 * rest2, ii1, ii2),
+    ):
+        if w != 0.0:
+            u1 += w * e1
+            u2 += w * e2
     return PayoffPair(u1, u2)

@@ -7,6 +7,7 @@ from servergame.cooperative import (
     pointwise_welfare,
     welfare_case1,
 )
+from servergame.full_info import classify_state
 from servergame.oracle import mc_welfare, pointwise_strategy
 from servergame.payoffs import Profile, State
 
@@ -34,6 +35,21 @@ def test_pointwise_welfare_examples():
     for variant in ("unregulated", "case3_reg"):
         w = pointwise_welfare(State(0.8, 0.4), Profile(1, 0), 0.6, variant=variant)
         assert w == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("prof", [(1.0, 0.0), [0.25, 0.5], np.array([0.25, 0.5])])
+def test_pointwise_welfare_takes_any_sigma_pair(prof):
+    # classify_state's mixed profile is a plain tuple; a pair scores as its Profile
+    s = State(0.5, 0.4)
+    assert pointwise_welfare(s, prof, 0.3) == pointwise_welfare(s, Profile(*prof), 0.3)
+    mixed = classify_state(s, 0.3).mixed
+    assert pointwise_welfare(s, mixed, 0.3) == pointwise_welfare(s, Profile(*mixed), 0.3)
+
+
+@pytest.mark.parametrize("prof", [0.5, None, (1.0,), (1.0, 0.0, 0.0)])
+def test_pointwise_welfare_rejects_a_non_pair_naming_prof(prof):
+    with pytest.raises((TypeError, ValueError), match="prof"):
+        pointwise_welfare(State(0.5, 0.4), prof, 0.3)
 
 
 def test_no_pure_profile_beats_the_optimum():

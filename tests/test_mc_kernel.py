@@ -201,18 +201,18 @@ def test_blocked_kernel_is_bit_identical(name, n):
 )
 def test_block_kernel_matches_the_reference_state_by_state(case):
     # the sums above could hide offsetting differences; each state's welfare,
-    # signed zeros included, must be the reference's, whether written to a
-    # row of its own or over server 1's lone-server sum
+    # signed zeros included, must be the reference's, and the three table
+    # sums must come back bit for bit for the block's next row
     c, p1, p2, sigma1, sigma2 = case
     want = [float(w).hex() for w in reference_profile_welfare(p1, p2, sigma1, sigma2, c)]
-    for last in (False, True):
-        work = np.full((5, p1.size), np.nan)
-        tables = _block_tables(p1, p2, c, work[:4])
-        out = tables[1] if last else work[4]
-        activity = lambda *_: (sigma1, sigma2)
-        got = _block_welfare(activity, p1, p2, c, tables, out, np.empty(p1.size, bool))
-        assert got is out
-        assert [float(w).hex() for w in got] == want
+    work = np.full((5, p1.size), np.nan)
+    tables = _block_tables(p1, p2, c, work[:4])
+    sums = [row.tobytes() for row in tables[:3]]
+    out = work[4]
+    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, tables, out, np.empty(p1.size, bool))
+    assert got is out
+    assert [float(w).hex() for w in got] == want
+    assert [row.tobytes() for row in tables[:3]] == sums
 
 
 # states where both servers serve: the kernel writes the both-active sum
@@ -220,10 +220,10 @@ def test_block_kernel_matches_the_reference_state_by_state(case):
 BOTH_ACTIVE = {"nowhere": [], "first": [0], "last": [-1], "everywhere": slice(None)}
 
 
-@pytest.mark.parametrize("last", [False, True], ids=["own_row", "over_alone1"])
+@pytest.mark.parametrize("after", [False, True], ids=["own_row", "after_another_row"])
 @pytest.mark.parametrize("n", [_BLOCK, _BLOCK + 5])
 @pytest.mark.parametrize("where", BOTH_ACTIVE.values(), ids=BOTH_ACTIVE.keys())
-def test_boolean_rows_take_the_both_active_sum_wherever_both_serve(where, n, last):
+def test_boolean_rows_take_the_both_active_sum_wherever_both_serve(where, n, after):
     rng = np.random.default_rng(5)
     p1, p2, c = rng.random(n), rng.random(n), 0.3
     sigma1 = p1 >= p2
@@ -231,12 +231,21 @@ def test_boolean_rows_take_the_both_active_sum_wherever_both_serve(where, n, las
     sigma1[where] = sigma2[where] = True
     assert np.flatnonzero(sigma1 & sigma2).tolist() == np.arange(n)[where].tolist()
     want = reference_profile_welfare(p1, p2, sigma1, sigma2, c)
-    work = np.full((5, n), np.nan)
+    work = np.full((6, n), np.nan)
     tables = _block_tables(p1, p2, c, work[:4])
-    out = tables[1] if last else work[4]
-    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, tables, out, np.empty(n, bool))
+    sums = [row.tobytes() for row in tables[:3]]
+    both_active = np.empty(n, bool)
+    if after:
+        # the rows of one block share its table sums and both_active, as in
+        # _mc_block_sums: a row with both servers active everywhere goes first
+        everywhere = np.ones(n, bool)
+        _block_welfare(lambda *_: (everywhere, everywhere), p1, p2, c, tables, work[5], both_active)
+        assert [row.tobytes() for row in tables[:3]] == sums
+    out = work[4]
+    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, tables, out, both_active)
     assert got is out
     assert got.tobytes() == want.tobytes()
+    assert [row.tobytes() for row in tables[:3]] == sums
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])

@@ -22,6 +22,8 @@ from servergame.bayesian import Distribution
 from servergame.cooperative import optimal_activity, optimal_profile, pointwise_welfare
 from servergame.full_info import (
     BOUNDARY_EPS,
+    EquilibriumKind,
+    _mixed_formula,
     _stable_profiles,
     classify_state,
     equilibrium_activity,
@@ -97,17 +99,23 @@ def ulp_steps(x: float, k: int) -> float:
 
 @st.composite
 def boundary_state(draw, c):
-    """(p1, p2) within a few ulp of |p1 - p2| = c, max = c or max = c/2."""
+    """(p1, p2) within a few ulp of |p1 - p2| = c, max = c or max = c/2,
+    the first two also of c + BOUNDARY_EPS and c - BOUNDARY_EPS, where
+    case III's masks close."""
     u = draw(st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(("gap", "max", "half")))
+    edge = c if kind == "half" else c + draw(st.sampled_from((0.0, BOUNDARY_EPS, -BOUNDARY_EPS)))
     if kind == "gap":
-        p2 = u * (1.0 - c)
-        p1 = p2 + c
+        p2 = u * (1.0 - edge)
+        p1 = p2 + edge
     elif kind == "max":
-        p1, p2 = c, u * c
+        p1, p2 = edge, u * edge
     else:
         p1, p2 = c / 2.0, u * c / 2.0
-    p1, p2 = (min(1.0, max(0.0, ulp_steps(p, draw(st.integers(-4, 4))))) for p in (p1, p2))
+    # about half the coordinates stay on their edge, where a closed mask
+    # differs from an open one
+    step = st.just(0) | st.integers(-4, 4)
+    p1, p2 = (min(1.0, max(0.0, ulp_steps(p, draw(step)))) for p in (p1, p2))
     return (p2, p1) if draw(st.booleans()) else (p1, p2)
 
 
@@ -410,6 +418,68 @@ def test_case3_best_selection_is_the_cooperative_rule_gated_at_c(case):
         assert got == (serves and q1 >= q2, serves and q1 < q2), (q1, q2, c)
 
 
+def reference_classification(p1, p2, c):
+    """classify_state's region label, pure set and mixed profile, branch by
+    branch, as it read before its sets were built once at import."""
+    ii, ai, ia, aa = _stable_profiles(p1, p2, c)
+    both, alone1, alone2, idle = PROFILES
+    pure = ((idle,) if ii else ()) + ((alone1,) if ai else ()) + ((alone2,) if ia else ())
+    pure += (both,) if aa else ()
+    if ii:
+        if not (ai or ia):
+            return EquilibriumKind.BOTH_INACTIVE, pure, None
+        kind = EquilibriumKind.BOUNDARY_MIX_1 if p1 >= p2 else EquilibriumKind.BOUNDARY_MIX_2
+        return kind, pure, None
+    if not ia:
+        return EquilibriumKind.ONLY_SERVER_1, pure, None
+    if not ai:
+        return EquilibriumKind.ONLY_SERVER_2, pure, None
+    return EquilibriumKind.CONTENTION, pure, _mixed_formula(p1, p2, c)
+
+
+PURE_VIEWS = (
+    (optimal_profile, optimal_activity),
+    (regulated_equilibrium, regulated_activity),
+    (partial(select_equilibrium, policy="max_welfare"), MASK_MAPS[2]),
+    (partial(select_equilibrium, policy="min_welfare"), MASK_MAPS[3]),
+)
+
+
+# The one-state views answer from values built once (classify_state's sets
+# per flag combination, the four pure Profiles); they must stay those of the
+# maps they view, at every flag combination a state can reach.
+@SETTINGS
+@given(states_at_one_cost())
+@example(case=(0.0, [(0.0, 0.0), (1.0, 1.0), (BOUNDARY_EPS, 0.0), (0.0, 5e-324), (0.5, 0.5)]))
+@example(case=(BOUNDARY_EPS, [(BOUNDARY_EPS, BOUNDARY_EPS), (2 * BOUNDARY_EPS, 0.0), (0.0, 1.0)]))
+@example(case=(5e-324, [(5e-324, 5e-324), (1.0, 5e-324), (0.25, 0.75)]))
+@example(case=(0.3, [(0.3, 0.3), (0.3, 0.1), (0.1, 0.3), (0.6, 0.3), (_GATE, _GATE), (0.3, 0.6)]))
+def test_shared_one_state_results_match_the_maps(case):
+    c, rows = case
+    for p1, p2 in rows:
+        s = State(p1, p2)
+        got = classify_state(s, c)
+        kind, pure, mixed = reference_classification(p1, p2, c)
+        assert (got.kind, got.pure_equilibria) == (kind, pure), (p1, p2, c)
+        assert (got.mixed is None) == (mixed is None), (p1, p2, c)
+        if mixed is not None:
+            assert bits(got.mixed) == bits(mixed), (p1, p2, c)
+        for view, activity in PURE_VIEWS:
+            masks = activity(np.array([p1]), np.array([p2]), c)
+            assert bits(view(s, c)) == bits(float(m[0]) for m in masks), (view, p1, p2, c)
+
+
+def test_shared_one_state_results_cannot_be_assigned():
+    s = State(0.6, 0.45)
+    results = [s, classify_state(State(0.9, 0.1), 0.3), classify_state(s, 0.3)]
+    results += [view(s, 0.3) for view, _ in PURE_VIEWS]
+    for result in results:
+        with pytest.raises(AttributeError):
+            setattr(result, next(iter(type(result).__annotations__)), None)
+    with pytest.raises(TypeError):
+        results[-1][0] = 0.5
+
+
 def test_monte_carlo_rejects_a_sampler_that_yields_nan():
     nan_draws = Distribution("nan", cdf=lambda x: x, uniform_map=lambda u: np.full_like(u, NAN))
     for activity in ACTIVITY_MAPS:
@@ -544,3 +614,4 @@ def test_grid_best_response_fine_step_allocates_no_grid():
 def test_grid_best_response_rejects_unusable_steps(step):
     with pytest.raises(ValueError, match="step must lie"):
         grid_best_response(0.8, 0.25, step=step)
+
