@@ -106,14 +106,15 @@ def _mixed_formula(p1: float, p2: float, c: float) -> tuple[float, float]:
     # BOUNDARY_EPS closure admits an overshoot of eps / denom, the rounding
     # of the differences at scale c + eps a few ulps more, and the division
     # a relative ulp on top.  Anything beyond that means a caller bug.
-    scale = max(p1, p2, c) + BOUNDARY_EPS
-    slack = (BOUNDARY_EPS + 4.0 * math.ulp(scale)) / denom * (1.0 + 1e-12) + 1e-12
-    for value in (sigma1, sigma2):
-        if not -slack <= value <= 1.0 + slack:
-            raise AssertionError(
-                f"mixed profile component {value!r} outside [0, 1] at "
-                f"({p1}, {p2}), c={c}"
-            )
+    if not (0.0 <= sigma1 <= 1.0 and 0.0 <= sigma2 <= 1.0):
+        scale = max(p1, p2, c) + BOUNDARY_EPS
+        slack = (BOUNDARY_EPS + 4.0 * math.ulp(scale)) / denom * (1.0 + 1e-12) + 1e-12
+        for value in (sigma1, sigma2):
+            if not -slack <= value <= 1.0 + slack:
+                raise AssertionError(
+                    f"mixed profile component {value!r} outside [0, 1] at "
+                    f"({p1}, {p2}), c={c}"
+                )
     return min(1.0, max(0.0, sigma1)), min(1.0, max(0.0, sigma2))
 
 

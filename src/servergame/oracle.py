@@ -318,16 +318,16 @@ def _block_tables(p1, p2, c, rows):
     return both, alone1, alone2, aa2
 
 
-def _block_welfare(activity, p1, p2, c, tables, out, both_active):
+def _block_welfare(activity, p1, p2, c, tables, out, mask):
     """Per-state welfare of ``activity`` on one block of draws, written to
     ``out``: the sum of both servers' payoff-table entries for the profile
-    played, from ``_block_tables``' rows.  It may overwrite the spare row;
-    the three sums stay as they are.
+    played, from ``_block_tables``' rows.  It may overwrite the spare row
+    and ``mask``, a boolean row; the three sums stay as they are.
 
-    With boolean activities each lone-server sum is scaled by its server's
-    mask cast to 0.0 or 1.0 in the spare row, and the both-active sum written
-    where ``both_active``, a boolean row, holds (if anywhere): bit-identical
-    to the bilinear mix of the same entries, which numeric activities take.
+    With boolean activities the row is the bilinear mix's products with 0/1
+    weights, masks cast to 0.0/1.0 in ``out`` and the spare row: the
+    servers' own two, or, if both serve somewhere, three disjoint ones made
+    in ``mask``.  The bits are the mix's, which numeric activities take.
     """
     both, alone1, alone2, spare = tables
     sigma1, sigma2 = (_checked_activity(sigma, p1.shape) for sigma in activity(p1, p2, c))
@@ -338,14 +338,20 @@ def _block_welfare(activity, p1, p2, c, tables, out, both_active):
             + (1.0 - sigma1) * sigma2 * alone2
         )
         return out
-    np.copyto(spare, sigma1)
-    # the masks go through a float row: both products take 28 us a 2**14-state
-    # block against 34 us as float x bool (2-vCPU Xeon), with the same bits
-    np.multiply(alone1, spare, out=out)
+    # each mask is cast into its product's row and multiplied in place: 33-44
+    # us a 2**14-state row (three products 50-59) against 49-71 as float x
+    # bool, or 43-136 with np.putmask for the both-active sum (2-vCPU Xeon)
+    if np.logical_and(sigma1, sigma2, out=mask).any():
+        np.copyto(out, mask)
+        out *= both
+        for lone, alone in ((np.greater, alone1), (np.less, alone2)):
+            np.copyto(spare, lone(sigma1, sigma2, out=mask))
+            out += np.multiply(spare, alone, out=spare)
+        return out
+    np.copyto(out, sigma1)
+    out *= alone1
     np.copyto(spare, sigma2)
-    out += np.multiply(alone2, spare, out=spare)
-    if np.logical_and(sigma1, sigma2, out=both_active).any():
-        np.putmask(out, both_active, both)
+    out += np.multiply(spare, alone2, out=spare)
     return out
 
 
@@ -376,7 +382,7 @@ def _mc_block_sums(jobs, n, seed, start, stop, dist1=None, dist2=None):
     heights = [len(activities) + len(pairs) for _, activities, pairs in jobs]
     # the two draw rows, _block_tables' four rows, then the stack
     work = np.empty((6 + max(heights), min(n, _BLOCK)))
-    both_active = np.empty(work.shape[1], dtype=bool)
+    mask = np.empty(work.shape[1], dtype=bool)
     sums = np.empty((-(-(stop - start) // _BLOCK), sum(heights), 2))
     for block, (p1, p2) in zip(sums, _draws(dist1, dist2, n, seed, work[0], work[1], start, stop)):
         row, m = 0, p1.size
@@ -384,7 +390,7 @@ def _mc_block_sums(jobs, n, seed, start, stop, dist1=None, dist2=None):
             k, stack = len(activities), work[6 : 6 + height, :m]
             tables = _block_tables(p1, p2, c, work[2:6, :m])
             for activity, out in zip(activities, stack):
-                _block_welfare(activity, p1, p2, c, tables, out, both_active[:m])
+                _block_welfare(activity, p1, p2, c, tables, out, mask[:m])
             for out, (i, j) in zip(stack[k:], pairs):
                 np.subtract(stack[i], stack[j], out=out)
             np.add.reduce(stack, axis=1, out=block[row : row + height, 0])
@@ -434,8 +440,9 @@ def mc_welfare(
     turned into welfare and reduced before the next is drawn, so the
     strategy must act state by state, with activities in [0, 1]; the
     blocks fix the bits.  The draws and payoff entries of a block live in
-    one workspace of seven rows made once per call: with boolean activities
-    no block allocates in the kernel, so the heap is not trimmed and
+    one workspace of seven rows made once per call, and boolean activities
+    weight its sums by their masks cast in it (see ``_block_welfare``), so
+    no block allocates in the kernel and the heap is not trimmed and
     refaulted block by block.
     """
     c, n, seed = check_cost(c), _count(n, "n", 1), _count(seed, "seed", 0)

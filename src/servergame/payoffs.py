@@ -70,6 +70,7 @@ class Action(Enum):
 ACTIVE = Action.ACTIVE
 INACTIVE = Action.INACTIVE
 _SCALARS = (float, int)  # check_states' scalar types, built once, not per call
+_ONE_BITS = 0x3FF0000000000000  # 1.0 as an unsigned int: [+0.0, 1.0] is the bits up to it
 
 
 @dataclass(frozen=True, init=False)
@@ -133,8 +134,9 @@ def check_cost(c: float | np.ndarray) -> float | np.ndarray:
 
 def _check_unit_array(x: np.ndarray, name: str) -> np.ndarray:
     x = x.astype(float, copy=False)
-    # min and max propagate NaN, so NaN fails the range test
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+    # one pass: -0.0, negatives, NaN and inf have bits above 1.0's; only they
+    # reach min and max, which propagate NaN, so -0.0 passes and NaN fails
+    if x.size and x.view(np.uint64).max() > _ONE_BITS and not (x.min() >= 0.0 and x.max() <= 1.0):
         bad = float(x[~((x >= 0.0) & (x <= 1.0))][0])
         raise ValueError(f"{name} must lie in [0, 1], got {bad!r}")
     return x

@@ -2,8 +2,8 @@
 
 ``mc_welfare`` draws its states one ``_BLOCK`` at a time, calls the
 strategy once per block, writes both servers' payoff-table entries into
-one workspace made per call, takes a select-style shortcut for boolean
-activities there and reduces the block before drawing the next.  Every
+one workspace made per call, weights them there by boolean activities'
+masks cast to 0.0/1.0 and reduces the block before drawing the next.  Every
 estimate must be bit-identical to the bilinear mix of both servers'
 payoff-table entries evaluated over whole-run draws at once and summed
 one ``_BLOCK`` chunk at a time, which is kept here as the reference; and
@@ -215,8 +215,8 @@ def test_block_kernel_matches_the_reference_state_by_state(case):
     assert [row.tobytes() for row in tables[:3]] == sums
 
 
-# states where both servers serve: the kernel writes the both-active sum
-# there, and skips that write where there are none
+# states where both servers serve: the kernel adds the both-active product
+# and takes disjoint lone-server masks if there are any, the servers' own if none
 BOTH_ACTIVE = {"nowhere": [], "first": [0], "last": [-1], "everywhere": slice(None)}
 
 
@@ -246,6 +246,60 @@ def test_boolean_rows_take_the_both_active_sum_wherever_both_serve(where, n, aft
     assert got is out
     assert got.tobytes() == want.tobytes()
     assert [row.tobytes() for row in tables[:3]] == sums
+
+
+def signed_zero_block(n, c, where):
+    """A block of n states at cost c whose types are mostly -0.0, 0.0 and
+    5e-324, so that the table sums hold -0.0 entries at c = 0, and boolean
+    activities with both servers active at ``where`` and nowhere else."""
+    rng = np.random.default_rng(9)
+    types = np.array([-0.0, 0.0, 5e-324, c / 2.0, 0.7])
+    p1, p2 = (rng.choice(types, n, p=[0.3, 0.2, 0.1, 0.2, 0.2]) for _ in range(2))
+    sigma1 = rng.random(n) < 0.4
+    sigma2 = (rng.random(n) < 0.5) & ~sigma1  # some states have neither server
+    sigma1[where] = sigma2[where] = True
+    return p1, p2, sigma1, sigma2
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("where", [[], [7], slice(None)], ids=["no_state", "one_state", "every_state"])
+def test_boolean_rows_are_the_bilinear_mix_with_signed_zeros(where, c):
+    # the disjoint masks' two products and the three of a block where both
+    # serve must both give the bilinear form's bits, -0.0 entries included
+    n = 200
+    p1, p2, sigma1, sigma2 = signed_zero_block(n, c, where)
+    assert np.flatnonzero(sigma1 & sigma2).tolist() == np.arange(n)[where].tolist()
+    work = np.full((5, n), np.nan)
+    tables = _block_tables(p1, p2, c, work[:4])
+    if c == 0.0 and math.copysign(1.0, c) > 0:
+        # at p = c = 0 every table sum holds -0.0 entries
+        assert all(np.signbit(row[row == 0.0]).any() for row in tables[:3])
+    want = reference_profile_welfare(p1, p2, sigma1, sigma2, c)
+    got = _block_welfare(lambda *_: (sigma1, sigma2), p1, p2, c, tables, work[4], np.empty(n, bool))
+    assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
+
+
+@pytest.mark.parametrize("where", [[], [7], slice(None)], ids=["no_state", "one_state", "every_state"])
+def test_a_boolean_row_allocates_nothing(where):
+    # no block-sized temporary: a bool one (2**14 bytes) or a float one
+    # would show in the traced peak of three calls on a full block
+    p1, p2, sigma1, sigma2 = signed_zero_block(_BLOCK, 0.3, where)
+    work = np.empty((5, _BLOCK))
+    mask = np.empty(_BLOCK, bool)
+    tables = _block_tables(p1, p2, 0.3, work[:4])
+
+    def activity(*_):
+        return sigma1, sigma2
+
+    _block_welfare(activity, p1, p2, 0.3, tables, work[4], mask)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            _block_welfare(activity, p1, p2, 0.3, tables, work[4], mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from servergame.payoffs import (
     ACTIVE,
@@ -12,6 +14,7 @@ from servergame.payoffs import (
     PayoffPair,
     State,
     as_state,
+    _check_unit_array,
     check_states,
     payoff,
     payoff_case2_regulated,
@@ -152,6 +155,66 @@ def test_a_0d_array_or_a_float_beside_an_array_takes_the_array_path(p1, p2):
     got = check_states(p1, p2)
     assert all(type(x) is np.ndarray and x.dtype == float for x in got)
     assert [x.shape for x in got] == [np.shape(p1), np.shape(p2)]
+
+
+def two_reduction_check(x, name):
+    """The range check's former rule, kept as the reference: a min and a max
+    over the whole array, then the first entry that is NaN or outside."""
+    x = x.astype(float, copy=False)
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        bad = float(x[~((x >= 0.0) & (x <= 1.0))][0])
+        raise ValueError(f"{name} must lie in [0, 1], got {bad!r}")
+    return x
+
+
+# around the edges of [0, 1] and of the unsigned bit patterns: -0.0 and NaN
+# of either sign have bits above 1.0's, 5e-324 and 1.0 are the patterns just
+# above 0 and the last one accepted
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.5, -1.0, 2.0,
+]
+
+
+@st.composite
+def unit_checked_arrays(draw):
+    """An array of edge values and floats, as a whole, a 0-d array, a
+    reversed, strided or transposed view; within [-2, 2] it may be cast
+    to float32 or int."""
+    values = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0) | st.floats(allow_nan=True)
+    x = np.array(draw(st.lists(values, max_size=12)), dtype=float)
+    shape = draw(st.sampled_from(["whole", "0-d", "reversed", "strided", "transposed"]))
+    if shape == "0-d":
+        x = np.array(x[0] if x.size else draw(values))
+    elif shape == "reversed":
+        x = x[::-1]
+    elif shape == "strided":
+        x = x[draw(st.integers(0, 2)) :: draw(st.integers(2, 3))]
+    elif shape == "transposed" and x.size % 2 == 0:
+        x = x.reshape(2, -1).T
+    dtype = draw(st.sampled_from([float, float, np.float32, int]))
+    return x.astype(dtype) if np.all(np.abs(x) <= 2.0) else x  # a cast that cannot overflow
+
+
+@given(unit_checked_arrays())
+@example(np.array([-0.0, 0.5]))  # -0.0 passes only through the min and max
+@example(np.array(-0.0))
+@example(np.array([0.5, np.copysign(np.nan, -1.0), -1.0]))
+@example(np.array([1.0, math.nextafter(1.0, 2.0)])[::-1])
+def test_one_pass_range_check_is_the_two_reduction_rule(x):
+    # the one unsigned max must accept and reject exactly what the min and
+    # max did, naming the same first bad entry, and return the same array
+    try:
+        want = two_reduction_check(x, "p1")
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            _check_unit_array(x, "p1")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            check_states(x, 0.5)
+    else:
+        got = _check_unit_array(x, "p1")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_transfer_neutrality_and_symmetry():
