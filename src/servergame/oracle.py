@@ -20,10 +20,9 @@ forms; it never calls a closed form in ``cooperative``, ``bayesian`` or
   blocks can be run alone and its sums added later in block order, with
   the same bits.  A law other than the default is given by its
   ``Distribution.uniform_map``, and every block it maps is checked;
-* the sampled deviation check scores idle opponents as active ones of type 0
-  and sorts each server's opponent draws once: every own type's gains are
-  two groups of them, split at its type, whose moments come from sums
-  between neighbouring grid types.
+* a cutoff pair's deviation check reads each server's interim gain at its
+  last idle type and at its cutoff: the gain does not decrease in own
+  type, so no other type gains more by switching.
 
 Every integral, ``quadrature``'s too, sums one Simpson panel per row as
 h/3*(v0 + 4*v1 + v2), so a row's bits depend neither on the rows beside it
@@ -485,84 +484,46 @@ def _check_state_map(activity, c, p1, p2, eps, variant):
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
-def _sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated):
-    """Mean and standard error (``std(ddof=1) / sqrt(n)``) of each own type's
-    gains against the opponent draws, which are sorted and set to 0 below
-    t_opp, both in place: an idle opponent scores as an active one of type 0
-    (AA - IA at type 0 is AI - II in both tables: x - 0.0 is x, x - (0.0 -
-    c/2) is x + c/2).  Against a draw q < p the better server is p, so the
-    gain is AA(p, 0) - IA(q); against q >= p it is G(q) = AA(q, q) - IA(q).
-    Each own type's row is thus two groups of the sorted draws, split where
-    ``searchsorted`` puts p.  One pass, ``_BLOCK`` draws at a time, sums IA
-    and G, and their squares, between neighbouring grid types, shifted by IA
-    of the first draw and G of the last: a member of every nonempty group,
-    so a constant group has no spread.  Prefix and suffix sums give each
-    group's mean and squared deviations, and the groups combine with their
-    between-group term."""
-    opp_draws.sort()
-    opp_draws[: np.searchsorted(opp_draws, t_opp)] = 0.0
-    n, variant = opp_draws.size, "case2_reg" if regulated else "unregulated"
-    below = np.searchsorted(opp_draws, p_grid)  # the draws below each own type
-    bounds = np.concatenate(([0], below, [n]))
-    ends = opp_draws[[0, -1]]
-    aa, _, ia, _ = payoff_table(ends, ends, c, variant)
-    ref_ia, ref_g = ia[0], aa[1] - ia[1]
-    # rows IA - ref_ia, its square, G - ref_g and its square, summed over each
-    # run of draws between neighbouring grid types: bounds[j], bounds[j + 1]
-    work, sums = np.empty((4, min(n, _BLOCK))), np.zeros((4, bounds.size - 1))
-    for lo in range(0, n, _BLOCK):
-        q = opp_draws[lo : lo + _BLOCK]
-        rows = work[:, : q.size]
-        aa, _, ia, _ = payoff_table(q, q, c, variant, out=(rows[2], rows[0]))
-        np.subtract(ia, ref_ia, out=rows[0])
-        np.subtract(np.subtract(aa, ia, out=rows[2]), ref_g, out=rows[2])
-        np.square(rows[::2], out=rows[1::2])
-        edges = np.minimum(np.maximum(bounds, lo), lo + q.size) - lo
-        held = edges[1:] > edges[:-1]
-        sums[:, held] += np.add.reduceat(rows, edges[:-1][held], axis=1)
-    # own type j: IA over runs 0..j, the draws below it, and G over the rest;
-    # an empty group's sums are 0, and so are its mean and spread
-    ia_sum, ia_sq = np.cumsum(sums[:2], axis=1)[:, :-1]
-    g_sum, g_sq = np.cumsum(sums[2:, ::-1], axis=1)[:, -2::-1]
-    ia_shift, g_shift = ia_sum / np.maximum(below, 1), g_sum / np.maximum(n - below, 1)
-    spread = np.maximum(ia_sq - ia_sum * ia_shift, 0.0) + np.maximum(g_sq - g_sum * g_shift, 0.0)
-    gain_below = payoff_table(p_grid, 0.0, c, variant)[0] - (ref_ia + ia_shift)
-    gain_above = ref_g + g_shift
-    means = (below * gain_below + (n - below) * gain_above) / n
-    spread += below * (n - below) / n * np.square(gain_below - gain_above)
-    return means, np.sqrt(spread / (n - 1)) / np.sqrt(n)
+def _sampled_gains(p, opp_draws, t_opp, c, regulated):
+    """Mean and standard error (``std(ddof=1) / sqrt(n)``) of the gains at
+    each own type in ``p`` against the opponent draws, an idle opponent's
+    (AI - II) below t_opp and an active one's (AA - IA) at or above it.
+    The rows are read ``_BLOCK`` draws at a time, each shifted by its gain
+    at the first draw, so a row of equal gains has no spread."""
+    own, n = p[:, np.newaxis], opp_draws.size
+    gains = lambda q: np.where(q >= t_opp, *_activity_gains(own, q, c, regulated))
+    shift, sums = gains(opp_draws[:1]), np.empty((-(-n // _BLOCK), p.size, 2))
+    for block, lo in zip(sums, range(0, n, _BLOCK)):
+        rows = gains(opp_draws[lo : lo + _BLOCK])
+        rows -= shift
+        np.add.reduce(rows, axis=1, out=block[:, 0])
+        np.add.reduce(np.square(rows, out=rows), axis=1, out=block[:, 1])
+    shifted = _estimates(sums, n, 0)
+    return shift[:, 0] + [e.mean for e in shifted], np.array([e.stderr for e in shifted])
 
 
 def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
-    p_grid = np.linspace(0.0, 1.0, int(round(1.0 / _P_STEP)) + 1)
-    # row k is server k + 1, against the other's cutoff; positive = profitable switch
+    # row k is server k + 1 at its last idle type and at its cutoff, against
+    # the other's cutoff; positive = profitable switch
     cutoffs = np.array([[t[0]], [t[1]]])
+    probes = np.concatenate((np.nextafter(cutoffs, 0.0), cutoffs), axis=1)
     if mode == "analytic_quadrature":
-        both = np.broadcast_to(p_grid, (2, p_grid.size))
-        means = _interim_gains(both, cutoffs[::-1], c, regulated)
-        ses = np.zeros((2, p_grid.size))
+        means, ses = _interim_gains(probes, cutoffs[::-1], c, regulated), np.zeros((2, 2))
     else:
         # each server's opponent draws, server 1's first, from one generator
         # on seed into one buffer: one server's draws are held at a time
-        rng, u, moments = np.random.default_rng(seed), np.empty(samples), []
-        for k in range(2):
-            # the moments zero and sort draws in u, never in the map's array: it may be the caller's
-            np.copyto(u, _checked_draws(dist, rng.random(out=u), f"p{2 - k}"))
-            moments.append(_sampled_gain_moments(p_grid, u, t[1 - k], c, regulated))
+        rng, u = np.random.default_rng(seed), np.empty(samples)
+        opp = lambda k: _checked_draws(dist, rng.random(out=u), f"p{2 - k}")
+        moments = [_sampled_gains(probes[k], opp(k), t[1 - k], c, regulated) for k in range(2)]
         means, ses = np.stack(moments, axis=1)
-    gains = np.where(p_grid >= cutoffs, -means, means)
-    k, j = divmod(int(np.argmax(gains)), p_grid.size)  # server 1's row first: it wins ties
+    gains = np.where(probes >= cutoffs, -means, means)
+    k, j = divmod(int(np.argmax(gains)), 2)  # server 1's row first: it wins ties
     max_gain = max(0.0, float(gains[k, j]))
-    witness = (k + 1, float(p_grid[j]), max_gain) if max_gain > 0.0 else None
+    witness = (k + 1, float(probes[k, j]), max_gain) if max_gain > 0.0 else None
     if eps is None:
-        se = ses[k, j] if witness else ses.max()  # at the witness, else the worst point
+        se = ses[k, j] if witness else ses.max()  # at the witness, else the worst probe
         eps = 1e-6 if mode == "analytic_quadrature" else 3.0 * float(se)
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
-
-
-# the deviation grids' steps: 201 own types for a pair, 51 x 51 states for a map
-_P_STEP = 0.005
-_STATE_STEP = 0.02
 
 
 def epsilon_nash_check(
@@ -579,22 +540,21 @@ def epsilon_nash_check(
 ) -> DeviationReport:
     """Probe a strategy for profitable unilateral deviations.
 
-    Cutoff pairs: each server's interim activity gain is evaluated over an
-    own-type grid against the opponent's cutoff -- by quadrature
-    (``analytic_quadrature``, default eps 1e-6) or against opponent draws
-    from ``dist`` (``sampled``, default eps = three standard errors at the
-    worst point).  The report carries the largest gain available from
-    switching away from the prescribed action.
+    Cutoff pairs: each server's interim activity gain against the
+    opponent's cutoff is read at its last idle type ``nextafter(t, 0)`` and
+    at its cutoff ``t`` -- by quadrature (``analytic_quadrature``, default
+    eps 1e-6) or as the mean over opponent draws from ``dist``
+    (``sampled``, default eps = three standard errors at the witness, else
+    at the worst probe).  The gain does not decrease in own type, so the
+    report carries the largest gain available from switching away from
+    the prescribed action at any type.
 
     Strategy maps (array callables or ``pointwise_strategy`` wrappers) are
     checked pointwise for pure deviations at ``states`` (``(p1, p2)`` pairs,
     shape ``(n, 2)``), at a state grid (analytic mode), or at sampled states;
-    those gains are exact, so eps defaults to 1e-6.  The grids are fixed:
-    own types 0, 0.005, ..., 1, and the 51 x 51 states of step 0.02.  A
-    cutoff pair is a tuple or list of two, and any other one a TypeError.
-    A sampled cutoff-pair check sorts each server's opponent draws and
-    takes every own type's moments from sums between grid types, in
-    O(n log n) per server on the calling thread.
+    those gains are exact, so eps defaults to 1e-6.  The state grid is
+    fixed: the 51 x 51 states of step 0.02.  A cutoff pair is a tuple or
+    list of two, and any other one a TypeError.
     Cutoffs, states, sampled opponent types and the map's activities must
     lie in [0, 1] (ValueError otherwise, NaN included); ``sampled`` mode
     needs ``samples`` >= 2 for a cutoff pair.  ``samples`` and ``seed`` are
@@ -636,7 +596,7 @@ def epsilon_nash_check(
                 f"states must be (p1, p2) pairs of shape (n, 2), n >= 1, got {states.shape}"
             )
     elif mode == "analytic_quadrature":
-        side = np.linspace(0.0, 1.0, int(round(1.0 / _STATE_STEP)) + 1)
+        side = np.linspace(0.0, 1.0, 51)  # step 0.02
         states = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
         states = np.random.default_rng(seed).random((samples, 2))

@@ -72,12 +72,12 @@ def test_criterion_02_unique_cutoff_equilibrium():
     rejected = 0
     for c in (0.2, 0.5, 0.8):
         for t in (0.3, 0.5, 0.7, 0.9):
-            if abs(t - math.sqrt(c)) < 0.05 or c / t > 1.0:
+            if abs(t - math.sqrt(c)) < 1e-3 or c / t > 1.0:
                 continue
             report = epsilon_nash_check((t, c / t), c, eps=1e-6)
             assert not report.passed, f"(t, c/t) passed at t={t}, c={c}"
             rejected += 1
-    assert rejected >= 6
+    assert rejected >= 8
     # the sampled mode agrees on the equilibrium itself
     sampled = epsilon_nash_check(nash_threshold(0.25), 0.25, mode="sampled", seed=5)
     assert sampled.passed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from servergame import oracle
 from servergame.bayesian import (
     Distribution,
+    best_response_threshold,
     nash_threshold,
     power_distribution,
     uniform_distribution,
@@ -303,17 +304,20 @@ class TestEpsilonNash:
         "c, seed, regulated, dist, max_gain, eps, passed, witness",
         [
             # the two sampled cases of the oracle_probe benchmark workload
-            (0.25, 5, False, None, "0x0.0p+0", "0x1.0ecbd6304933bp-7", True, None),
             (
-                0.49, 3, False, None, "0x1.0ea9e6eeb6fecp-8", "0x1.c06e64c726932p-8", True,
-                (2, 0.7000000000000001),
+                0.25, 5, False, None, "0x1.f8a0902de0080p-10", "0x1.5b8e35f159fd1p-8", True,
+                (2, 0.49999999999999994),
             ),
             (
-                0.32, 7, True, None, "0x1.30164840e161ep-11", "0x1.1044dda8a7e17p-8", True,
+                0.49, 3, False, None, "0x1.0ea9e6eeb7060p-8", "0x1.c06e64c726930p-8", True,
+                (2, 0.7),
+            ),
+            (
+                0.32, 7, True, None, "0x1.30164840e1700p-11", "0x1.1044dda8a7e17p-8", True,
                 (2, 0.4),
             ),
             (
-                0.25, 5, False, 2, "0x1.fe5c91d14e3bdp-4", "0x1.2d523ab0a785ep-8", False,
+                0.25, 5, False, 2, "0x1.fe5c91d14e3bcp-4", "0x1.2d523ab0a785ep-8", False,
                 (2, 0.5),
             ),
         ],
@@ -321,8 +325,8 @@ class TestEpsilonNash:
     def test_sampled_reports_are_pinned(
         self, c, seed, regulated, dist, max_gain, eps, passed, witness
     ):
-        # bits of the equilibrium's sampled check, recorded from the moments
-        # of the sorted draws; a witness is (server, own type, max_gain)
+        # bits of the equilibrium's sampled check, recorded from the shifted
+        # block sums at the probe types; a witness is (server, own type, max_gain)
         report = epsilon_nash_check(
             nash_threshold(c, regulated=regulated),
             c,
@@ -339,11 +343,10 @@ class TestEpsilonNash:
         "t, regulated", [(0.25, False), (0.5, False), (0.999, False), (0.5, True)]
     )
     def test_sampled_check_peak_memory(self, t, regulated):
-        # 10**6 draws (7.6 MiB), sorted and zeroed below the cutoff in place,
-        # and a workspace of four 2**14-draw rows (0.5 MiB): about 8.2 MiB
-        # at any cutoff, and 8.4 with the subsidy table, whose IA is made
-        # anew for each block.  A whole gain row per own type, as the check
-        # once held, gave 15.3 MiB, and an index of the draws below the
+        # 10**6 draws (7.6 MiB) in the generator's buffer, read 2**14 at a
+        # time into two-row temporaries: about 8.4 MiB at any cutoff, and 8.5
+        # with the subsidy table.  A whole gain row per own type, as the
+        # check once held, gave 15.3 MiB, and an index of the draws below the
         # cutoff grew it with t to 23 MiB near 1.  The servers run one after
         # the other, so one server's draws are held at a time
         check = dict(mode="sampled", regulated=regulated)
@@ -477,12 +480,13 @@ def test_threshold_activity_refuses_a_strategy_map():
 
 
 @pytest.mark.parametrize("mode", ["analytic_quadrature", "sampled"])
-def test_the_own_type_grid_runs_from_zero_to_one_in_steps_of_0_005(mode):
-    # cutoff 1 leaves only type 1 active, so the best deviation is one step
-    # below it; cutoff 0 at c = 0.9 is worst for the lowest type, 0 itself.
-    # An opponent that never or always works makes the sampled gains exact
+def test_the_probe_types_are_each_cutoff_and_the_last_type_below_it(mode):
+    # cutoff 1 leaves only type 1 active, so the best deviation is at the
+    # last idle type, one ulp below it; cutoff 0 has no idle type, and at
+    # c = 0.9 its worst active type is 0 itself.  An opponent that never or
+    # always works makes the sampled gains exact
     never = epsilon_nash_check((1.0, 1.0), 0.25, mode=mode, samples=100)
-    assert never.witness[:2] == (1, 0.995) and never.max_gain == pytest.approx(0.745)
+    assert never.witness[:2] == (1, np.nextafter(1.0, 0)) and never.max_gain == pytest.approx(0.75)
     always = epsilon_nash_check((0.0, 0.0), 0.9, mode=mode, samples=100)
     assert always.witness[:2] == (1, 0.0) and always.max_gain == pytest.approx(0.9)
 
@@ -1052,25 +1056,29 @@ def test_both_servers_of_one_call_match_a_call_per_server(case):
 
 
 # --------------------------------------------------------------------------
-# the sampled check's moments from sorted draws, and the batched analytic check
+# the sampled check's moments at the probe types, and the batched analytic check
+
+
+def probe_types(*cutoffs):
+    """Each cutoff's last idle type, ``nextafter(t, 0)``, and the cutoff itself."""
+    return np.array([x for t in cutoffs for x in (np.nextafter(t, 0.0), t)])
 
 
 def brute_force_moments(p_grid, draws, t_opp, c, regulated):
     """Each own type's whole row of gains from the payoff table, in draw
-    order, idle opponents scored as active ones of type 0, and numpy's
-    ``mean`` and ``std(ddof=1) / sqrt(n)`` of it."""
-    q = np.where(draws < t_opp, 0.0, draws)
+    order, AI - II against an idle opponent and AA - IA against an active
+    one, and numpy's ``mean`` and ``std(ddof=1) / sqrt(n)`` of it."""
     variant = "case2_reg" if regulated else "unregulated"
     means, ses = [], []
     for p in p_grid.tolist():
-        aa, _, ia, _ = payoff_table(p, q, c, variant)
-        row = aa - ia
+        aa, ai, ia, ii = payoff_table(p, draws, c, variant)
+        row = np.where(draws >= t_opp, aa - ia, ai - ii)
         means.append(np.mean(row))
-        ses.append(np.std(row, ddof=1) / np.sqrt(q.size))
+        ses.append(np.std(row, ddof=1) / np.sqrt(draws.size))
     return np.array(means), np.array(ses)
 
 
-GRID = np.linspace(0.0, 1.0, 201)
+GRID = np.linspace(0.0, 1.0, 201)  # the types of the "on_grid" law
 LAWS = {
     "uniform": lambda rng, n: rng.random(n),
     "power2": lambda rng, n: power_distribution(2).uniform_map(rng.random(n)),
@@ -1099,10 +1107,13 @@ LAWS = {
 @example(n=2**16 + 1, law="power2", seed=8, t_opp=0.6, c=0.36, regulated=True)
 def test_sampled_moments_match_the_whole_rows(n, law, seed, t_opp, c, regulated):
     draws = LAWS[law](np.random.default_rng(seed), n)
-    want = brute_force_moments(GRID, draws, t_opp, c, regulated)
-    opp = draws.copy()  # sorted and zeroed below t_opp in place
-    got = oracle._sampled_gain_moments(GRID, opp, t_opp, c, regulated)
-    assert np.array_equal(opp, np.sort(np.where(draws < t_opp, 0.0, draws)))
+    # the probe types of a cutoff on the first draw, where the gain's kink
+    # q = p meets a draw, and of the opponent's cutoff
+    own = probe_types(float(draws[0]), t_opp)
+    want = brute_force_moments(own, draws, t_opp, c, regulated)
+    opp = draws.copy()
+    got = oracle._sampled_gains(own, opp, t_opp, c, regulated)
+    assert np.array_equal(opp, draws)  # the caller's draws are left as they are
     for have, reference in zip(got, want):
         assert np.max(np.abs(have - reference)) <= 1e-14
 
@@ -1132,16 +1143,16 @@ def test_the_sampled_check_starts_no_thread(monkeypatch, samples):
 
 
 def test_an_error_in_server_2s_moments_is_raised_in_the_caller(monkeypatch):
-    sampled_gain_moments = oracle._sampled_gain_moments
+    sampled_gains = oracle._sampled_gains
     raised_on = []
 
-    def fails_for_server_2(p_grid, opp_draws, t_opp, c, regulated):
+    def fails_for_server_2(p, opp_draws, t_opp, c, regulated):
         if t_opp == 0.3:  # server 2 plays against server 1's cutoff
             raised_on.append(threading.current_thread())
             raise ArithmeticError("server 2 failed")
-        return sampled_gain_moments(p_grid, opp_draws, t_opp, c, regulated)
+        return sampled_gains(p, opp_draws, t_opp, c, regulated)
 
-    monkeypatch.setattr(oracle, "_sampled_gain_moments", fails_for_server_2)
+    monkeypatch.setattr(oracle, "_sampled_gains", fails_for_server_2)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="server 2 failed"):
         epsilon_nash_check((0.3, 0.6), 0.36, mode="sampled", seed=9, samples=20_000)
@@ -1191,3 +1202,74 @@ def test_grid_search_returns_the_linear_scans_point(case, regulated, step):
     t_opp, c = case
     got = grid_best_response(t_opp, c, regulated=regulated, step=step)
     assert got.hex() == float(full_scan_best_response(t_opp, c, regulated, step)).hex()
+
+
+# --------------------------------------------------------------------------
+# the monotonicity the probe types rely on, and the equilibrium they pin
+
+
+@ENGINE_SETTINGS
+@given(st.lists(UNIT, max_size=8), UNIT, UNIT, st.booleans())
+@example(ps=[], q=0.0, c=0.0, regulated=False)
+@example(ps=[0.5], q=0.5, c=1.0, regulated=True)
+def test_the_switch_gains_do_not_decrease_in_own_type(ps, q, c, regulated):
+    # AA - IA and AI - II, which the grid search and the probe types assume
+    own = np.array(sorted(ps + [0.0, 1.0]))
+    aa, ai, ia, ii = payoff_table(own, q, c, "case2_reg" if regulated else "unregulated")
+    assert np.all(np.diff(aa - ia) >= 0.0)
+    assert np.all(np.diff(ai - ii) >= 0.0)
+
+
+@ENGINE_SETTINGS
+@given(UNIT, UNIT, st.booleans())
+@example(t_opp=0.0, c=0.0, regulated=False)
+@example(t_opp=1.0, c=1.0, regulated=True)
+def test_the_interim_gain_does_not_decrease_in_own_type(t_opp, c, regulated):
+    gains = _interim_gains(np.linspace(0.0, 1.0, 1001), t_opp, c, regulated)
+    assert np.all(np.diff(gains) >= 0.0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.floats(0.01, 0.99), st.booleans())
+def test_the_equilibrium_has_no_gain_above_rounding(c, regulated):
+    report = epsilon_nash_check(nash_threshold(c, regulated=regulated), c, regulated=regulated)
+    assert report.passed and report.max_gain <= 1e-12
+
+
+def test_the_symmetric_pair_a_thousandth_off_fails():
+    # the cutoff is too high: the last idle type gains t**2 - c, about
+    # 2*sqrt(c)*d, by working.  The 201-type grid this check once read
+    # passed the pair with max_gain 0.0
+    t = math.sqrt(0.5) + 1e-3
+    report = epsilon_nash_check((t, t), 0.5)
+    assert not report.passed and report.witness[:2] == (1, np.nextafter(t, 0.0))
+    assert report.max_gain == pytest.approx(t * t - 0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5])
+@pytest.mark.parametrize("d", [-1e-3, 1e-3])
+def test_a_best_response_pair_a_thousandth_off_fails(c, d):
+    # server 2 best-responds; server 1's cutoff misses its best response by
+    # about 2*d**2/sqrt(c), and its gain at its own cutoff is about 2*d**2
+    t = math.sqrt(c) + d
+    report = epsilon_nash_check((t, best_response_threshold(t, c)), c)
+    assert not report.passed
+    assert report.witness[0] == 1 and report.max_gain == pytest.approx(2 * d * d, rel=0.01)
+
+
+@pytest.mark.parametrize("regulated", [False, True])
+@pytest.mark.parametrize("c", [0.04, 0.25, 0.5, 0.81])
+def test_the_oracle_finds_one_cutoff_equilibrium(c, regulated):
+    # D(t) = BR(BR(t)) - t with the oracle's best response alone, no closed
+    # form, is > 0 left of every cutoff-pair equilibrium and < 0 right of
+    # it.  Each best response is rounded up onto the 1e-6 grid, which moves
+    # D by at most 2e-6, so |D| <= 3e-6 has no sign
+    grid = np.linspace(0.0, 1.0, 101)
+    br = lambda t: grid_best_response(t, c, regulated, step=1e-6)
+    d = np.array([br(br(t)) - t for t in grid.tolist()])
+    sign = np.where(np.abs(d) <= 3e-6, 0.0, np.sign(d))
+    known = np.flatnonzero(sign)
+    change = np.flatnonzero(np.diff(sign[known]))
+    assert change.size == 1 and sign[known[0]] > 0
+    left, right = grid[known[change[0]]], grid[known[change[0] + 1]]
+    assert left < nash_threshold(c, regulated=regulated)[0] < right

@@ -488,26 +488,32 @@ def test_monte_carlo_rejects_a_sampler_that_yields_nan():
 
 
 @pytest.mark.parametrize("regulated", [False, True])
-# draws a block: 2**14 (one block), 7 (runs between grid types split across
-# many blocks) and 1,999 (the last block one draw long)
+# draws a block: 2**14 (one block), 7 (the rows split across many blocks)
+# and 1,999 (the last block one draw long)
 @pytest.mark.parametrize("block", [None, 7, 1_999])
 def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, block):
     rng = np.random.default_rng(3)
     draws = rng.random(2_000)
-    p_grid = np.linspace(0.0, 1.0, 201)
     if block is not None:
         monkeypatch.setattr(oracle, "_BLOCK", block)
-    # no draw below the cutoff, none at or above it, and one on the >= boundary
-    cases = ((0.5, 0.25), (0.7, 0.49), (0.0, 0.25), (1.0, 0.49), (float(draws[17]), 0.25))
-    for t_opp, c in cases:
+    # no draw below the opponent's cutoff, none at or above it, and one on
+    # the >= boundary; own cutoffs at 0, 1, between and on that draw
+    cases = (
+        (0.3, 0.5, 0.25),
+        (1.0, 0.7, 0.49),
+        (0.5, 0.0, 0.25),
+        (0.0, 1.0, 0.49),
+        (float(draws[17]), float(draws[17]), 0.25),
+    )
+    for t_own, t_opp, c in cases:
+        # the four probe types of the pair (t_own, t_opp)
+        own = np.array([np.nextafter(t, 0.0) if k else t for t in (t_own, t_opp) for k in (1, 0)])
         # the gain matrix built whole, from server 1's row of the table
-        p, q = p_grid[:, np.newaxis], draws[np.newaxis, :]
+        p, q = own[:, np.newaxis], draws[np.newaxis, :]
         idle = p - c + c / 2.0 if regulated else p - c
         opp_payoff = q - c / 2.0 if regulated else q
         gain = np.where(q >= t_opp, np.maximum(p, q) - c - opp_payoff, idle)
-        opp = draws.copy()  # sorted and set to 0 below t_opp in place
-        means, ses = oracle._sampled_gain_moments(p_grid, opp, t_opp, c, regulated)
-        assert np.array_equal(opp, np.sort(np.where(draws < t_opp, 0.0, draws)))
+        means, ses = oracle._sampled_gains(own, draws, t_opp, c, regulated)
         # each row reduced alone, as numpy's mean and std of that row
         np.testing.assert_allclose(means, gain.mean(axis=1), rtol=0, atol=1e-14)
         np.testing.assert_allclose(
