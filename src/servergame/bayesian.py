@@ -133,20 +133,27 @@ def welfare_thresholds(t1, t2, c: float | np.ndarray) -> ThresholdWelfare:
 
     Accepts scalars or broadcastable numpy arrays for ``t1``, ``t2`` and
     the cost ``c``; any array argument gives array fields, all-scalar
-    arguments give Python floats.  Both shares are one polynomial in the
-    lower and the higher cutoff; the oracle module recomputes them by
-    region quadrature.
+    arguments give Python floats.  Three Python floats are computed as
+    Python floats, with the bits of the array path.  Both shares are one
+    polynomial in the lower and the higher cutoff; the oracle module
+    recomputes them by region quadrature.
     """
     c = check_cost(c)
-    t1 = _check_unit_array(np.asarray(t1), "thresholds")
-    t2 = _check_unit_array(np.asarray(t2), "thresholds")
-    # np.where keeps 0-d arrays, whose ** matches the array path bit for bit
-    below = t1 < t2
-    low, high = np.where(below, t1, t2), np.where(below, t2, t1)
-    common = 4.0 + -3.0 * low**2 * high - high**3
+    if type(t1) is float and type(t2) is float and type(c) is float:
+        t1, t2 = check_sigma(t1, "thresholds"), check_sigma(t2, "thresholds")
+        low, high = (t1, t2) if t1 < t2 else (t2, t1)
+        # as the array path: square by multiplying, cube by np.power (Python's ** may round apart)
+        common = 4.0 + -3.0 * (low * low) * high - float(np.power(high, 3.0))
+    else:
+        t1 = _check_unit_array(np.asarray(t1), "thresholds")
+        t2 = _check_unit_array(np.asarray(t2), "thresholds")
+        # np.where keeps 0-d arrays, whose ** matches the array path bit for bit
+        below = t1 < t2
+        low, high = np.where(below, t1, t2), np.where(below, t2, t1)
+        common = 4.0 + -3.0 * low**2 * high - high**3
     s1 = (common + 6.0 * c * (t1 - 1.0)) / 6.0
     s2 = (common + 6.0 * c * (t2 - 1.0)) / 6.0
-    if s1.ndim == 0:
+    if not isinstance(s1, np.ndarray):
         return ThresholdWelfare(float(s1), float(s2), float(s1) + float(s2))
     return ThresholdWelfare(s1, s2, s1 + s2)
 

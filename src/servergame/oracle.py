@@ -65,8 +65,8 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# States per block in mc_welfare, and draws per block in the sampled check,
-# whose rows stay below glibc's trim threshold (the heap is reused, not refaulted).
+# States per block in mc_welfare, and draws per block in the sampled check;
+# each call writes its blocks into one workspace, so the heap is not refaulted.
 _BLOCK = 1 << 14
 
 
@@ -84,8 +84,9 @@ def _simpson(f, lo, hi):
     whatever the other rows or the BLAS build.
     """
     h = (hi - lo) / 2
-    nodes = np.multiply.outer(h, np.arange(3.0)) + np.asarray(lo)[..., np.newaxis]
-    nodes[..., -1] = hi
+    nodes = np.empty(np.shape(h) + (3,))
+    # linspace's lo + 0.0*h and lo + 1.0*h: lo + 0.0 makes -0.0 0.0, as it does
+    nodes[..., 0], nodes[..., 1], nodes[..., 2] = lo + 0.0, lo + h, hi
     v = f(nodes)
     return h / 3.0 * (v[..., 0] + 4.0 * v[..., 1] + v[..., 2])
 
@@ -148,18 +149,15 @@ def _interim_gains(p, t_opp, c: float, regulated: bool):
     [t_opp, 1] in two rows per type, cut at its kink q = p.  ``t_opp``, a
     float or an array that broadcasts against ``p``, may give each row of
     own types a cutoff of its own."""
-    own = p[..., np.newaxis, np.newaxis]
-    if_active = lambda q: _activity_gains(own, q, c, regulated)[0]
+    own, table = p[..., np.newaxis, np.newaxis], "case2_reg" if regulated else "unregulated"
+
+    def if_active(q):  # AA - IA against an active opponent of type q
+        aa, _, ia, _ = payoff_table(own, q, c, table)
+        return aa - ia
+
     opp_active = _simpson(if_active, *_split(t_opp, 1.0, p)).sum(axis=-1)
-    return _activity_gains(p, t_opp, c, regulated)[1] * t_opp + opp_active
-
-
-def _activity_gains(p, q, c, regulated: bool):
-    """Gain of being active rather than idle at own type ``p`` against an
-    active and an idle opponent of type ``q``, from server 1's row of the
-    payoff table (the c/2-subsidy table if ``regulated``)."""
-    aa, ai, ia, ii = payoff_table(p, q, c, "case2_reg" if regulated else "unregulated")
-    return aa - ia, ai - ii
+    _, ai, _, ii = payoff_table(p, t_opp, c, table)  # AI - II against an idle one
+    return (ai - ii) * t_opp + opp_active
 
 
 def grid_best_response(
@@ -172,11 +170,13 @@ def grid_best_response(
 
     The gain is nondecreasing in own type (single crossing), so a 32-way
     search returns the leftmost grid point k/n, n = round(1/step), whose
-    gain is >= -1e-12, as a linear scan finds it; 1.0, never probed, if no
-    point below dominates.  Its index stays in a bracket [lo, hi], hi = n
-    standing for no such point; each ``_interim_gains`` call reads 31
-    probes that cut the bracket into 32 parts, or all of [lo, hi) once
-    that is shorter than 32: 2 calls at step 1e-3, 6 at 1e-9.
+    gain is >= -2**-52, as a linear scan finds it; 1.0, never probed, if
+    no point below dominates.  The slack, rounding only, moves the answer
+    left by slack / slope: under a step of 1e-9 for costs down to 1e-12,
+    whose crossings have slopes >= sqrt(c/2).  The index stays in [lo, hi],
+    hi = n standing for no such point; each ``_interim_gains`` call reads 31
+    probes that cut the bracket into 32 parts, or all of [lo, hi) once that
+    is shorter than 32: 2 calls at step 1e-3, 6 at 1e-9.
     """
     if not (0.0 < step <= 0.01 and math.isfinite(1.0 / step)):
         raise ValueError(f"step must lie in (0, 0.01] with 1/step finite, got {step!r}")
@@ -188,10 +188,10 @@ def grid_best_response(
     while lo < hi:
         w = hi - lo
         probes = range(lo, hi) if w < 32 else [lo + w * j // 32 for j in range(1, 32)]
-        # weak dominance up to quadrature rounding, so a crossing that lands
-        # exactly on a grid point is not pushed one step right by -1e-17 dust
+        # weak dominance up to quadrature rounding, one ulp of 1.0, so a crossing
+        # that lands exactly on a grid point is not pushed one step right by dust
         gains = _interim_gains(np.array(probes) * spacing, t_opp, c, regulated)
-        first = ((gains >= -1e-12).tolist() + [True]).index(True)  # len(probes) if none
+        first = ((gains >= -(2.0**-52)).tolist() + [True]).index(True)  # len(probes) if none
         if first:
             lo = probes[first - 1] + 1
         if first < len(probes):
@@ -484,15 +484,25 @@ def _check_state_map(activity, c, p1, p2, eps, variant):
     return DeviationReport(max_gain, witness, max_gain <= eps, eps)
 
 
-def _sampled_gains(p, opp_draws, t_opp, c, regulated):
+def _sampled_gains(p, opp_draws, t_opp, c, regulated, work):
     """Mean and standard error (``std(ddof=1) / sqrt(n)``) of the gains at
     each own type in ``p`` against the opponent draws, an idle opponent's
     (AI - II) below t_opp and an active one's (AA - IA) at or above it.
-    The rows are read ``_BLOCK`` draws at a time, each shifted by its gain
-    at the first draw, so a row of equal gains has no spread."""
-    own, n = p[:, np.newaxis], opp_draws.size
-    gains = lambda q: np.where(q >= t_opp, *_activity_gains(own, q, c, regulated))
-    shift, sums = gains(opp_draws[:1]), np.empty((-(-n // _BLOCK), p.size, 2))
+    The rows are written ``_BLOCK`` draws at a time into ``work``, (p.size,
+    min(n, _BLOCK)) floats, each shifted by its gain at the first draw, so
+    a row of equal gains has no spread."""
+    own, n, table = p[:, np.newaxis], opp_draws.size, "case2_reg" if regulated else "unregulated"
+    ai = np.empty((p.size, 1))
+
+    def gains(q):  # AA - IA in the workspace, then AI - II put where q is idle
+        aa, _, ia, ii = payoff_table(own, q, c, table, out=(work[:, : q.size], ai))
+        aa -= ia
+        idle = q < t_opp
+        for row, gain in zip(aa, (ai - ii)[:, 0].tolist()):
+            np.putmask(row, idle, gain)
+        return aa
+
+    shift, sums = gains(opp_draws[:1]).copy(), np.empty((-(-n // _BLOCK), p.size, 2))
     for block, lo in zip(sums, range(0, n, _BLOCK)):
         rows = gains(opp_draws[lo : lo + _BLOCK])
         rows -= shift
@@ -511,10 +521,12 @@ def _check_threshold_pair(t, c, mode, eps, seed, regulated, dist, samples):
         means, ses = _interim_gains(probes, cutoffs[::-1], c, regulated), np.zeros((2, 2))
     else:
         # each server's opponent draws, server 1's first, from one generator
-        # on seed into one buffer: one server's draws are held at a time
-        rng, u = np.random.default_rng(seed), np.empty(samples)
+        # on seed into one buffer, which holds the gain rows too: glibc trims
+        # and refaults two such allocations call by call, but not one
+        rng, work = np.random.default_rng(seed), np.empty(samples + 2 * min(samples, _BLOCK))
+        u, rows = work[:samples], work[samples:].reshape(2, -1)
         opp = lambda k: _checked_draws(dist, rng.random(out=u), f"p{2 - k}")
-        moments = [_sampled_gains(probes[k], opp(k), t[1 - k], c, regulated) for k in range(2)]
+        moments = [_sampled_gains(probes[k], opp(k), t[1 - k], c, regulated, rows) for k in range(2)]
         means, ses = np.stack(moments, axis=1)
     gains = np.where(probes >= cutoffs, -means, means)
     k, j = divmod(int(np.argmax(gains)), 2)  # server 1's row first: it wins ties

@@ -191,6 +191,22 @@ def test_best_response_with_check(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, grid",
+    [
+        # 0.000141415, about 6e-9 below the crossing, at the former slack 1e-12
+        ("best-response --c 1e-8 --t-opp 0 --check --step 1e-9", 0.000141422),
+        # 0 at the former slack, where being active loses c
+        ("best-response --c 1e-12 --t-opp 0 --check --step 1e-6", 2e-06),
+    ],
+)
+def test_the_grid_agrees_with_the_closed_form_at_small_costs(capsys, argv, grid):
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["agreement"] is True
+    assert payload["grid_oracle"] == pytest.approx(grid, rel=1e-6)
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (

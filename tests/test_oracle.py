@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1112,7 +1116,9 @@ def test_sampled_moments_match_the_whole_rows(n, law, seed, t_opp, c, regulated)
     own = probe_types(float(draws[0]), t_opp)
     want = brute_force_moments(own, draws, t_opp, c, regulated)
     opp = draws.copy()
-    got = oracle._sampled_gains(own, opp, t_opp, c, regulated)
+    # a workspace of NaN: every entry the rows read must be written first
+    work = np.full((own.size, min(n, _BLOCK)), np.nan)
+    got = oracle._sampled_gains(own, opp, t_opp, c, regulated, work)
     assert np.array_equal(opp, draws)  # the caller's draws are left as they are
     for have, reference in zip(got, want):
         assert np.max(np.abs(have - reference)) <= 1e-14
@@ -1142,15 +1148,46 @@ def test_the_sampled_check_starts_no_thread(monkeypatch, samples):
     assert mapped_on == [threading.current_thread()] * 2
 
 
+SAMPLED_FAULT_SCRIPT = """
+import resource, sys
+from servergame.oracle import epsilon_nash_check
+
+check = lambda: epsilon_nash_check((0.5, 0.5), 0.25, mode="sampled", regulated=sys.argv[1] == "1")
+for _ in range(20):
+    check()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    check()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap and minor faults")
+@pytest.mark.parametrize("regulated", [False, True])
+def test_repeat_sampled_checks_reuse_the_heap_without_page_faults(regulated):
+    # the draws and gain rows of a 20,000-draw check share one allocation;
+    # held apart, the heap's free top outgrew glibc's trim threshold and was
+    # handed back and refaulted on every call, 192 faults (256 regulated).
+    # A fresh interpreter, with the allocator's default thresholds
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", SAMPLED_FAULT_SCRIPT, str(int(regulated))],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100  # fewer than one a call
+
+
 def test_an_error_in_server_2s_moments_is_raised_in_the_caller(monkeypatch):
     sampled_gains = oracle._sampled_gains
     raised_on = []
 
-    def fails_for_server_2(p, opp_draws, t_opp, c, regulated):
+    def fails_for_server_2(p, opp_draws, t_opp, c, regulated, work):
         if t_opp == 0.3:  # server 2 plays against server 1's cutoff
             raised_on.append(threading.current_thread())
             raise ArithmeticError("server 2 failed")
-        return sampled_gains(p, opp_draws, t_opp, c, regulated)
+        return sampled_gains(p, opp_draws, t_opp, c, regulated, work)
 
     monkeypatch.setattr(oracle, "_sampled_gains", fails_for_server_2)
     before = threading.active_count()
@@ -1175,11 +1212,12 @@ def test_both_servers_gains_of_one_call_are_their_own_calls(case, regulated):
 
 
 def full_scan_best_response(t_opp, c, regulated, step):
-    """k * spacing for the first grid point k of n whose gain is >= -1e-12,
+    """k * spacing for the first grid point k of n whose gain is >= -2**-52,
     from one ``_interim_gains`` row over the whole grid; 1.0 if none is."""
     n = int(round(1.0 / step))
     spacing = 1.0 / n
-    dominates = np.flatnonzero(_interim_gains(np.arange(n) * spacing, t_opp, c, regulated) >= -1e-12)
+    gains = _interim_gains(np.arange(n) * spacing, t_opp, c, regulated)
+    dominates = np.flatnonzero(gains >= -(2.0**-52))
     return dominates[0] * spacing if dominates.size else 1.0
 
 
@@ -1202,6 +1240,32 @@ def test_grid_search_returns_the_linear_scans_point(case, regulated, step):
     t_opp, c = case
     got = grid_best_response(t_opp, c, regulated=regulated, step=step)
     assert got.hex() == float(full_scan_best_response(t_opp, c, regulated, step)).hex()
+
+
+@st.composite
+def small_cost_cases(draw):
+    """(t_opp, c): a cost down to 1e-12, log-uniform or uniform, and a cutoff
+    anywhere, within 2*sqrt(c), or at 0, 1, sqrt(c) or sqrt(c/2)."""
+    c = draw(st.builds(lambda e: 10.0**e, st.floats(-12.0, 0.0)) | st.floats(1e-12, 1.0))
+    near = st.floats(0.0, 2.0).map(lambda u: min(1.0, u * math.sqrt(c)))
+    return draw(UNIT | near | st.sampled_from([math.sqrt(c), math.sqrt(c / 2)])), c
+
+
+@pytest.mark.parametrize("step", [1e-6, 1e-9])
+@settings(deadline=None, max_examples=60)
+@given(case=small_cost_cases(), regulated=st.booleans())
+@example(case=(0.0, 1e-8), regulated=False)  # 1.41415e-4 at step 1e-9 with a slack of 1e-12
+@example(case=(0.0, 1e-12), regulated=False)  # 0 at step 1e-6, where being active loses c
+@example(case=(math.sqrt(0.5e-12), 1e-12), regulated=True)  # the least slope, 7.1e-7
+@example(case=(math.sqrt(1e-12), 1e-12), regulated=False)
+@example(case=(1.0, 1e-12), regulated=True)
+def test_the_grid_is_within_a_step_of_the_closed_form(case, regulated, step):
+    # the slack moves the grid's answer left by slack / slope, and the slope
+    # at the crossing is t_opp, or sqrt(c/2) at least: a slack of 1e-12 (or
+    # 1e-14) moves it by more than a step at 1e-9 for costs near 1e-12
+    t_opp, c = case
+    got = grid_best_response(t_opp, c, regulated=regulated, step=step)
+    assert abs(got - best_response_threshold(t_opp, c, regulated=regulated)) <= step
 
 
 # --------------------------------------------------------------------------
@@ -1258,12 +1322,18 @@ def test_a_best_response_pair_a_thousandth_off_fails(c, d):
 
 
 @pytest.mark.parametrize("regulated", [False, True])
-@pytest.mark.parametrize("c", [0.04, 0.25, 0.5, 0.81])
+@settings(deadline=None, max_examples=4)
+@given(c=st.floats(0.01, 0.99))
+@example(c=0.04)
+@example(c=0.25)
+@example(c=0.5)
+@example(c=0.81)
 def test_the_oracle_finds_one_cutoff_equilibrium(c, regulated):
     # D(t) = BR(BR(t)) - t with the oracle's best response alone, no closed
     # form, is > 0 left of every cutoff-pair equilibrium and < 0 right of
     # it.  Each best response is rounded up onto the 1e-6 grid, which moves
-    # D by at most 2e-6, so |D| <= 3e-6 has no sign
+    # D by at most 2e-6, so |D| <= 3e-6 has no sign.  This reads D on 101
+    # cutoffs only: no bound on D's slope certifies the cells between them
     grid = np.linspace(0.0, 1.0, 101)
     br = lambda t: grid_best_response(t, c, regulated, step=1e-6)
     d = np.array([br(br(t)) - t for t in grid.tolist()])

@@ -513,7 +513,8 @@ def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, bl
         idle = p - c + c / 2.0 if regulated else p - c
         opp_payoff = q - c / 2.0 if regulated else q
         gain = np.where(q >= t_opp, np.maximum(p, q) - c - opp_payoff, idle)
-        means, ses = oracle._sampled_gains(own, draws, t_opp, c, regulated)
+        work = np.empty((own.size, min(draws.size, oracle._BLOCK)))
+        means, ses = oracle._sampled_gains(own, draws, t_opp, c, regulated, work)
         # each row reduced alone, as numpy's mean and std of that row
         np.testing.assert_allclose(means, gain.mean(axis=1), rtol=0, atol=1e-14)
         np.testing.assert_allclose(
@@ -524,7 +525,7 @@ def test_blocked_sampled_gains_match_the_whole_matrix(monkeypatch, regulated, bl
 def linear_scan_best_response(t_opp, c, regulated, step):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
     for x in grid:
-        if interim_activity_gain(float(x), t_opp, c, regulated) >= -1e-12:
+        if interim_activity_gain(float(x), t_opp, c, regulated) >= -(2.0**-52):
             return float(x)
     return 1.0
 
@@ -534,7 +535,7 @@ def linspace_bisection(t_opp, c, regulated, step):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
 
     def dominates(i):
-        return interim_activity_gain(float(grid[i]), t_opp, c, regulated) >= -1e-12
+        return interim_activity_gain(float(grid[i]), t_opp, c, regulated) >= -(2.0**-52)
 
     if dominates(0):
         return float(grid[0])
